@@ -13,7 +13,12 @@ import os
 import sys
 
 from . import __version__
-from .errors import CapabilityError, IsogenyLabError
+from .errors import (
+    CapabilityError,
+    IsogenyLabError,
+    NotSemisimpleError,
+    TheoremViolationError,
+)
 from .galois_modules import (
     GaloisModule,
     PointedConfiguration,
@@ -45,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--format", choices=["json", "text"], default="json")
         sp.add_argument("--output", help="write the report to this path instead of stdout")
-        sp.add_argument("--seed", type=int, default=0)
 
     t1 = sub.add_parser("theorem1", help="order-two graphs force full rational torsion")
     t1.add_argument("--q", type=int, required=True)
@@ -94,6 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("replay", help="re-execute a serialized violation witness")
     rp.add_argument("witness_file")
     add_common(rp)
+
+    su = sub.add_parser("suites", help="random property suites on the Galois-module layer")
+    su.add_argument("--trials", type=int, default=1000)
+    su.add_argument("--seed", type=int, default=0, help="fixes every randomized trial")
     return p
 
 
@@ -151,6 +159,21 @@ def _replay_command(args) -> int:
     return 0 if ok else 2
 
 
+def _suites_command(args) -> int:
+    bad = 0
+    for name, fn in [
+        ("lattice-dimension-law", V.lemma42_trial),
+        ("semisimple-construction", V.theorem2_trial),
+        ("cyclic-rank-law", V.cyclic_law_trial),
+    ]:
+        failures = V.run_trials(fn, args.trials, seed=args.seed)
+        print(f"{name}: {args.trials - len(failures)}/{args.trials} ok")
+        for w in failures[:5]:
+            print("  failure:", w)
+        bad += len(failures)
+    return 0 if bad == 0 else 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -192,10 +215,16 @@ def main(argv=None) -> int:
             return _emit(rep, args)
         if args.command == "replay":
             return _replay_command(args)
+        if args.command == "suites":
+            return _suites_command(args)
         raise AssertionError("unreachable")
-    except (CapabilityError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (CapabilityError, NotSemisimpleError, FileNotFoundError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TheoremViolationError as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return 2
     except IsogenyLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

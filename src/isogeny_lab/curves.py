@@ -21,6 +21,8 @@ from .fields import (
     PrimeField,
     QQ,
     RationalField,
+    _val_inverse,
+    _val_is_zero,
 )
 
 ORDER_ENUMERATION_CAP = 10**6
@@ -43,7 +45,7 @@ class WeierstrassCurve:
         self.a4 = field.element(a4)
         self.a6 = field.element(a6)
         self._cache = {}
-        if _is_zero(self.discriminant()):
+        if _val_is_zero(self.discriminant()):
             raise ValueError("singular curve (discriminant is zero)")
 
     # invariants ---------------------------------------------------------
@@ -131,15 +133,15 @@ class WeierstrassCurve:
         """
         from .isogenies import CurveIsomorphism
 
-        two_inv = _inv(self.field.element(2) if not isinstance(self.field, RationalField) else Fraction(2))
+        two_inv = _val_inverse(self.field.element(2))
         s = -self.a1 * two_inv
         t = -self.a3 * two_inv
-        e1 = CurveIsomorphism(self.field, _one(self.field), self.field.zero(), s, t)
+        e1 = CurveIsomorphism(self.field, self.field.one(), self.field.zero(), s, t)
         c1 = e1.apply_to_curve(self)
         # now a1 = a3 = 0; kill a2 with r = -a2/3
-        three_inv = _inv(self.field.element(3) if not isinstance(self.field, RationalField) else Fraction(3))
+        three_inv = _val_inverse(self.field.element(3))
         r = -c1.a2 * three_inv
-        e2 = CurveIsomorphism(c1.field, _one(c1.field), r, c1.field.zero(), c1.field.zero())
+        e2 = CurveIsomorphism(c1.field, c1.field.one(), r, c1.field.zero(), c1.field.zero())
         c2 = e2.apply_to_curve(c1)
         # then a3 may have reappeared? (no: r-shift with a1=0 gives a3' = a3 + r*a1 = 0)
         iso = e1.compose(e2)
@@ -229,7 +231,7 @@ class CurvePoint:
         a1, a2, a3, a4, a6 = c.coefficients()
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         if x1 == x2:
-            if _is_zero(y1 + y2 + a1 * x2 + a3):
+            if _val_is_zero(y1 + y2 + a1 * x2 + a3):
                 return c.infinity()
             den = 2 * y1 + a1 * x1 + a3
             lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
@@ -323,9 +325,9 @@ def _psi_tilde(curve: WeierstrassCurve, n: int) -> Polynomial:
     if n == 0:
         return Polynomial.zero(field)
     if n in (1, 2):
-        return Polynomial(field, [_one(field)])
+        return Polynomial(field, [field.one()])
     if n == 3:
-        return Polynomial(field, [b8, 3 * b6, 3 * b4, b2, 3 * _one(field)])
+        return Polynomial(field, [b8, 3 * b6, 3 * b4, b2, 3 * field.one()])
     if n == 4:
         return Polynomial(
             field,
@@ -336,7 +338,7 @@ def _psi_tilde(curve: WeierstrassCurve, n: int) -> Polynomial:
                 10 * b6,
                 5 * b4,
                 b2,
-                2 * _one(field),
+                2 * field.one(),
             ],
         )
     F = _two_torsion_poly(curve)
@@ -359,7 +361,7 @@ def _two_torsion_poly(curve: WeierstrassCurve) -> Polynomial:
     """F(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2 on the curve."""
     b2, b4, b6, _ = curve.b_invariants()
     field = curve.field
-    return Polynomial(field, [b6, 2 * b4, b2, 4 * _one(field)])
+    return Polynomial(field, [b6, 2 * b4, b2, 4 * field.one()])
 
 
 def division_polynomial(curve: WeierstrassCurve, n: int) -> Polynomial:
@@ -370,25 +372,6 @@ def division_polynomial(curve: WeierstrassCurve, n: int) -> Polynomial:
     if n % 2 == 1:
         return _psi_tilde(curve, n)
     return _two_torsion_poly(curve) * _psi_tilde(curve, n)
-
-
-def x_coordinate_of_multiple(curve: WeierstrassCurve, m: int):
-    """(numerator, denominator) polynomials with x([m]P) = num(x)/den(x)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    x = Polynomial.x(curve.field)
-    if m == 1:
-        return x, Polynomial(curve.field, [_one(curve.field)])
-    F = _two_torsion_poly(curve)
-    tm = _psi_tilde(curve, m)
-    tprod = _psi_tilde(curve, m - 1) * _psi_tilde(curve, m + 1)
-    if m % 2 == 1:
-        num = x * tm * tm - F * tprod
-        den = tm * tm
-    else:
-        num = x * F * tm * tm - tprod
-        den = F * tm * tm
-    return num, den
 
 
 # --- point counting -----------------------------------------------------------
@@ -444,6 +427,24 @@ class TorsionBasis:
     P: CurvePoint
     Q: CurvePoint
 
+    @functools.cached_property
+    def _coordinate_table(self) -> dict:
+        table = {}
+        for a in range(self.ell):
+            for b in range(self.ell):
+                pt = a * self.P + b * self.Q
+                table[None if pt.infinity else (pt.x, pt.y)] = (a, b)
+        return table
+
+    def coordinates(self, point: CurvePoint) -> tuple[int, int]:
+        """(a, b) with point = a*P + b*Q, from a table of all ell^2 points
+        built on first use."""
+        key = None if point.infinity else (point.x, point.y)
+        coords = self._coordinate_table.get(key)
+        if coords is None:
+            raise InternalError("point is not in the span of the torsion basis")
+        return coords
+
 
 def _x_poly_ints(curve: WeierstrassCurve, ell: int) -> list[int]:
     return division_polynomial(curve, ell).int_coeffs()
@@ -464,7 +465,7 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     if ell == q:
         raise ValueError("ell must differ from the characteristic")
     psi = _x_poly_ints(curve, ell)
-    factors = _factor_squarefree(psi, q)
+    factors = intpoly.factor_squarefree(psi, q)
     a1, a2, a3, a4, a6 = (c.to_int() for c in curve.coefficients())
     rhs_coeffs = [a6, a4, a2, 1]
     k = 1
@@ -538,31 +539,10 @@ def torsion_basis(curve: WeierstrassCurve, ell: int) -> TorsionBasis:
     if Q is None:
         raise InternalError("no independent second basis point found")
     zeta = weil_pairing(P, Q, ell)
-    if zeta == _one_of(P) or not _is_zero(zeta**ell - _one_of(P)):
+    one = curve_k.field.one()
+    if zeta == one or not _val_is_zero(zeta**ell - one):
         raise InternalError("basis pairing is not a primitive ell-th root of unity")
     return TorsionBasis(ell=ell, k=k, base_q=q, curve=curve_k, P=P, Q=Q)
-
-
-def _factor_squarefree(f: list[int], q: int) -> list[list[int]]:
-    """Full irreducible factorization of a squarefree monic polynomial."""
-    f = intpoly.pmonic(f, q)
-    out = []
-    rem = f[:]
-    d = 1
-    xq_cache = None
-    while intpoly.deg(rem) > 0:
-        if d > intpoly.deg(rem):
-            raise InternalError("factorization ran past the degree")
-        xqd = intpoly.ppowmod([0, 1], q**d, rem, q)
-        g = intpoly.pgcd(intpoly.psub(xqd, [0, 1], q), rem, q)
-        if intpoly.deg(g) > 0:
-            if intpoly.deg(g) == d:
-                out.append(g)
-            else:
-                out.extend(intpoly.equal_degree_split(g, d, q))
-            rem = intpoly.pdivmod(rem, g, q)[0]
-        d += 1
-    return out
 
 
 def _lcm(a: int, b: int) -> int:
@@ -580,12 +560,12 @@ def _line_value(A: CurvePoint, B: CurvePoint, X: CurvePoint):
     curve = A.curve
     a1, a2, a3, a4, a6 = curve.coefficients()
     if A.infinity and B.infinity:
-        return _one_of(X)
+        return X.curve.field.one()
     if A.infinity:
         return X.x - B.x
     if B.infinity:
         return X.x - A.x
-    if A.x == B.x and _is_zero(A.y + B.y + a1 * B.x + a3):
+    if A.x == B.x and _val_is_zero(A.y + B.y + a1 * B.x + a3):
         return X.x - A.x
     if A == B:
         den = 2 * A.y + a1 * A.x + a3
@@ -597,7 +577,7 @@ def _line_value(A: CurvePoint, B: CurvePoint, X: CurvePoint):
 
 def _vertical_value(A: CurvePoint, X: CurvePoint):
     if A.infinity:
-        return _one_of(X)
+        return X.curve.field.one()
     return X.x - A.x
 
 
@@ -611,7 +591,7 @@ def _miller_shifted(P: CurvePoint, S: CurvePoint, ell: int, X1: CurvePoint, X2: 
     PS = P + S
     num = _vertical_value(PS, X1) * _line_value(P, S, X2)
     den = _vertical_value(PS, X2) * _line_value(P, S, X1)
-    if _is_zero(num) or _is_zero(den):
+    if _val_is_zero(num) or _val_is_zero(den):
         raise ZeroDivisionError("degenerate auxiliary point in Miller loop")
     h_num, h_den = num, den
     Z = P
@@ -626,7 +606,7 @@ def _miller_shifted(P: CurvePoint, S: CurvePoint, ell: int, X1: CurvePoint, X2: 
         h_num = h_num * h_num * lv_n * vv_n
         h_den = h_den * h_den * lv_d * vv_d
         Z = Z2
-        if _is_zero(h_num) or _is_zero(h_den):
+        if _val_is_zero(h_num) or _val_is_zero(h_den):
             raise ZeroDivisionError("degenerate auxiliary point in Miller loop")
         if bit == "1":
             lv_n = _line_value(Z, P, X1)
@@ -637,7 +617,7 @@ def _miller_shifted(P: CurvePoint, S: CurvePoint, ell: int, X1: CurvePoint, X2: 
             h_num = h_num * num * lv_n * vv_n
             h_den = h_den * den * lv_d * vv_d
             Z = Z1
-            if _is_zero(h_num) or _is_zero(h_den):
+            if _val_is_zero(h_num) or _val_is_zero(h_den):
                 raise ZeroDivisionError("degenerate auxiliary point in Miller loop")
     if not Z.infinity:
         raise ValueError("point is not ell-torsion")
@@ -657,7 +637,7 @@ def weil_pairing(P: CurvePoint, Q: CurvePoint, ell: int):
     curve = P.curve
     if not (ell * P).infinity or not (ell * Q).infinity:
         raise ValueError("pairing arguments must be ell-torsion")
-    one = _one_of_curve(curve)
+    one = curve.field.one()
     if P.infinity or Q.infinity or P == Q or P == -Q:
         # e(P, +-P) = 1 by the alternating property
         return one
@@ -751,20 +731,8 @@ def frobenius_matrix(
     """Matrix of the base-field Frobenius acting on (P, Q), solved by
     enumerating all ell^2 coordinate pairs."""
     ell, q = basis.ell, basis.base_q
-    table = {}
-    P, Q = basis.P, basis.Q
-    for a in range(ell):
-        for b in range(ell):
-            pt = a * P + b * Q
-            table[(None if pt.infinity else (pt.x, pt.y))] = (a, b)
-    piP = _frobenius_point(P, q)
-    piQ = _frobenius_point(Q, q)
-    keyP = None if piP.infinity else (piP.x, piP.y)
-    keyQ = None if piQ.infinity else (piQ.x, piQ.y)
-    if keyP not in table or keyQ not in table:
-        raise InternalError("Frobenius image not in the span of the basis")
-    colP = table[keyP]
-    colQ = table[keyQ]
+    colP = basis.coordinates(_frobenius_point(basis.P, q))
+    colQ = basis.coordinates(_frobenius_point(basis.Q, q))
     entries = ((colP[0], colQ[0]), (colP[1], colQ[1]))
     mat = FrobeniusMatrix(ell=ell, q=q, entries=entries)
     if mat.determinant() != q % ell:
@@ -791,26 +759,6 @@ def rational_ell_torsion(curve: WeierstrassCurve, ell: int) -> int:
 
 
 # --- misc helpers --------------------------------------------------------------
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, FieldElement) else v == 0
-
-
-def _one(field):
-    return field.one()
-
-
-def _inv(v):
-    return v.inverse() if isinstance(v, FieldElement) else 1 / v
-
-
-def _one_of(point: CurvePoint):
-    return _one_of_curve(point.curve)
-
-
-def _one_of_curve(curve: WeierstrassCurve):
-    return curve.field.one()
 
 
 def _sort_key(v):

@@ -516,14 +516,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def compose_linear(self, c1, c0) -> "Polynomial":
-        """Return self(c1*x + c0)."""
-        lin = Polynomial(self.field, [c0, c1])
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Polynomial(self.field, [c])
-        return acc
-
     def int_coeffs(self) -> list[int]:
         """Ascending int coefficients (prime-field polynomials only)."""
         return [c.to_int() for c in self.coeffs]

@@ -264,7 +264,11 @@ def fixed_subspace(module: GaloisModule) -> Subspace:
 def is_invariant(module: GaloisModule, sub: Subspace) -> bool:
     if sub.ambient != module.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    return all(sub.contains(sub.apply(g)) for g in module.generators)
+    return _is_invariant(module.generators, sub)
+
+
+def _is_invariant(gens, sub: Subspace) -> bool:
+    return all(sub.contains(sub.apply(g)) for g in gens)
 
 
 def pointedness_check(module: GaloisModule, hyperplane: Subspace) -> bool:
@@ -287,20 +291,24 @@ def group_closure(module: GaloisModule, cap: int = CLOSURE_CAP) -> frozenset:
     within cap; raises ClosureOverflowError otherwise."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    ident = identity_matrix(module.dim)
+    return _closure(module.ell, module.dim, module.generators, cap)
+
+
+def _closure(ell: int, dim: int, gens, cap: int) -> frozenset:
+    """group_closure on raw generators; also used on restrictions of the
+    action to invariant subspaces, whose dimension may be odd."""
+    ident = identity_matrix(dim)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in module.generators:
-                prod = mat_mul(m, g, module.ell)
+            for g in gens:
+                prod = mat_mul(m, g, ell)
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:
-                        raise ClosureOverflowError(
-                            f"group closure exceeded cap {cap}"
-                        )
+                        raise ClosureOverflowError(f"group closure exceeded cap {cap}")
                     nxt.append(prod)
         frontier = nxt
     return frozenset(seen)
@@ -380,29 +388,7 @@ def _find_invariant_complement(module, v: Subspace, subs) -> Subspace | None:
     return None
 
 
-def _closure_raw(ell: int, dim: int, gens, cap: int):
-    ident = identity_matrix(dim)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g, ell)
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > cap:
-                        raise ClosureOverflowError(f"group closure exceeded cap {cap}")
-                    nxt.append(prod)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def _is_invariant_raw(ell: int, gens, sub: Subspace) -> bool:
-    return all(sub.contains(sub.apply(g)) for g in gens)
-
-
-def _enumerate_subspaces_raw(ell: int, n: int):
+def _all_subspaces(ell: int, n: int):
     """All subspaces of F_ell^n in echelon form (including zero and full)."""
     yield Subspace.zero(ell, n)
     for k in range(1, n + 1):
@@ -428,14 +414,14 @@ def _invariant_complement_raw(ell: int, dim: int, gens, sub: Subspace) -> Subspa
         return Subspace.full(ell, dim)
     closure = None
     try:
-        closure = _closure_raw(ell, dim, gens, CLOSURE_CAP)
+        closure = _closure(ell, dim, gens, CLOSURE_CAP)
     except ClosureOverflowError:
         pass
     if closure is not None and len(closure) % ell != 0:
         pi = _averaged_projector(ell, dim, gens, sub, closure)
         w = Subspace.from_vectors(ell, dim, nullspace(pi, ell, dim))
         if not (
-            _is_invariant_raw(ell, gens, w)
+            _is_invariant(gens, w)
             and sub.intersect(w).dim == 0
             and sub.dim + w.dim == dim
         ):
@@ -443,8 +429,8 @@ def _invariant_complement_raw(ell: int, dim: int, gens, sub: Subspace) -> Subspa
         return w
     if ell**dim <= ENUM_CAP:
         want = dim - sub.dim
-        for w in _enumerate_subspaces_raw(ell, dim):
-            if w.dim == want and _is_invariant_raw(ell, gens, w) and sub.intersect(w).dim == 0:
+        for w in _all_subspaces(ell, dim):
+            if w.dim == want and _is_invariant(gens, w) and sub.intersect(w).dim == 0:
                 return w
         raise NotSemisimpleError("no invariant complement exists for the given subspace")
     raise CapabilityError(
@@ -648,24 +634,7 @@ def enumerate_invariant_subspaces(module: GaloisModule, cap: int = ENUM_CAP):
     ell, n = module.ell, module.dim
     if ell**n > cap:
         raise CapabilityError(f"subspace enumeration cap {cap} exceeded (ell^dim = {ell**n})")
-    out = [Subspace.zero(ell, n)]
-    for k in range(1, n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            free_positions = []
-            for i, p in enumerate(pivots):
-                for c in range(p + 1, n):
-                    if c not in pivots:
-                        free_positions.append((i, c))
-            for values in itertools.product(range(ell), repeat=len(free_positions)):
-                rows = [[0] * n for _ in range(k)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, c), v in zip(free_positions, values):
-                    rows[i][c] = v
-                sub = Subspace(ell=ell, ambient=n, rows=tuple(tuple(r) for r in rows))
-                if is_invariant(module, sub):
-                    out.append(sub)
-    return out
+    return [sub for sub in _all_subspaces(ell, n) if _is_invariant(module.generators, sub)]
 
 
 # --- random configuration generators (for property suites) ----------------------

@@ -253,6 +253,39 @@ def xmul_fraction_ints(psi, F, j, q):
     return num, den
 
 
+def line_poly_int(psi, F, xi, f, ell, q):
+    """Monic kernel x-polynomial (int coefficients) of the order-ell subgroup
+    through a point whose x-coordinate is xi in F_q[z]/(f), f irreducible.
+
+    psi, F come from psi_tilde_ints up to index (ell + 1) // 2 or beyond.
+    Returns None when the line is not Galois-stable (a coefficient leaves
+    F_q) or when some x([j]P) has a zero denominator.
+    """
+    xs = [xi]
+    for j in range(2, (ell - 1) // 2 + 1):
+        numj, denj = xmul_fraction_ints(psi, F, j, q)
+        nv = intpoly.eval_poly_ext(numj, xi, f, q)
+        dv = intpoly.eval_poly_ext(denj, xi, f, q)
+        if not dv:
+            return None
+        xs.append(intpoly.emul(nv, intpoly.einv(dv, f, q), f, q))
+    # w = prod (X - x_j) with coefficients in F_q[z]/(f)
+    w_ext = [[1]]
+    for xj in xs:
+        new = [[] for _ in range(len(w_ext) + 1)]
+        for i, c in enumerate(w_ext):
+            new[i + 1] = intpoly.padd(new[i + 1], c, q)
+            new[i] = intpoly.psub(new[i], intpoly.emul(c, xj, f, q), q)
+        w_ext = new
+    w = []
+    for c in w_ext:
+        c = intpoly.trim(c)
+        if intpoly.deg(c) > 0:
+            return None
+        w.append(c[0] if c else 0)
+    return w
+
+
 # --- Velu over ints ----------------------------------------------------------------
 
 
@@ -267,7 +300,7 @@ def velu_codomain_int(coeffs, kappa, ell, q):
         t = (6 * x0 * x0 + b2 * x0 + b4) * pow(2, -1, q) % q
         w = x0 * t % q
     else:
-        p1, p2, p3 = intpoly.newton_power_sums(kappa, 3, q)
+        p1, p2, p3 = intpoly.power_sums(kappa, 3)
         t = (6 * p2 + b2 * p1 + d * b4) % q
         w = (10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6) % q
     return (a1, a2, a3, (a4 - 5 * t) % q, (a6 - b2 * t - 7 * w) % q)
@@ -283,7 +316,7 @@ def velu_x_maps_int(coeffs, kappa, ell, q):
         num = intpoly.padd(intpoly.pmul([0, 1], h, q), [t], q)
         return num, h[:]
     d = intpoly.deg(h)
-    p1 = intpoly.newton_power_sums(h, 1, q)[0]
+    p1 = intpoly.power_sums(h, 1)[0]
     v = intpoly.trim([b4, b2, 6 % q])
     u = intpoly.trim([b6, (2 * b4) % q, b2, 4 % q])
     hp = intpoly.pderiv(h, q)
@@ -303,25 +336,6 @@ def velu_x_maps_int(coeffs, kappa, ell, q):
         q,
     )
     return num, h2
-
-
-def isogeny_eval_int(src_coeffs, num, den, kappa, P, q):
-    """Evaluate the quotient isogeny at an int point (None = infinity)."""
-    if P is None:
-        return None
-    x, y = P
-    if intpoly.peval(kappa, x, q) == 0:
-        return None
-    a1, _, a3, _, _ = src_coeffs
-    nv = intpoly.peval(num, x, q)
-    dv = intpoly.peval(den, x, q)
-    dinv = pow(dv, -1, q)
-    X = nv * dinv % q
-    npv = intpoly.peval(intpoly.pderiv(num, q), x, q)
-    dpv = intpoly.peval(intpoly.pderiv(den, q), x, q)
-    Xp = (npv * dv - nv * dpv) * dinv % q * dinv % q
-    Y = (Xp * (2 * y + a1 * x + a3) - a1 * X - a3) * pow(2, -1, q) % q
-    return (X, Y)
 
 
 # --- canonical isomorphism-class keys ----------------------------------------------
@@ -379,26 +393,6 @@ def compose_iso_int(i1, i2, q):
     )
 
 
-def apply_iso_to_curve_int(iso, coeffs, q):
-    u, r, s, t = iso
-    a1, a2, a3, a4, a6 = coeffs
-    ui = pow(u, -1, q)
-    ui2 = ui * ui % q
-    ui3 = ui2 * ui % q
-    na1 = (a1 + 2 * s) * ui % q
-    na2 = (a2 - s * a1 + 3 * r - s * s) * ui2 % q
-    na3 = (a3 + r * a1 + 2 * t) * ui3 % q
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) * ui2 % q * ui2 % q
-    na6 = (
-        (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1)
-        * ui3
-        % q
-        * ui3
-        % q
-    )
-    return (na1, na2, na3, na4, na6)
-
-
 def transport_line_poly(w, iso, q):
     """Transport a kernel x-polynomial through x = u^2 x' + r (monic out)."""
     u, r, _, _ = iso
@@ -447,7 +441,6 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
             out.append((tuple(w), key, cod))
         return out
     e_star = pointed_orbit_degree(ell, q)
-    d_line = (ell - 1) // 2
     psi, F = psi_tilde_ints(coeffs, q, ell + 1)
     psi_x = psi[ell]
     factors = intpoly.factors_of_degree(psi_x, e_star, q)
@@ -457,37 +450,9 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
     for f in factors:
         d = intpoly.deg(f)
         xi = [(-f[0]) % q] if d == 1 else [0, 1]
-        # generate the line through a point with this x-coordinate
-        xs = [xi]
-        ok = True
-        for j in range(2, d_line + 1):
-            numj, denj = xmul_fraction_ints(psi, F, j, q)
-            nv = intpoly.eval_poly_ext(numj, xi, f, q)
-            dv = intpoly.eval_poly_ext(denj, xi, f, q)
-            if not dv:
-                ok = False
-                break
-            xs.append(intpoly.emul(nv, intpoly.einv(dv, f, q), f, q))
-        if not ok:
+        w = line_poly_int(psi, F, xi, f, ell, q)
+        if w is None:
             continue
-        w_ext = [[1]]
-        for xj in xs:
-            new = [[] for _ in range(len(w_ext) + 1)]
-            for i, c in enumerate(w_ext):
-                new[i + 1] = intpoly.padd(new[i + 1], c, q)
-                new[i] = intpoly.psub(new[i], intpoly.emul(c, xj, f, q), q)
-            w_ext = new
-        w = []
-        stable = True
-        for c in w_ext:
-            c = intpoly.trim(c)
-            if intpoly.deg(c) > 0:
-                stable = False
-                break
-            w.append(c[0] if c else 0)
-        if not stable:
-            continue
-        w = intpoly.pmonic(w, q)
         key = tuple(w)
         if key in lines:
             continue
@@ -772,7 +737,6 @@ def build_pointed_graphs(
     curve_limit: int = DEFAULT_CURVE_LIMIT,
     include_family: bool | None = None,
     soundness: SoundnessStats | None = None,
-    sample_stride: int = 1,
 ) -> list[PointedGraph]:
     """Enumerate every pointed K-rational ell-isogeny graph over F_q whose
     sources are short-form curves (plus the universal 3-isogeny family when
@@ -847,7 +811,7 @@ def build_pointed_graphs(
     # short-form sources
     for a in range(q):
         row = orders[a]
-        for b in range(0, q, sample_stride):
+        for b in range(q):
             N = row[b]
             if N == 0 or N % ell:
                 continue
@@ -859,7 +823,7 @@ def build_pointed_graphs(
     if ell == 3 and (include_family or include_family is None):
         for w_par in range(q):
             w3 = w_par * w_par * w_par % q
-            for v_par in range(1, q, sample_stride):
+            for v_par in range(1, q):
                 if (w3 - 27 * v_par) % q == 0:
                     continue
                 src = (w_par, 0, v_par, 0, 0)

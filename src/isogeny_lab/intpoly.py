@@ -8,6 +8,8 @@ where object-per-coefficient arithmetic would be too slow.
 
 from __future__ import annotations
 
+from .errors import InternalError
+
 
 def trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -139,32 +141,23 @@ def ppowmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
     return result
 
 
-def pcompose_mod(f: list[int], g: list[int], m: list[int], q: int) -> list[int]:
-    """f(g) mod (m, q), Horner in g."""
-    acc: list[int] = []
-    for c in reversed(f):
-        acc = pmod(pmul(acc, g, q), m, q)
-        if c:
-            acc = padd(acc, [c], q)
-    return acc
+def power_sums(h, upto: int) -> list:
+    """Power sums p_1..p_upto of the roots of monic h, via Newton's identities.
 
-
-def newton_power_sums(h: list[int], upto: int, q: int) -> list[int]:
-    """Power sums p_1..p_upto of the roots of monic h, via Newton's identities."""
-    d = deg(h)
-    # h = x^d - E1 x^(d-1) + E2 x^(d-2) - ...
-    es = [0] * (upto + 1)
-    for i in range(1, upto + 1):
-        if d - i >= 0:
-            es[i] = (h[d - i] * (-1) ** i) % q
-    ps = [0] * (upto + 1)
+    h is an ascending coefficient list over any commutative ring: ints (the
+    sums come back unreduced; the caller reduces mod q), FieldElement or
+    Fraction.  With h = x^d + c_1 x^(d-1) + ... + c_d and c_i = 0 for i > d,
+    p_k = -(c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k).
+    """
+    d = len(h) - 1
+    c = [h[d - i] if i <= d else 0 for i in range(upto + 1)]
+    ps: list = []
     for k in range(1, upto + 1):
-        acc = 0
+        acc = k * c[k]
         for i in range(1, k):
-            acc += (-1) ** (i - 1) * es[i] * ps[k - i]
-        acc += (-1) ** (k - 1) * k * es[k]
-        ps[k] = acc % q
-    return ps[1:]
+            acc = acc + c[i] * ps[k - i - 1]
+        ps.append(-acc)
+    return ps
 
 
 def split_linear(f: list[int], q: int) -> list[int]:
@@ -230,15 +223,13 @@ def equal_degree_split(f: list[int], d: int, q: int) -> list[list[int]]:
     raise AssertionError("unreachable")
 
 
-def factors_of_degree(f: list[int], d: int, q: int, xq: list[int] | None = None) -> list[list[int]]:
+def factors_of_degree(f: list[int], d: int, q: int) -> list[list[int]]:
     """Monic irreducible degree-d factors of squarefree f.
 
     Assumes all factors of f of degree properly dividing d have already been
     removed when d > 1 is composite; for d in {1,2,3} (our uses) stripping
     degree-1 (and degree-... lower) factors first is enough.
     """
-    if xq is None:
-        xq = ppowmod([0, 1], q, f, q)
     xqd = ppowmod([0, 1], q**d, f, q)
     prod = pgcd(psub(xqd, [0, 1], q), f, q)
     # remove factors of smaller degree dividing d
@@ -252,6 +243,23 @@ def factors_of_degree(f: list[int], d: int, q: int, xq: list[int] | None = None)
     if d == 1:
         return [[(-r) % q, 1] for r in split_linear(prod, q)]
     return equal_degree_split(prod, d, q)
+
+
+def factor_squarefree(f: list[int], q: int) -> list[list[int]]:
+    """Full irreducible factorization of a squarefree polynomial: monic
+    factors in non-decreasing degree (distinct-degree, then equal-degree)."""
+    out = []
+    rem = pmonic(f, q)
+    d = 1
+    while deg(rem) > 0:
+        if d > deg(rem):
+            raise InternalError("factorization ran past the degree (f is not squarefree)")
+        g = pgcd(psub(ppowmod([0, 1], q**d, rem, q), [0, 1], q), rem, q)
+        if deg(g) > 0:
+            out.extend([g] if deg(g) == d else equal_degree_split(g, d, q))
+            rem = pdivmod(rem, g, q)[0]
+        d += 1
+    return out
 
 
 def sqrt_mod(n: int, q: int) -> int | None:

@@ -16,15 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intpoly
-from .curves import (
-    CurvePoint,
-    WeierstrassCurve,
-    division_polynomial,
-    x_coordinate_of_multiple,
-)
+from . import graphs, intpoly
+from .curves import CurvePoint, WeierstrassCurve, division_polynomial
 from .errors import CapabilityError, FieldMismatchError, InternalError
-from .fields import FieldElement, Polynomial, PrimeField, RationalField, is_prime
+from .fields import (
+    FieldElement,
+    Polynomial,
+    PrimeField,
+    RationalField,
+    _val_inverse,
+    _val_is_zero,
+    is_prime,
+)
 
 
 class CurveIsomorphism:
@@ -38,7 +41,7 @@ class CurveIsomorphism:
         self.r = field.element(r)
         self.s = field.element(s)
         self.t = field.element(t)
-        if _is_zero(self.u):
+        if _val_is_zero(self.u):
             raise ValueError("isomorphism scale u must be nonzero")
 
     @classmethod
@@ -66,11 +69,6 @@ class CurveIsomorphism:
         y1 = (point.y - s * (point.x - r) - t) / (u2 * u)
         return codomain.point(x1, y1)
 
-    def apply_to_x_poly(self, w: Polynomial) -> Polynomial:
-        """Transport a polynomial in x through the substitution x = u^2 x' + r."""
-        out = w.compose_linear(self.u * self.u, self.r)
-        return out.monic() if not out.is_zero() else out
-
     def compose(self, other: "CurveIsomorphism") -> "CurveIsomorphism":
         """self then other (self: E->E1, other: E1->E2)."""
         u1, r1, s1, t1 = self.u, self.r, self.s, self.t
@@ -85,7 +83,7 @@ class CurveIsomorphism:
 
     def invert(self) -> "CurveIsomorphism":
         u, r, s, t = self.u, self.r, self.s, self.t
-        ui = _inv(u)
+        ui = _val_inverse(u)
         ui2 = ui * ui
         return CurveIsomorphism(
             self.field, ui, -r * ui2, -s * ui, (s * r - t) * ui2 * ui
@@ -124,7 +122,7 @@ class Isogeny:
 
     def x_image(self, x):
         d = self.den(x)
-        if _is_zero(d):
+        if _val_is_zero(d):
             return None
         return self.num(x) / d
 
@@ -133,7 +131,7 @@ class Isogeny:
             raise FieldMismatchError("point is not on the isogeny domain")
         if point.infinity:
             return self.codomain.infinity()
-        if _is_zero(self.kernel_poly(point.x)):
+        if _val_is_zero(self.kernel_poly(point.x)):
             return self.codomain.infinity()
         E = self.domain
         x, y = point.x, point.y
@@ -171,7 +169,7 @@ def quotient_by_kernel_polynomial(
     """Velu quotient of `curve` by the subgroup with kernel polynomial h."""
     field = curve.field
     b2, b4, b6, _ = curve.b_invariants()
-    one = field.one() if not isinstance(field, RationalField) else field.one()
+    one = field.one()
     h = h.monic()
     d = h.degree
     x = Polynomial.x(field)
@@ -186,7 +184,7 @@ def quotient_by_kernel_polynomial(
     else:
         if d != (ell - 1) // 2:
             raise ValueError("kernel polynomial degree must be (ell-1)/2")
-        p1, p2, p3 = _power_sums(h, 3)
+        p1, p2, p3 = intpoly.power_sums(h.coeffs, 3)
         t = 6 * p2 + b2 * p1 + d * b4
         w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6
         v_poly = Polynomial(field, [b4, b2, 6 * one])
@@ -203,7 +201,7 @@ def quotient_by_kernel_polynomial(
         den = h2
     a1, a2, a3, a4, a6 = curve.coefficients()
     codomain = WeierstrassCurve(field, a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * w)
-    if _is_zero(codomain.discriminant()):
+    if _val_is_zero(codomain.discriminant()):
         raise InternalError("Velu codomain is singular")
     return Isogeny(
         domain=curve,
@@ -254,26 +252,6 @@ def _point_prime_order(point: CurvePoint, bound: int = 200) -> int:
     raise CapabilityError(f"kernel point order exceeds search bound {bound}")
 
 
-def _power_sums(h: Polynomial, upto: int):
-    d = h.degree
-    field = h.field
-    es = [field.zero()] * (upto + 1)
-    for i in range(1, upto + 1):
-        if d - i >= 0:
-            c = h.coeffs[d - i]
-            es[i] = c if i % 2 == 0 else -c
-    ps = [field.zero()] * (upto + 1)
-    for k in range(1, upto + 1):
-        acc = field.zero()
-        for i in range(1, k):
-            term = es[i] * ps[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        kk = es[k] * k
-        acc = acc + (kk if k % 2 == 1 else -kk)
-        ps[k] = acc
-    return ps[1], ps[2], ps[3]
-
-
 # --- the universal 3-isogeny family -------------------------------------------
 
 
@@ -314,12 +292,12 @@ def curves_isomorphic(E: WeierstrassCurve, E2: WeierstrassCurve):
     A1, B1 = S1.a4, S1.a6
     A2, B2 = S2.a4, S2.a6
     u = None
-    if not _is_zero(A1) and not _is_zero(B1):
+    if not _val_is_zero(A1) and not _val_is_zero(B1):
         u_sq = (B1 / B2) * (A2 / A1)
         u = field.sqrt(u_sq)
         if u is None:
             return None
-    elif _is_zero(B1):
+    elif _val_is_zero(B1):
         # j = 1728: u^4 = A1/A2
         c = A1 / A2
         for sgn_root in _all_sqrts(field, c):
@@ -360,7 +338,7 @@ def _all_sqrts(field, c):
     s = field.sqrt(c)
     if s is None:
         return []
-    return [s, -s] if not _is_zero(s) else [s]
+    return [s, -s] if not _val_is_zero(s) else [s]
 
 
 # --- dual kernels ---------------------------------------------------------------
@@ -386,60 +364,19 @@ def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
         raise InternalError("kernel polynomial does not divide the division polynomial")
     num = phi.num.int_coeffs()
     den = phi.den.int_coeffs()
-    f = _smallest_factor(g, q)
+    f = intpoly.factor_squarefree(g, q)[0]
     d = intpoly.deg(f)
     alpha = [(-f[0]) % q] if d == 1 else [0, 1]
     n_val = intpoly.eval_poly_ext(num, alpha, f, q)
     d_val = intpoly.eval_poly_ext(den, alpha, f, q)
     xi = intpoly.emul(n_val, intpoly.einv(d_val, f, q), f, q)
-    w_ints = _line_poly_from_x(phi.codomain, xi, f, ell)
+    psi_cod, F_cod = graphs.psi_tilde_ints(
+        [c.to_int() for c in phi.codomain.coefficients()], q, (ell + 1) // 2
+    )
+    w_ints = graphs.line_poly_int(psi_cod, F_cod, xi, f, ell, q)
+    if w_ints is None:
+        raise InternalError("dual kernel line is not Galois-stable")
     return Polynomial(field, [field.element(c) for c in w_ints])
-
-
-def _smallest_factor(g: list[int], q: int) -> list[int]:
-    """A monic irreducible factor of squarefree g of smallest degree."""
-    rem = intpoly.pmonic(g, q)
-    d = 1
-    while intpoly.deg(rem) > 0:
-        if d > intpoly.deg(rem):
-            raise InternalError("factor search ran past the degree")
-        xqd = intpoly.ppowmod([0, 1], q**d, rem, q)
-        c = intpoly.pgcd(intpoly.psub(xqd, [0, 1], q), rem, q)
-        if intpoly.deg(c) > 0:
-            if intpoly.deg(c) == d:
-                return c
-            return intpoly.equal_degree_split(c, d, q)[0]
-        d += 1
-    raise InternalError("no factor found (degenerate polynomial)")
-
-
-def _line_poly_from_x(
-    codomain: WeierstrassCurve, xi: list[int], f: list[int], ell: int
-) -> list[int]:
-    """Kernel polynomial of the order-ell subgroup through a point with
-    x-coordinate xi in F_q[z]/(f); coefficients must land in F_q."""
-    q = codomain.field.p
-    xs = [xi]
-    for j in range(2, (ell - 1) // 2 + 1):
-        numj, denj = x_coordinate_of_multiple(codomain, j)
-        nj = intpoly.eval_poly_ext(numj.int_coeffs(), xi, f, q)
-        dj = intpoly.eval_poly_ext(denj.int_coeffs(), xi, f, q)
-        xs.append(intpoly.emul(nj, intpoly.einv(dj, f, q), f, q))
-    # w = prod (X - x_j) with coefficients in F_q[z]/(f)
-    w = [[1]]
-    for xj in xs:
-        new = [[] for _ in range(len(w) + 1)]
-        for i, c in enumerate(w):
-            new[i + 1] = intpoly.padd(new[i + 1], c, q)
-            new[i] = intpoly.psub(new[i], intpoly.emul(c, xj, f, q), q)
-        w = new
-    out = []
-    for c in w:
-        c = intpoly.trim(c)
-        if intpoly.deg(c) > 0:
-            raise InternalError("dual kernel line is not Galois-stable")
-        out.append(c[0] if c else 0)
-    return out
 
 
 def dual_kernel(phi: Isogeny, target_basis) -> "object":
@@ -463,10 +400,10 @@ def dual_kernel(phi: Isogeny, target_basis) -> "object":
     if not ys:
         raise InternalError("dual kernel x-coordinate has no y over the basis field")
     R = target_basis.curve.point(x0, ys[0])
-    coords = _dlog_pair(target_basis, R)
+    coords = target_basis.coordinates(R)
     sub = Subspace.from_vectors(ell, 2, [list(coords)])
     mat = frobenius_matrix(
-        target_basis.curve if target_basis.k == 1 else _base_curve(phi),
+        target_basis.curve if target_basis.k == 1 else phi.codomain,
         target_basis,
     )
     a, b = coords
@@ -477,28 +414,3 @@ def dual_kernel(phi: Isogeny, target_basis) -> "object":
     if not sub.contains_vector(list(img)):
         raise InternalError("dual kernel line is not Frobenius-invariant")
     return sub
-
-
-def _base_curve(phi: Isogeny) -> WeierstrassCurve:
-    return phi.codomain
-
-
-def _dlog_pair(basis, R: CurvePoint):
-    ell = basis.ell
-    table = {}
-    for a in range(ell):
-        for b in range(ell):
-            pt = a * basis.P + b * basis.Q
-            table[None if pt.infinity else (pt.x, pt.y)] = (a, b)
-    key = None if R.infinity else (R.x, R.y)
-    if key not in table:
-        raise InternalError("point is not in the span of the torsion basis")
-    return table[key]
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, FieldElement) else v == 0
-
-
-def _inv(v):
-    return v.inverse() if isinstance(v, FieldElement) else 1 / v

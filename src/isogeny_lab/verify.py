@@ -243,14 +243,7 @@ def _line_subspace(basis, w_ints: list[int]) -> Subspace:
     x0 = roots[0]
     ys = basis.curve.y_candidates(x0)
     R = basis.curve.point(x0, ys[0])
-    ell = basis.ell
-    table = {}
-    for a in range(ell):
-        for b in range(ell):
-            pt = a * basis.P + b * basis.Q
-            table[None if pt.infinity else (pt.x, pt.y)] = (a, b)
-    coords = table[(R.x, R.y)]
-    return Subspace.from_vectors(ell, 2, [list(coords)])
+    return Subspace.from_vectors(basis.ell, 2, [list(basis.coordinates(R))])
 
 
 # --- theorem 2 on products -------------------------------------------------------

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from isogeny_lab import cli
 from isogeny_lab.cli import main
+from isogeny_lab.errors import TheoremViolationError
+from isogeny_lab.galois_modules import necessity_witness_config
 
 
 def run_cli(args, capsys):
@@ -139,3 +142,36 @@ def test_json_schema_stability(capsys):
     data = json.loads(out)
     assert set(data) == {"version", "parameters", "counts", "claims",
                          "violations", "timing"}
+
+
+def test_suites_deterministic_exit_zero(capsys):
+    first = run_cli(["suites", "--trials", "20", "--seed", "1"], capsys)
+    second = run_cli(["suites", "--trials", "20", "--seed", "1"], capsys)
+    assert first[0] == 0
+    assert first == second
+    assert "semisimple-construction: 20/20 ok" in first[1]
+
+
+def test_module_construct_not_semisimple_is_plain_error(capsys, tmp_path):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(necessity_witness_config().to_json()))
+    code = main(["module", "--input", str(path), "--op", "construct"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_theorem_violation_exits_two(capsys, tmp_path, monkeypatch):
+    def violate(cfg):
+        raise TheoremViolationError("synthetic violation")
+
+    monkeypatch.setattr(cli, "theorem2_construct", violate)
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({
+        "ell": 3, "dim": 2,
+        "generators": [[[1, 0], [0, 1]]],
+        "hyperplanes": [[[1, 0]]],
+    }))
+    code = main(["module", "--input", str(path), "--op", "construct"])
+    assert code == 2
+    assert "synthetic violation" in capsys.readouterr().err

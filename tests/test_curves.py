@@ -14,7 +14,7 @@ from isogeny_lab.curves import (
     torsion_field_degree,
     weil_pairing,
 )
-from isogeny_lab.errors import CapabilityError
+from isogeny_lab.errors import CapabilityError, InternalError
 from isogeny_lab.fields import PrimeField, QQ
 
 
@@ -259,3 +259,19 @@ def test_curve_serialization_round_trip():
     assert WeierstrassCurve.from_json(E.to_json()) == E
     EQ = WeierstrassCurve(QQ, 1, 0, 2, -10, -30)
     assert WeierstrassCurve.from_json(EQ.to_json()) == EQ
+
+
+@pytest.mark.parametrize("ab, ell", [((0, 2), 3), ((0, 1), 3), ((1, 0), 5)])
+def test_torsion_basis_coordinates(ab, ell):
+    E = WeierstrassCurve(PrimeField(13), 0, 0, 0, *ab)
+    basis = torsion_basis(E, ell)
+    for a in range(ell):
+        for b in range(ell):
+            assert basis.coordinates(a * basis.P + b * basis.Q) == (a, b)
+    # a point of E(F_13) outside E[ell] lies outside the span
+    K = basis.curve.field
+    points = [basis.curve.point(K.element(x), y)
+              for x in range(13) for y in basis.curve.y_candidates(K.element(x))]
+    outside = next(pt for pt in points if not (ell * pt).infinity)
+    with pytest.raises(InternalError):
+        basis.coordinates(outside)

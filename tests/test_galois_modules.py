@@ -27,6 +27,7 @@ from isogeny_lab.galois_modules import (
     subspace_lattice,
     theorem2_construct,
 )
+from isogeny_lab.galois_modules import _all_subspaces
 
 
 def brute_fixed(module):
@@ -319,3 +320,25 @@ def test_module_serialization_round_trip():
     back = PointedConfiguration.from_json(data)
     assert back.module == cfg.module
     assert back.hyperplanes == cfg.hyperplanes
+
+
+def _gaussian_binomial(n, k, ell):
+    num = den = 1
+    for i in range(k):
+        num *= ell ** (n - i) - 1
+        den *= ell ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("ell, n", [(2, 4), (3, 3), (5, 2)])
+def test_subspace_enumeration_matches_gaussian_binomials(ell, n):
+    subs = list(_all_subspaces(ell, n))
+    assert len({s.rows for s in subs}) == len(subs)
+    for s in subs:
+        assert Subspace.from_vectors(ell, n, s.rows).rows == s.rows  # canonical form
+    for k in range(n + 1):
+        assert sum(1 for s in subs if s.dim == k) == _gaussian_binomial(n, k, ell)
+    if n % 2 == 0:
+        trivial = GaloisModule.from_matrices(ell, [[[int(i == j) for j in range(n)]
+                                                    for i in range(n)]])
+        assert len(enumerate_invariant_subspaces(trivial)) == len(subs)

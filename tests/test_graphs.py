@@ -1,6 +1,7 @@
 import pytest
 
-from isogeny_lab.curves import curve_order, division_polynomial
+from isogeny_lab import intpoly
+from isogeny_lab.curves import WeierstrassCurve, curve_order, division_polynomial, torsion_basis
 from isogeny_lab.errors import CapabilityError
 from isogeny_lab.fields import ExtensionField, PrimeField, Polynomial
 from isogeny_lab.graphs import (
@@ -9,6 +10,8 @@ from isogeny_lab.graphs import (
     enumerate_pointed_lines,
     fq_tables,
     j_invariant_int,
+    line_poly_int,
+    psi_tilde_ints,
     pt_add,
     pt_mul,
     rational_order_ell_subgroups,
@@ -237,3 +240,42 @@ def test_j_invariant_int_matches_object():
     for coeffs in [(1, 0, 2, 0, 0), (0, 0, 0, 1, 1), (1, 2, 3, 4, 5)]:
         E = WeierstrassCurve(F, *coeffs)
         assert j_invariant_int(coeffs, q) == E.j_invariant().rep
+
+
+@pytest.mark.parametrize(
+    "ell, curves",
+    [(3, [(0, 3), (0, 2), (0, 1), (1, 0), (0, 5)]), (5, [(1, 0), (1, 6)])],
+)
+def test_line_poly_int_matches_subgroup_enumeration(ell, curves):
+    """Oracle: for every nonzero R in E[ell] over the splitting field, the
+    kernel polynomial of <R> from object-layer point arithmetic; the int
+    builder, fed the irreducible factor of psi_ell through x(R), must return
+    it when its coefficients lie in F_q and None otherwise."""
+    q = 13
+    field = PrimeField(q)
+    seen = {"stable": 0, "unstable": 0}
+    for a, b in curves:
+        basis = torsion_basis(WeierstrassCurve(field, 0, 0, 0, a, b), ell)
+        K = basis.curve.field
+        psi, F = psi_tilde_ints((0, 0, 0, a, b), q, ell + 1)
+        factors = intpoly.factor_squarefree(psi[ell], q)
+        X = Polynomial.x(K)
+        for i in range(ell):
+            for j in range(ell):
+                R = i * basis.P + j * basis.Q
+                if R.infinity:
+                    continue
+                w = Polynomial(K, [K.one()])
+                acc = R
+                for _ in range((ell - 1) // 2):
+                    w = w * (X - Polynomial(K, [acc.x]))
+                    acc = acc + R
+                coeffs = [c.coeff_list() for c in w.coeffs]
+                rational = all(not any(c[1:]) for c in coeffs)
+                expected = [c[0] for c in coeffs] if rational else None
+                f = next(f for f in factors
+                         if Polynomial(K, [K.element(c) for c in f])(R.x).is_zero())
+                xi = [(-f[0]) % q] if len(f) == 2 else [0, 1]
+                assert line_poly_int(psi, F, xi, f, ell, q) == expected
+                seen["stable" if rational else "unstable"] += 1
+    assert seen["stable"] and seen["unstable"]
