@@ -257,8 +257,9 @@ class CurvePoint:
         while n:
             if n & 1:
                 result = result + addend
-            addend = addend + addend
             n >>= 1
+            if n:
+                addend = addend + addend
         return result
 
     def __mul__(self, n: int) -> "CurvePoint":
@@ -661,9 +662,7 @@ def weil_pairing(P: CurvePoint, Q: CurvePoint, ell: int):
 
 
 def _weil_attempt(P: CurvePoint, Q: CurvePoint, ell: int, max_tries: int = 512):
-    # auxiliary points outside E[ell] keep the Miller evaluations away from
-    # the functions' zeros and poles in all but thin coincidences
-    aux = [S for S in _aux_point_stream(P.curve) if not (ell * S).infinity]
+    aux = _aux_point_stream(P.curve, ell)
     tries = 0
     for S in aux:
         for T in aux:
@@ -682,8 +681,11 @@ def _weil_attempt(P: CurvePoint, Q: CurvePoint, ell: int, max_tries: int = 512):
 
 
 @functools.lru_cache(maxsize=64)
-def _aux_point_stream(curve: WeierstrassCurve, cap: int = 80):
-    """Deterministic stream of affine points for auxiliary use."""
+def _aux_point_stream(curve: WeierstrassCurve, ell: int, cap: int = 80):
+    """Auxiliary points for the Miller loops of an ell-pairing: the points
+    outside E[ell] among the first `cap` or so affine points of the curve,
+    in a deterministic order.  Points outside E[ell] keep the evaluations
+    away from the functions' zeros and poles in all but thin coincidences."""
     field = curve.field
     pts = []
     for x in field.iter_elements():
@@ -691,7 +693,7 @@ def _aux_point_stream(curve: WeierstrassCurve, cap: int = 80):
             pts.append(curve.point(x, y))
         if len(pts) >= cap:
             break
-    return pts
+    return [S for S in pts if not (ell * S).infinity]
 
 
 # --- Frobenius matrices -------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import gcd
+from typing import ClassVar
 
 from . import intpoly
 from .errors import CapabilityError, InternalError
@@ -253,17 +254,25 @@ def xmul_fraction_ints(psi, F, j, q):
     return num, den
 
 
-def line_poly_int(psi, F, xi, f, ell, q):
+def xmul_table(psi, F, ell, q):
+    """{j: (num, den)} with x([j]P) = num/den for j = 2..(ell - 1) // 2; the
+    maps depend only on the curve, so one table serves all its lines.
+
+    psi, F come from psi_tilde_ints up to index (ell + 1) // 2 or beyond.
+    """
+    return {j: xmul_fraction_ints(psi, F, j, q) for j in range(2, (ell - 1) // 2 + 1)}
+
+
+def line_poly_int(xmul, xi, f, q):
     """Monic kernel x-polynomial (int coefficients) of the order-ell subgroup
     through a point whose x-coordinate is xi in F_q[z]/(f), f irreducible.
 
-    psi, F come from psi_tilde_ints up to index (ell + 1) // 2 or beyond.
-    Returns None when the line is not Galois-stable (a coefficient leaves
-    F_q) or when some x([j]P) has a zero denominator.
+    xmul is the curve's xmul_table.  Returns None when the line is not
+    Galois-stable (a coefficient leaves F_q) or when some x([j]P) has a zero
+    denominator.
     """
     xs = [xi]
-    for j in range(2, (ell - 1) // 2 + 1):
-        numj, denj = xmul_fraction_ints(psi, F, j, q)
+    for numj, denj in xmul.values():
         nv = intpoly.eval_poly_ext(numj, xi, f, q)
         dv = intpoly.eval_poly_ext(denj, xi, f, q)
         if not dv:
@@ -446,11 +455,12 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
     factors = intpoly.factors_of_degree(psi_x, e_star, q)
     qmod = q % ell
     a_star = min(qmod, ell - qmod)
+    xmul = xmul_table(psi, F, ell, q) if factors else {}
     lines: dict[tuple, None] = {}
     for f in factors:
         d = intpoly.deg(f)
         xi = [(-f[0]) % q] if d == 1 else [0, 1]
-        w = line_poly_int(psi, F, xi, f, ell, q)
+        w = line_poly_int(xmul, xi, f, q)
         if w is None:
             continue
         key = tuple(w)
@@ -467,7 +477,7 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
                 # rational x: Frobenius fixes x, so x(aR) must equal x(R)
                 pointed = a_star == 1
             else:
-                numa, dena = xmul_fraction_ints(psi, F, a_star, q)
+                numa, dena = xmul[a_star]
                 nv = intpoly.eval_poly_ext(numa, xi, f, q)
                 dv = intpoly.eval_poly_ext(dena, xi, f, q)
                 if not dv:
@@ -687,7 +697,13 @@ class PointedGraph:
 
 @dataclass
 class SoundnessStats:
-    """Per-isogeny engine checks accumulated over a sweep (criterion gate)."""
+    """Per-isogeny engine checks accumulated over a sweep (criterion gate).
+
+    The per-kind counters are exact; `failures` keeps the witnesses of the
+    first MAX_WITNESSES failures only.
+    """
+
+    MAX_WITNESSES: ClassVar[int] = 32
 
     isogenies: int = 0
     homomorphism_failures: int = 0
@@ -696,6 +712,12 @@ class SoundnessStats:
     dual_j_failures: int = 0
     order_mismatches: int = 0
     failures: list = dc_field(default_factory=list)
+
+    def record(self, counter: str, kind: str, source) -> None:
+        """Count one failure under `counter`; keep its witness below the cap."""
+        setattr(self, counter, getattr(self, counter) + 1)
+        if len(self.failures) < self.MAX_WITNESSES:
+            self.failures.append({"kind": kind, "source": list(source)})
 
     def ok(self) -> bool:
         return (
@@ -718,7 +740,7 @@ class SoundnessStats:
 
 
 class _TargetClass:
-    __slots__ = ("key", "rep", "order", "lines", "arms", "line_index")
+    __slots__ = ("key", "rep", "order", "lines", "arms", "line_index", "_dual_j")
 
     def __init__(self, key, rep, order, lines):
         self.key = key
@@ -729,6 +751,15 @@ class _TargetClass:
         self.line_index = {}
         for w, qkey, _ in lines:
             self.line_index.setdefault(qkey, []).append(w)
+        self._dual_j = {}
+
+    def dual_quotient_j(self, w, ell, q):
+        """j of the representative's quotient by the line w, or None when
+        that quotient is singular; computed once per line."""
+        if w not in self._dual_j:
+            wq = velu_codomain_int((0, 0, 0, self.rep[0], self.rep[1]), list(w), ell, q)
+            self._dual_j[w] = None if discriminant_int(wq, q) == 0 else j_invariant_int(wq, q)
+        return self._dual_j[w]
 
 
 def build_pointed_graphs(
@@ -776,8 +807,7 @@ def build_pointed_graphs(
         cod = velu_codomain_int(src_coeffs, kappa, ell, q)
         if discriminant_int(cod, q) == 0:
             if soundness is not None:
-                soundness.singular_codomains += 1
-                soundness.failures.append({"kind": "singular-codomain", "source": src_coeffs})
+                soundness.record("singular_codomains", "singular-codomain", src_coeffs)
             raise InternalError("Velu codomain is singular")
         A2, B2, red_iso = short_reduce_int(cod, q)
         cod_tc = target_class_for(A2, B2, N)
@@ -787,14 +817,18 @@ def build_pointed_graphs(
         sA, sB, _ = short_reduce_int(src_coeffs, q)
         src_key = short_class_key(sA, sB, q, tab)
         cands = cod_tc.line_index.get(src_key, [])
-        if len(cands) == 1:
-            w = cands[0]
-        elif not cands:
+        if not cands:
             raise InternalError(
                 "no pointed line of the target matches the arm's source class"
             )
+        # the quotient x-map, built once for the line match and the checks
+        x_maps = None
+        if soundness is not None or len(cands) > 1:
+            x_maps = velu_x_maps_int(src_coeffs, kappa, ell, q)
+        if len(cands) == 1:
+            w = cands[0]
         else:
-            w = _match_dual_line(src_coeffs, kappa, ell, q, cands, iso)
+            w = _match_dual_line(src_coeffs, kappa, x_maps, ell, q, cands, iso)
         arm = GraphArm(
             source=tuple(src_coeffs),
             kernel_point=kernel_pt,
@@ -804,8 +838,8 @@ def build_pointed_graphs(
         )
         cod_tc.arms.append(arm)
         if soundness is not None:
-            _soundness_checks(soundness, src_coeffs, kappa, kernel_pt, kernel_xs, cod,
-                              w, cod_tc, N, ell, q, tab, orders)
+            _soundness_checks(soundness, src_coeffs, kappa, x_maps, kernel_pt, kernel_xs,
+                              cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders)
         return arm
 
     # short-form sources
@@ -856,7 +890,7 @@ def build_pointed_graphs(
     return graphs
 
 
-def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
+def _match_dual_line(src_coeffs, kappa, x_maps, ell, q, candidates, iso_to_target):
     """Select the arm's dual line among candidate target lines.
 
     w (in target-representative coordinates) is the dual line iff
@@ -868,7 +902,7 @@ def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
     g, rem = intpoly.pdivmod(psi, kappa, q)
     if rem:
         raise InternalError("kernel polynomial does not divide the torsion polynomial")
-    num, den = velu_x_maps_int(src_coeffs, kappa, ell, q)
+    num, den = x_maps
     # the arm iso maps codomain -> rep: x_rep = (x_cod - r) / u^2
     u, r, _, _ = iso_to_target
     u2inv = pow(u * u % q, -1, q)
@@ -902,15 +936,16 @@ def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
 
 
 def _soundness_checks(
-    stats: SoundnessStats, src, kappa, kernel_pt, kernel_xs, cod, w_line, tc, N, ell, q,
-    tab: FqTables, orders,
+    stats: SoundnessStats, src, kappa, x_maps, kernel_pt, kernel_xs, cod, cod_short, w_line,
+    tc, N, ell, q, tab: FqTables, orders,
 ):
     """Per-isogeny engine checks: homomorphism sampling, kernel collapse,
-    nonsingular codomain, dual-line quotient j, isogenous order equality."""
+    nonsingular codomain, dual-line quotient j, isogenous order equality.
+
+    x_maps is the arm's velu_x_maps_int and cod_short the short form (A, B)
+    of its codomain."""
     stats.isogenies += 1
-    num, den = velu_x_maps_int(src, kappa, ell, q)
-    nump = intpoly.pderiv(num, q)
-    denp = intpoly.pderiv(den, q)
+    num, den = x_maps
     a1, _, a3, _, _ = src
     inv2 = pow(2, -1, q)
 
@@ -920,46 +955,38 @@ def _soundness_checks(
         x, y = P
         if intpoly.peval(kappa, x, q) == 0:
             return None
-        nv = intpoly.peval(num, x, q)
-        dv = intpoly.peval(den, x, q)
+        nv, nd = intpoly.peval_deriv(num, x, q)
+        dv, dd = intpoly.peval_deriv(den, x, q)
         dinv = pow(dv, -1, q)
         X = nv * dinv % q
-        Xp = (intpoly.peval(nump, x, q) * dv - nv * intpoly.peval(denp, x, q)) * dinv % q * dinv % q
+        Xp = (nd * dv - nv * dd) * dinv % q * dinv % q
         Y = (Xp * (2 * y + a1 * x + a3) - a1 * X - a3) * inv2 % q
         return (X, Y)
 
     # kernel points map to infinity
     if ev(kernel_pt) is not None or any(intpoly.peval(kappa, x, q) != 0 for x in kernel_xs):
-        stats.kernel_failures += 1
-        stats.failures.append({"kind": "kernel", "source": list(src)})
+        stats.record("kernel_failures", "kernel", src)
         return
     # homomorphism on deterministic samples
     pts = _sample_points(src, q, tab, want=2, salt=kernel_pt[0])
     if len(pts) == 2:
+        e0 = ev(pts[0])
         s = pt_add(pts[0], pts[1], src, q)
-        lhs = ev(s)
-        rhs = pt_add(ev(pts[0]), ev(pts[1]), cod, q)
-        if lhs != rhs:
-            stats.homomorphism_failures += 1
-            stats.failures.append({"kind": "homomorphism", "source": list(src)})
+        if ev(s) != pt_add(e0, ev(pts[1]), cod, q):
+            stats.record("homomorphism_failures", "homomorphism", src)
             return
         # kernel invariance: phi(Q + P) = phi(Q)
         s2 = pt_add(pts[0], kernel_pt, src, q)
-        if ev(s2) != ev(pts[0]):
-            stats.homomorphism_failures += 1
-            stats.failures.append({"kind": "kernel-invariance", "source": list(src)})
+        if ev(s2) != e0:
+            stats.record("homomorphism_failures", "kernel-invariance", src)
             return
-    # dual-kernel quotient returns j(source)
-    wq = velu_codomain_int((0, 0, 0, tc.rep[0], tc.rep[1]), list(w_line), ell, q)
-    if discriminant_int(wq, q) == 0 or j_invariant_int(wq, q) != j_invariant_int(src, q):
-        stats.dual_j_failures += 1
-        stats.failures.append({"kind": "dual-quotient-j", "source": list(src)})
+    # dual-kernel quotient returns j(source); a singular one (None) never does
+    if tc.dual_quotient_j(w_line, ell, q) != j_invariant_int(src, q):
+        stats.record("dual_j_failures", "dual-quotient-j", src)
         return
     # isogenous curves have equal order
-    cA, cB, _ = short_reduce_int(cod, q)
-    if orders[cA][cB] != N:
-        stats.order_mismatches += 1
-        stats.failures.append({"kind": "order-mismatch", "source": list(src)})
+    if orders[cod_short[0]][cod_short[1]] != N:
+        stats.record("order_mismatches", "order-mismatch", src)
 
 
 def _sample_points(coeffs, q, tab: FqTables, want: int, salt: int):

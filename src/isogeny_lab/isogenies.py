@@ -373,7 +373,7 @@ def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
     psi_cod, F_cod = graphs.psi_tilde_ints(
         [c.to_int() for c in phi.codomain.coefficients()], q, (ell + 1) // 2
     )
-    w_ints = graphs.line_poly_int(psi_cod, F_cod, xi, f, ell, q)
+    w_ints = graphs.line_poly_int(graphs.xmul_table(psi_cod, F_cod, ell, q), xi, f, q)
     if w_ints is None:
         raise InternalError("dual kernel line is not Galois-stable")
     return Polynomial(field, [field.element(c) for c in w_ints])

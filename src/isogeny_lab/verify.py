@@ -80,8 +80,9 @@ def verify_theorem1(
             field, ell, curve_limit=curve_limit, include_family=include_family,
             soundness=stats,
         )
+        torsion = _order_two_torsion(field, graph_list)
     else:
-        graph_list, stats = _prebuilt
+        graph_list, stats, torsion = _prebuilt
     family = bool(include_family or (include_family is None and ell == 3))
     rep = VerificationReport(
         parameters={"q": q, "ell": ell, "curve_limit": curve_limit,
@@ -102,7 +103,7 @@ def verify_theorem1(
                 rep.add_violation(CLAIM_THM1, {"kind": "isogeny-soundness", **f, "q": q, "ell": ell})
     checked_bases = 0
     for g in order2:
-        ok, witness = _check_full_torsion_target(field, g)
+        ok, witness = _check_full_torsion_target(g, *torsion[g.target])
         if not ok:
             rep.add_violation(CLAIM_THM1, witness)
             continue
@@ -123,17 +124,30 @@ def verify_theorem1(
     return rep.finish(time.time() - t0)
 
 
-def _check_full_torsion_target(field: PrimeField, g: G.PointedGraph):
+def _order_two_torsion(field: PrimeField, graph_list) -> dict:
+    """{target: (k, basis)} for every graph with two or more arms (the
+    order-two targets): the degree k of the field of its ell-torsion and,
+    when k = 1, its torsion basis (else None).
+
+    Theorem 1 and the lemma sweep check the same targets, so one sweep task
+    builds these once and hands them to both."""
+    out = {}
+    for g in graph_list:
+        if len(g.arms) >= 2:
+            E = g.target_curve(field)
+            k = torsion_field_degree(E, g.ell)
+            out[g.target] = (k, torsion_basis(E, g.ell) if k == 1 else None)
+    return out
+
+
+def _check_full_torsion_target(g: G.PointedGraph, k: int, basis):
     """Honest check: E[ell] splits at k = 1 and the Frobenius matrix is the
     identity; also runs the pairing suite on the constructed basis."""
-    E = g.target_curve(field)
     ell, q = g.ell, g.q
-    k = torsion_field_degree(E, ell)
     if k != 1:
         return False, {"kind": "torsion-not-rational", "q": q, "ell": ell,
                        "target": list(g.target), "splitting_degree": k}
-    basis = torsion_basis(E, ell)
-    mat = frobenius_matrix(E, basis, order=g.target_order)
+    mat = frobenius_matrix(basis.curve, basis, order=g.target_order)
     if not mat.is_identity():
         return False, {"kind": "frobenius-not-identity", "q": q, "ell": ell,
                        "target": list(g.target), "matrix": [list(r) for r in mat.entries]}
@@ -180,8 +194,9 @@ def lemma_sweep(
         graph_list = G.build_pointed_graphs(
             field, ell, curve_limit=curve_limit, include_family=include_family
         )
+        torsion = _order_two_torsion(field, graph_list)
     else:
-        graph_list = _prebuilt[0]
+        graph_list, _, torsion = _prebuilt
     rep = VerificationReport(parameters={"q": q, "ell": ell, "curve_limit": curve_limit})
     multi = [g for g in graph_list if len(g.arms) >= 2]
     rep.counts = {
@@ -197,8 +212,8 @@ def lemma_sweep(
                 {"kind": "coincident-dedup", "q": q, "ell": ell, "target": list(g.target)},
             )
     for g in multi:
-        E = g.target_curve(field)
-        if torsion_field_degree(E, ell) != 1:
+        k, basis = torsion[g.target]
+        if k != 1:
             # multi-arm targets with distinct lines must be full-torsion;
             # that failure belongs to theorem 1, re-flag here as lattice data
             rep.add_violation(
@@ -207,7 +222,6 @@ def lemma_sweep(
                  "target": list(g.target)},
             )
             continue
-        basis = torsion_basis(E, ell)
         subs = [_line_subspace(basis, list(a.dual_line)) for a in g.arms]
         for i in range(len(subs)):
             for j in range(i + 1, len(subs)):
@@ -576,18 +590,20 @@ def primes_in_range(lo: int, hi: int):
 
 def _sweep_task(args):
     q, ell, curve_limit, include_family, check_soundness = args
+    field = PrimeField(q)
     stats = G.SoundnessStats() if check_soundness else None
     graph_list = G.build_pointed_graphs(
-        PrimeField(q), ell, curve_limit=curve_limit, include_family=include_family,
+        field, ell, curve_limit=curve_limit, include_family=include_family,
         soundness=stats,
     )
+    prebuilt = (graph_list, stats, _order_two_torsion(field, graph_list))
     thm = verify_theorem1(
         q, ell, curve_limit=curve_limit, include_family=include_family,
-        check_soundness=check_soundness, _prebuilt=(graph_list, stats),
+        check_soundness=check_soundness, _prebuilt=prebuilt,
     )
     lem = lemma_sweep(
         q, ell, curve_limit=curve_limit, include_family=include_family,
-        _prebuilt=(graph_list, stats),
+        _prebuilt=prebuilt,
     )
     return merge_reports({"q": q, "ell": ell}, [thm, lem])
 

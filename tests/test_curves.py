@@ -275,3 +275,22 @@ def test_torsion_basis_coordinates(ab, ell):
     outside = next(pt for pt in points if not (ell * pt).infinity)
     with pytest.raises(InternalError):
         basis.coordinates(outside)
+
+
+def test_aux_point_stream_filters_per_ell():
+    """The cached auxiliary points are filtered for the ell asked for, in
+    whichever order two ells are asked for on the same curve."""
+    from isogeny_lab.curves import _aux_point_stream
+
+    # orders 20 and 15: both curves have rational points of both orders,
+    # and fewer points than the stream's cap, so it holds all of them
+    cases = [(WeierstrassCurve(PrimeField(13), 0, 0, 0, 1, 0), (2, 5)),
+             (WeierstrassCurve(PrimeField(11), 0, 0, 0, 1, 7), (3, 5))]
+    for E, ells in cases:
+        affine = brute_points(E)
+        for order in (ells, ells[::-1]):
+            _aux_point_stream.cache_clear()
+            for ell in order:
+                pts = _aux_point_stream(E, ell)
+                assert all(not (ell * S).infinity for S in pts)
+                assert set(pts) == {S for S in affine if not (ell * S).infinity}

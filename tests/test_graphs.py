@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from isogeny_lab import intpoly
+from isogeny_lab import graphs as graphs_mod, intpoly
 from isogeny_lab.curves import WeierstrassCurve, curve_order, division_polynomial, torsion_basis
 from isogeny_lab.errors import CapabilityError
 from isogeny_lab.fields import ExtensionField, PrimeField, Polynomial
@@ -17,6 +19,7 @@ from isogeny_lab.graphs import (
     rational_order_ell_subgroups,
     short_class_key,
     transport_line_poly,
+    xmul_table,
 )
 from isogeny_lab.isogenies import curves_isomorphic, dual_kernel_polynomial
 
@@ -276,6 +279,99 @@ def test_line_poly_int_matches_subgroup_enumeration(ell, curves):
                 f = next(f for f in factors
                          if Polynomial(K, [K.element(c) for c in f])(R.x).is_zero())
                 xi = [(-f[0]) % q] if len(f) == 2 else [0, 1]
-                assert line_poly_int(psi, F, xi, f, ell, q) == expected
+                assert line_poly_int(xmul_table(psi, F, ell, q), xi, f, q) == expected
                 seen["stable" if rational else "unstable"] += 1
     assert seen["stable"] and seen["unstable"]
+
+
+# --- mutation tests: each soundness check must fire when its input is wrong ----
+
+
+def _corrupt_x_maps(monkeypatch):
+    """Shift every Velu x-map by one: x(phi(P)) + 1 is no homomorphism."""
+    orig = graphs_mod.velu_x_maps_int
+
+    def shifted(coeffs, kappa, ell, q):
+        num, den = orig(coeffs, kappa, ell, q)
+        return intpoly.padd(num, den, q), den
+
+    monkeypatch.setattr(graphs_mod, "velu_x_maps_int", shifted)
+
+
+def _wrap_checks(monkeypatch, change):
+    """Run the soundness checks with the arguments that `change` returns."""
+    orig = graphs_mod._soundness_checks
+    monkeypatch.setattr(graphs_mod, "_soundness_checks",
+                        lambda *args: orig(*change(list(args))))
+
+
+# positions of the arguments of graphs._soundness_checks
+_W_LINE, _TC, _N = 8, 9, 10
+
+
+def test_soundness_corrupted_x_map_fails_homomorphism(monkeypatch):
+    # at (11, 3) every arm's dual line has a single candidate, so the
+    # corrupted map reaches the checks only
+    _corrupt_x_maps(monkeypatch)
+    stats = SoundnessStats()
+    build_pointed_graphs(PrimeField(11), 3, soundness=stats)
+    assert stats.isogenies == 150
+    assert stats.homomorphism_failures > 0
+    assert not stats.ok()
+    assert {f["kind"] for f in stats.failures} <= {"homomorphism", "kernel-invariance"}
+
+
+def test_soundness_wrong_dual_line_fails_every_arm_on_it(monkeypatch):
+    q, ell = 13, 3
+    seen = []  # (target class, dual line) of every checked arm
+    _wrap_checks(monkeypatch, lambda a: seen.append((a[_TC], a[_W_LINE])) or a)
+    build_pointed_graphs(PrimeField(q), ell, soundness=SoundnessStats())
+    monkeypatch.undo()
+    # a line carrying several arms, and another line of its target whose
+    # quotient has a different j
+    per_line = Counter((tc.rep, w) for tc, w in seen)
+    rep, w1, w2 = next(
+        (tc.rep, w1, w2)
+        for tc in sorted({tc for tc, _ in seen}, key=lambda tc: tc.rep)
+        for w1, _, _ in tc.lines if per_line[tc.rep, w1] >= 2
+        for w2, _, _ in tc.lines
+        if tc.dual_quotient_j(w2, ell, q) != tc.dual_quotient_j(w1, ell, q)
+    )
+
+    def redirect(a):
+        if (a[_TC].rep, a[_W_LINE]) == (rep, w1):
+            a[_W_LINE] = w2
+        return a
+
+    _wrap_checks(monkeypatch, redirect)
+    stats = SoundnessStats()
+    build_pointed_graphs(PrimeField(q), ell, soundness=stats)
+    assert stats.dual_j_failures == per_line[rep, w1]
+    assert stats.isogenies == len(seen)
+    assert stats.homomorphism_failures == stats.order_mismatches == 0
+
+
+def test_soundness_wrong_order_fails_order_check(monkeypatch):
+    def wrong_order(a):
+        a[_N] += 3
+        return a
+
+    _wrap_checks(monkeypatch, wrong_order)
+    stats = SoundnessStats()
+    build_pointed_graphs(PrimeField(11), 3, soundness=stats)
+    assert stats.order_mismatches == stats.isogenies == 150
+    assert {f["kind"] for f in stats.failures} == {"order-mismatch"}
+
+
+def test_soundness_witnesses_capped_counters_exact(monkeypatch):
+    _corrupt_x_maps(monkeypatch)
+    capped = SoundnessStats()
+    build_pointed_graphs(PrimeField(17), 3, soundness=capped)
+    cap = SoundnessStats.MAX_WITNESSES
+    monkeypatch.setattr(SoundnessStats, "MAX_WITNESSES", 10**9)
+    uncapped = SoundnessStats()
+    build_pointed_graphs(PrimeField(17), 3, soundness=uncapped)
+    # every failure is counted, only the first `cap` witnesses are kept
+    assert len(uncapped.failures) == uncapped.homomorphism_failures > cap
+    assert capped.to_json() == uncapped.to_json()
+    assert capped.failures == uncapped.failures[:cap]

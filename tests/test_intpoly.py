@@ -63,3 +63,13 @@ def test_power_sums_over_q():
             h = h * Polynomial(QQ, [-r, 1])
         direct = [sum(r**k for r in roots) for k in range(1, upto + 1)]
         assert intpoly.power_sums(h.coeffs, upto) == direct
+
+
+def test_peval_deriv_matches_pderiv_and_peval():
+    rng = random.Random(3)
+    for q in (5, 13, 101):
+        for _ in range(40):
+            f = intpoly.trim([rng.randrange(q) for _ in range(rng.randrange(0, 10))])
+            for x in (0, 1, q - 1, rng.randrange(q)):
+                want = (intpoly.peval(f, x, q), intpoly.peval(intpoly.pderiv(f, q), x, q))
+                assert intpoly.peval_deriv(f, x, q) == want

@@ -1,6 +1,9 @@
 import json
 import random
 
+import pytest
+
+from isogeny_lab import graphs as G, verify as V
 from isogeny_lab.reports import (
     CLAIM_COUNTEREXAMPLE,
     CLAIM_LEM32,
@@ -150,3 +153,36 @@ def test_theorem2_trial_structure():
     rng = random.Random(5)
     for _ in range(10):
         assert theorem2_trial(rng) is None
+
+
+# --- the shared per-target pass of a sweep task --------------------------------
+
+_PAIRS_WITH_ORDER_TWO = [(13, 3), (41, 5), (17, 2)]
+
+
+def _without_timing(rep):
+    data = json.loads(rep.to_json())
+    data.pop("timing")
+    return data
+
+
+@pytest.mark.parametrize("q, ell", _PAIRS_WITH_ORDER_TWO)
+def test_sweep_task_matches_independent_runs(q, ell):
+    """Oracle: one sweep task, which builds the graphs and the torsion bases
+    once, reports exactly what independent theorem-1 and lemma runs do."""
+    task = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    assert task.counts["graphs_order_2"] > 0
+    alone = merge_reports({"q": q, "ell": ell},
+                          [verify_theorem1(q, ell), lemma_sweep(q, ell)])
+    assert _without_timing(task) == _without_timing(alone)
+
+
+@pytest.mark.parametrize("q, ell", _PAIRS_WITH_ORDER_TWO)
+def test_sweep_task_one_torsion_basis_per_target(q, ell, monkeypatch):
+    bases = []
+    orig = V.torsion_basis
+    monkeypatch.setattr(V, "torsion_basis",
+                        lambda E, ell: bases.append((E.a4, E.a6)) or orig(E, ell))
+    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    assert len(bases) == len(set(bases)) == rep.counts["graphs_order_2"]
+    assert rep.counts["torsion_bases_checked"] == rep.counts["lattices_checked"] == len(bases)
