@@ -23,6 +23,7 @@ from .fields import (
     RationalField,
     _val_inverse,
     _val_is_zero,
+    poly_roots,
 )
 
 ORDER_ENUMERATION_CAP = 10**6
@@ -446,11 +447,18 @@ class TorsionBasis:
             raise InternalError("point is not in the span of the torsion basis")
         return coords
 
+    @functools.cached_property
+    def zeta(self):
+        """The Weil pairing e(P, Q), computed once; `torsion_basis` checks
+        that it is a primitive ell-th root of unity."""
+        return weil_pairing(self.P, self.Q, self.ell)
+
 
 def _x_poly_ints(curve: WeierstrassCurve, ell: int) -> list[int]:
     return division_polynomial(curve, ell).int_coeffs()
 
 
+@functools.lru_cache(maxsize=64)
 def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     """Minimal k with E[ell] contained in E(F_{q^k}); q prime.
 
@@ -508,13 +516,7 @@ def torsion_basis(curve: WeierstrassCurve, ell: int) -> TorsionBasis:
     else:
         K = ExtensionField(q, k)
         curve_k = curve.base_change(K)
-    psi = division_polynomial(curve, ell)
-    psi_k = Polynomial(K, [K.element(c.to_int()) for c in psi.coeffs])
-    from .fields import _roots_large_field
-
-    # splitting-based root finding: exhaustive scans are hopeless once the
-    # splitting field has more than a few thousand elements
-    xs = sorted(_roots_large_field(psi_k, K), key=_sort_key)
+    xs = sorted(poly_roots(division_polynomial(curve, ell), K), key=_sort_key)
     points = []
     for x in xs:
         for y in curve_k.y_candidates(x):
@@ -539,11 +541,11 @@ def torsion_basis(curve: WeierstrassCurve, ell: int) -> TorsionBasis:
             break
     if Q is None:
         raise InternalError("no independent second basis point found")
-    zeta = weil_pairing(P, Q, ell)
+    basis = TorsionBasis(ell=ell, k=k, base_q=q, curve=curve_k, P=P, Q=Q)
     one = curve_k.field.one()
-    if zeta == one or not _val_is_zero(zeta**ell - one):
+    if basis.zeta == one or not _val_is_zero(basis.zeta**ell - one):
         raise InternalError("basis pairing is not a primitive ell-th root of unity")
-    return TorsionBasis(ell=ell, k=k, base_q=q, curve=curve_k, P=P, Q=Q)
+    return basis
 
 
 def _lcm(a: int, b: int) -> int:

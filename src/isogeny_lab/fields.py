@@ -16,8 +16,6 @@ from typing import Iterable, Iterator
 from . import intpoly
 from .errors import CapabilityError, FieldMismatchError
 
-EXHAUSTIVE_ROOT_CAP = 1 << 20
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 64 bits."""
@@ -587,10 +585,10 @@ def find_irreducible(p: int, k: int) -> Polynomial:
 
 
 def poly_roots(f: Polynomial, field=None) -> set:
-    """All roots of nonzero f in the given finite field (default: its own).
+    """All roots of nonzero f in the given finite field (default: its own),
+    by distinct-degree / equal-degree splitting; odd characteristic only.
 
-    Exhaustive scan for fields up to 2^20 elements, distinct-degree /
-    equal-degree splitting beyond.
+    An f over a subfield is lifted into `field` first.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a root")
@@ -600,16 +598,17 @@ def poly_roots(f: Polynomial, field=None) -> set:
         f = Polynomial(field, [field.element(c) for c in f.coeffs])
     if f.degree == 0:
         return set()
-    size = field.size()
-    if size is None:
+    if field.size() is None:
         raise CapabilityError("poly_roots requires a finite field; use rational_roots")
-    if size <= EXHAUSTIVE_ROOT_CAP:
-        zero = field.zero()
-        return {x for x in field.iter_elements() if f(x) == zero}
+    if field.characteristic() == 2:
+        raise CapabilityError("poly_roots requires odd characteristic")
     return set(_roots_large_field(f, field))
 
 
 def _roots_large_field(f: Polynomial, field) -> list:
+    """Roots of f in a finite field of odd characteristic: the gcd with
+    x^|field| - x, split by gcds with (x + t)^((|field| - 1)/2) - 1 for
+    shifts t running through the field."""
     size = field.size()
     x = Polynomial.x(field)
     xq = x.pow_mod(size, f)

@@ -170,41 +170,15 @@ def power_sums(h, upto: int) -> list:
     return ps
 
 
-def split_linear(f: list[int], q: int) -> list[int]:
-    """All roots of f assuming f is a nonzero product of distinct linear factors."""
-    f = pmonic(f, q)
-    if deg(f) == 0:
-        return []
-    if deg(f) == 1:
-        return [(-f[0]) % q]
-    if deg(f) == 2:
-        # quadratic formula, q odd
-        b, c = f[1], f[0]
-        disc = (b * b - 4 * c) % q
-        s = sqrt_mod(disc, q)
-        if s is None:
-            raise ValueError("quadratic does not split")
-        inv2 = pow(2, -1, q)
-        return sorted({((-b + s) * inv2) % q, ((-b - s) * inv2) % q})
-    half = (q - 1) // 2
-    for t in range(q):
-        g = ppowmod([t, 1], half, f, q)
-        g = pgcd(psub(g, [1], q), f, q)
-        if 0 < deg(g) < deg(f):
-            rest = pdivmod(f, g, q)[0]
-            return sorted(split_linear(g, q) + split_linear(rest, q))
-    raise ValueError("failed to split linear-product polynomial")
+def frobenius_gcd(h: list[int], e: int, q: int) -> list[int]:
+    """gcd(x^(q^e) - x, h): the product of the distinct monic irreducible
+    factors of h whose degree divides e."""
+    return pgcd(psub(ppowmod([0, 1], q**e, h, q), [0, 1], q), h, q)
 
 
 def roots_in_fq(f: list[int], q: int) -> list[int]:
-    """All distinct roots of f in F_q (f nonzero)."""
-    if deg(f) <= 0:
-        return []
-    xq = ppowmod([0, 1], q, f, q)
-    lin = pgcd(psub(xq, [0, 1], q), f, q)
-    if deg(lin) <= 0:
-        return []
-    return split_linear(lin, q)
+    """All distinct roots of f in F_q (f nonzero), ascending."""
+    return sorted((-g[0]) % q for g in factors_of_degree(f, 1, q))
 
 
 def _trial_polys(q: int):
@@ -217,10 +191,18 @@ def _trial_polys(q: int):
 
 
 def equal_degree_split(f: list[int], d: int, q: int) -> list[list[int]]:
-    """Factor f into monic irreducibles, all known to have degree d."""
+    """Factor f into monic irreducibles, all known to have degree d (q odd)."""
     f = pmonic(f, q)
     if deg(f) == d:
         return [f]
+    if d == 1 and deg(f) == 2:
+        # two distinct roots: the quadratic formula
+        b, c = f[1], f[0]
+        s = sqrt_mod(b * b - 4 * c, q)
+        if s is None:
+            raise ValueError("quadratic does not split")
+        inv2 = pow(2, -1, q)
+        return [[(b - s) * inv2 % q, 1], [(b + s) * inv2 % q, 1]]
     half = (q**d - 1) // 2
     for tries, a in enumerate(_trial_polys(q)):
         g = ppowmod(a, half, f, q)
@@ -234,24 +216,22 @@ def equal_degree_split(f: list[int], d: int, q: int) -> list[list[int]]:
 
 
 def factors_of_degree(f: list[int], d: int, q: int) -> list[list[int]]:
-    """Monic irreducible degree-d factors of squarefree f.
+    """The distinct monic irreducible factors of degree d of nonzero f.
 
-    Assumes all factors of f of degree properly dividing d have already been
-    removed when d > 1 is composite; for d in {1,2,3} (our uses) stripping
-    degree-1 (and degree-... lower) factors first is enough.
+    f need not be squarefree: the gcd with x^(q^d) - x keeps each factor of
+    degree dividing d once, and those of degree properly dividing d are
+    then divided out.
     """
-    xqd = ppowmod([0, 1], q**d, f, q)
-    prod = pgcd(psub(xqd, [0, 1], q), f, q)
-    # remove factors of smaller degree dividing d
+    if deg(f) <= 0:
+        return []
+    prod = frobenius_gcd(f, d, q)
     for e in range(1, d):
-        if d % e == 0:
-            smaller = pgcd(psub(ppowmod([0, 1], q**e, prod, q), [0, 1], q), prod, q)
+        if d % e == 0 and deg(prod) > 0:
+            smaller = frobenius_gcd(prod, e, q)
             if deg(smaller) > 0:
                 prod = pdivmod(prod, smaller, q)[0]
     if deg(prod) <= 0:
         return []
-    if d == 1:
-        return [[(-r) % q, 1] for r in split_linear(prod, q)]
     return equal_degree_split(prod, d, q)
 
 
@@ -264,9 +244,9 @@ def factor_squarefree(f: list[int], q: int) -> list[list[int]]:
     while deg(rem) > 0:
         if d > deg(rem):
             raise InternalError("factorization ran past the degree (f is not squarefree)")
-        g = pgcd(psub(ppowmod([0, 1], q**d, rem, q), [0, 1], q), rem, q)
+        g = frobenius_gcd(rem, d, q)
         if deg(g) > 0:
-            out.extend([g] if deg(g) == d else equal_degree_split(g, d, q))
+            out.extend(equal_degree_split(g, d, q))
             rem = pdivmod(rem, g, q)[0]
         d += 1
     return out
@@ -340,9 +320,8 @@ def is_irreducible(f: list[int], q: int) -> bool:
         return False
     if k == 1:
         return True
-    xqk = ppowmod([0, 1], q**k, f, q)
-    if psub(xqk, [0, 1], q):
-        return False
+    if deg(frobenius_gcd(f, k, q)) != k:
+        return False  # f does not divide x^(q^k) - x
     primes = set()
     kk = k
     d = 2
@@ -354,7 +333,6 @@ def is_irreducible(f: list[int], q: int) -> bool:
     if kk > 1:
         primes.add(kk)
     for r in primes:
-        xqe = ppowmod([0, 1], q ** (k // r), f, q)
-        if deg(pgcd(psub(xqe, [0, 1], q), f, q)) != 0:
+        if deg(frobenius_gcd(f, k // r, q)) != 0:
             return False
     return True

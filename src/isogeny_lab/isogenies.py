@@ -383,30 +383,17 @@ def dual_kernel(phi: Isogeny, target_basis) -> "object":
     """The line phi(E_domain[ell]) as a 1-dim subspace in torsion-basis
     coordinates; checked to be Frobenius-invariant."""
     from .curves import frobenius_matrix
-    from .fields import _roots_large_field
-    from .galois_modules import Subspace
+    from .verify import _line_subspace
 
     ell = phi.degree
     if target_basis.ell != ell:
         raise ValueError("basis torsion level differs from the isogeny degree")
-    w = dual_kernel_polynomial(phi)
-    K = target_basis.curve.field
-    wK = Polynomial(K, [K.element(c.to_int()) for c in w.coeffs])
-    roots = sorted(_roots_large_field(wK, K), key=lambda e: e.coeff_list())
-    if not roots:
-        raise InternalError("dual kernel polynomial has no roots over the basis field")
-    x0 = roots[0]
-    ys = target_basis.curve.y_candidates(x0)
-    if not ys:
-        raise InternalError("dual kernel x-coordinate has no y over the basis field")
-    R = target_basis.curve.point(x0, ys[0])
-    coords = target_basis.coordinates(R)
-    sub = Subspace.from_vectors(ell, 2, [list(coords)])
+    sub = _line_subspace(target_basis, dual_kernel_polynomial(phi).int_coeffs())
     mat = frobenius_matrix(
         target_basis.curve if target_basis.k == 1 else phi.codomain,
         target_basis,
     )
-    a, b = coords
+    a, b = sub.rows[0]
     img = (
         (mat.entries[0][0] * a + mat.entries[0][1] * b) % ell,
         (mat.entries[1][0] * a + mat.entries[1][1] * b) % ell,

@@ -25,8 +25,8 @@ from .curves import (
     torsion_field_degree,
     weil_pairing,
 )
-from .errors import NotSemisimpleError, TheoremViolationError
-from .fields import PrimeField, QQ, rational_roots, rational_sqrt
+from .errors import InternalError, NotSemisimpleError, TheoremViolationError
+from .fields import Polynomial, PrimeField, QQ, poly_roots, rational_roots, rational_sqrt
 from .galois_modules import (
     GaloisModule,
     PointedConfiguration,
@@ -160,7 +160,7 @@ def _pairing_suite(basis) -> bool:
     """Bilinear, alternating, primitive on the basis."""
     P, Q, ell = basis.P, basis.Q, basis.ell
     one = P.curve.field.one()
-    z = weil_pairing(P, Q, ell)
+    z = basis.zeta
     if z == one or z**ell != one:
         return False
     if weil_pairing(P, P, ell) != one or weil_pairing(Q, Q, ell) != one:
@@ -249,14 +249,15 @@ def lemma_sweep(
 def _line_subspace(basis, w_ints: list[int]) -> Subspace:
     """The 1-dim subspace of F_ell^2 spanned by a point of the line with the
     given kernel x-polynomial, in torsion-basis coordinates."""
-    from .fields import Polynomial, _roots_large_field
-
     K = basis.curve.field
     wK = Polynomial(K, [K.element(c) for c in w_ints])
-    roots = sorted(_roots_large_field(wK, K), key=lambda e: e.coeff_list())
-    x0 = roots[0]
-    ys = basis.curve.y_candidates(x0)
-    R = basis.curve.point(x0, ys[0])
+    roots = sorted(poly_roots(wK), key=lambda e: e.coeff_list())
+    if not roots:
+        raise InternalError("line kernel polynomial has no roots over the basis field")
+    ys = basis.curve.y_candidates(roots[0])
+    if not ys:
+        raise InternalError("line kernel x-coordinate has no y over the basis field")
+    R = basis.curve.point(roots[0], ys[0])
     return Subspace.from_vectors(basis.ell, 2, [list(basis.coordinates(R))])
 
 

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isogeny_lab.errors import FieldMismatchError
+from isogeny_lab.errors import CapabilityError, FieldMismatchError
 from isogeny_lab.fields import (
     ExtensionField,
     Polynomial,
@@ -106,6 +107,45 @@ def test_poly_roots_are_exact(p, data):
     zero = F.zero()
     for x in F.iter_elements():
         assert (f(x) == zero) == (x in roots)
+
+
+@pytest.mark.parametrize("pk", [(5, 2), (7, 2), (3, 3)])
+def test_poly_roots_over_extension_fields_against_a_scan(pk):
+    p, k = pk
+    K = ExtensionField(p, k)
+    Fp = PrimeField(p)
+    elements = list(K.iter_elements())
+    rng = random.Random(p * 10 + k)
+
+    def scan(f):
+        zero = K.zero()
+        return {x for x in elements if f(x) == zero}
+
+    for _ in range(25):
+        # known roots, most of them outside F_p, times a random cofactor
+        roots = rng.sample(elements, rng.randrange(1, 5))
+        f = Polynomial(K, [K.one()])
+        for r in roots:
+            f = f * Polynomial(K, [-r, K.one()])
+        f = f * Polynomial(K, [rng.choice(elements) for _ in range(rng.randrange(1, 4))] + [K.one()])
+        assert poly_roots(f) == scan(f)
+        # an F_p polynomial lifted into K by poly_roots itself
+        g = Polynomial(Fp, [Fp.element(rng.randrange(p)) for _ in range(rng.randrange(2, 7))])
+        if not g.is_zero():
+            lifted = Polynomial(K, [K.element(c) for c in g.coeffs])
+            assert poly_roots(g, K) == scan(lifted)
+
+
+def test_poly_roots_rejects_characteristic_two():
+    F2 = PrimeField(2)
+    F4 = ExtensionField(2, 2)
+    for f in (
+        Polynomial(F2, [F2.one(), F2.one()]),  # x + 1
+        Polynomial(F2, [F2.one(), F2.one(), F2.one()]),  # x^2 + x + 1
+        Polynomial(F4, [F4.gen(), F4.one()]),  # x + t
+    ):
+        with pytest.raises(CapabilityError, match="odd characteristic"):
+            poly_roots(f)
 
 
 def test_find_irreducible_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -73,3 +74,113 @@ def test_peval_deriv_matches_pderiv_and_peval():
             for x in (0, 1, q - 1, rng.randrange(q)):
                 want = (intpoly.peval(f, x, q), intpoly.peval(intpoly.pderiv(f, q), x, q))
                 assert intpoly.peval_deriv(f, x, q) == want
+
+
+# --- root finders: roots_in_fq, factors_of_degree, equal_degree_split ---------
+
+_ROOT_QS = [3, 5, 7, 11, 13]
+_DEGREES = [1, 2, 3, 4, 6]
+
+
+def _brute_irreducible(f, q):
+    """No monic factor of degree 1..deg(f)//2, by trial division by all of them."""
+    for k in range(1, intpoly.deg(f) // 2 + 1):
+        for tail in itertools.product(range(q), repeat=k):
+            if not intpoly.pmod(f, list(tail) + [1], q):
+                return False
+    return True
+
+
+def _irreducible_pool(rng, q, d, size=3):
+    """Up to `size` distinct monic irreducibles of degree d, found by brute force."""
+    pool = set()
+    for _ in range(60 * d):
+        f = [rng.randrange(q) for _ in range(d)] + [1]
+        if _brute_irreducible(f, q):
+            pool.add(tuple(f))
+            if len(pool) == size:
+                break
+    return sorted(pool)
+
+
+def _product(factors, q, scale=1):
+    out = [scale % q]
+    for g in factors:
+        out = intpoly.pmul(out, list(g), q)
+    return out
+
+
+def _brute_roots(f, q):
+    return [x for x in range(q) if intpoly.peval(f, x, q) == 0]
+
+
+@pytest.mark.parametrize("q", _ROOT_QS)
+def test_roots_in_fq_against_brute_force(q):
+    rng = random.Random(100 + q)
+    rootless = _irreducible_pool(rng, q, 2) + _irreducible_pool(rng, q, 3)
+    for _ in range(40):
+        a, b = rng.sample(range(q), 2)
+        h = [rng.choice(rootless) for _ in range(rng.randrange(0, 3))]
+        scale = rng.randrange(1, q)
+        cases = {
+            # exactly two rational roots (the quadratic formula's case)
+            "two": [(-a % q, 1), (-b % q, 1)] + h,
+            # repeated rational and rootless factors
+            "repeated": [(-a % q, 1)] * 2 + [(-b % q, 1)] * 3 + h + h,
+            # no rational root at all
+            "none": h + h + [rng.choice(rootless)],
+        }
+        for kind, factors in cases.items():
+            f = _product(factors, q, scale)
+            got = intpoly.roots_in_fq(f, q)
+            assert got == _brute_roots(f, q), (kind, f)
+            assert len(got) == {"two": 2, "repeated": 2, "none": 0}[kind]
+    # random polynomials of every small degree, squarefree or not
+    for _ in range(100):
+        f = intpoly.trim([rng.randrange(q) for _ in range(rng.randrange(1, 10))])
+        if f:
+            assert intpoly.roots_in_fq(f, q) == _brute_roots(f, q)
+
+
+@pytest.mark.parametrize("q", _ROOT_QS)
+def test_factors_of_degree_against_factor_squarefree(q):
+    rng = random.Random(200 + q)
+    pools = {d: _irreducible_pool(rng, q, d) for d in _DEGREES}
+    for _ in range(12):
+        # distinct irreducibles of mixed degrees, some of them squared
+        chosen = set()
+        for d in _DEGREES:
+            chosen.update(rng.sample(pools[d], rng.randrange(0, min(2, len(pools[d])) + 1)))
+        chosen = sorted(chosen)
+        squared = [g for g in chosen if rng.random() < 0.3]
+        f = _product(chosen + squared, q, rng.randrange(1, q))
+        if intpoly.deg(f) <= 0:
+            continue
+        radical = _product(chosen, q)
+        oracle = intpoly.factor_squarefree(radical, q)
+        for d in _DEGREES:
+            got = intpoly.factors_of_degree(f, d, q)
+            want = sorted(g for g in chosen if len(g) == d + 1)
+            assert sorted(tuple(g) for g in got) == want, (d, f)
+            assert sorted(tuple(g) for g in oracle if intpoly.deg(g) == d) == want
+            # nothing of a degree properly dividing d slips through
+            assert all(intpoly.deg(g) == d for g in got)
+
+
+@pytest.mark.parametrize("q", _ROOT_QS)
+def test_equal_degree_split_against_brute_force(q):
+    rng = random.Random(300 + q)
+    for d in (1, 2, 3):
+        pool = list(range(q)) if d == 1 else _irreducible_pool(rng, q, d, size=4)
+        for _ in range(15):
+            k = rng.randrange(1, min(len(pool), 5) + 1)
+            if d == 1:
+                # linear factors from brute-force roots; k = 2 is the
+                # quadratic formula's case
+                factors = sorted((-r % q, 1) for r in rng.sample(pool, k))
+            else:
+                factors = sorted(rng.sample(pool, k))
+            f = _product(factors, q, rng.randrange(1, q))
+            got = intpoly.equal_degree_split(f, d, q)
+            assert sorted(tuple(g) for g in got) == factors
+            assert all(_brute_irreducible(g, q) for g in got)

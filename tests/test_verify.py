@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from isogeny_lab import graphs as G, verify as V
+from isogeny_lab import curves, graphs as G, intpoly, verify as V
+from isogeny_lab.curves import division_polynomial, torsion_field_degree
+from isogeny_lab.errors import InternalError
+from isogeny_lab.fields import PrimeField
 from isogeny_lab.reports import (
     CLAIM_COUNTEREXAMPLE,
     CLAIM_LEM32,
@@ -179,10 +182,52 @@ def test_sweep_task_matches_independent_runs(q, ell):
 
 @pytest.mark.parametrize("q, ell", _PAIRS_WITH_ORDER_TWO)
 def test_sweep_task_one_torsion_basis_per_target(q, ell, monkeypatch):
-    bases = []
+    targets = []
     orig = V.torsion_basis
     monkeypatch.setattr(V, "torsion_basis",
-                        lambda E, ell: bases.append((E.a4, E.a6)) or orig(E, ell))
+                        lambda E, ell: targets.append(E) or orig(E, ell))
+    factored = []
+    orig_factor = intpoly.factor_squarefree
+    monkeypatch.setattr(intpoly, "factor_squarefree",
+                        lambda f, q: factored.append(tuple(f)) or orig_factor(f, q))
+    torsion_field_degree.cache_clear()
     rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    bases = [(E.a4, E.a6) for E in targets]
     assert len(bases) == len(set(bases)) == rep.counts["graphs_order_2"]
     assert rep.counts["torsion_bases_checked"] == rep.counts["lattices_checked"] == len(bases)
+    # psi_ell of each target is factored once: torsion_basis reuses the
+    # degree that _order_two_torsion has just computed
+    psis = [tuple(division_polynomial(E, ell).int_coeffs()) for E in targets]
+    assert sorted(factored) == sorted(psis)
+
+
+@pytest.mark.parametrize("q, ell", _PAIRS_WITH_ORDER_TWO)
+def test_sweep_task_six_pairings_per_target(q, ell, monkeypatch):
+    """torsion_basis computes e(P, Q) once and the pairing suite starts from
+    it: five more Miller pairs per order-two target, six in all."""
+    calls = []
+    orig = curves.weil_pairing
+
+    def counting(P, Q, ell):
+        calls.append((P, Q))
+        return orig(P, Q, ell)
+
+    monkeypatch.setattr(curves, "weil_pairing", counting)
+    monkeypatch.setattr(V, "weil_pairing", counting)
+    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    assert rep.counts["torsion_bases_checked"] == rep.counts["graphs_order_2"] > 0
+    assert len(calls) == 6 * rep.counts["graphs_order_2"]
+
+
+def test_line_subspace_without_a_point_is_internal_error():
+    q, ell = 13, 3
+    field = PrimeField(q)
+    g = next(g for g in G.build_pointed_graphs(field, ell) if len(g.arms) >= 2)
+    basis = V.torsion_basis(g.target_curve(field), ell)
+    assert basis.k == 1
+    # x^2 + 2: -2 is not a square mod 13, so no x lies over F_13
+    with pytest.raises(InternalError, match="no roots"):
+        V._line_subspace(basis, [2, 0, 1])
+    x0 = next(x for x in range(q) if not basis.curve.y_candidates(field.element(x)))
+    with pytest.raises(InternalError, match="no y"):
+        V._line_subspace(basis, [(-x0) % q, 1])
