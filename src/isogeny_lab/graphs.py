@@ -13,6 +13,7 @@ lazily from the stored integer data.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import ClassVar
@@ -51,18 +52,27 @@ class FqTables:
         return self._orders
 
     def _build_orders(self) -> list[list[int]]:
+        """N[a][b] = q + 1 + sum_v cnt_a[v] chi(v + b), cnt_a[v] = #{x : x^3 + ax = v}.
+
+        Each row is one packed correlation: the reversed cnt_a and the
+        doubled list chi + 1 sit in 4-byte slots (every slot of the product
+        is at most 2q), and slot q - 1 + b of their product is
+        sum_v cnt_a[v] (chi(v + b) + 1) = N[a][b] - 1.
+        """
         q = self.q
-        chi2 = self.chi + self.chi
+        slots_q = struct.Struct(f"<{q}I")
+        nbytes = 4 * (3 * q - 1)
+        chi_plus = [c + 1 for c in self.chi]
+        chi2 = int.from_bytes(struct.pack(f"<{2 * q}I", *chi_plus, *chi_plus), "little")
         cubes = [(x * x * x) % q for x in range(q)]
-        xs = list(range(q))
-        base = q + 1
         table = []
         for a in range(q):
-            t = [(cubes[x] + a * x) % q for x in xs]
-            row = [0] * q
-            for b in range(q):
-                row[b] = base + sum([chi2[v + b] for v in t])
-            table.append(row)
+            cnt = [0] * q
+            for x in range(q):
+                cnt[(cubes[x] + a * x) % q] += 1
+            cnt.reverse()
+            corr = (int.from_bytes(slots_q.pack(*cnt), "little") * chi2).to_bytes(nbytes, "little")
+            table.append([s + 1 for s in slots_q.unpack_from(corr, 4 * (q - 1))])
         # mark singular curves: 4a^3 + 27b^2 = 0
         inv27 = pow(27, -1, q) if q != 3 else None
         for a in range(q):
@@ -472,11 +482,11 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
         elif qmod == ell - 1:
             pointed = not _line_pointwise_rational(w, A, B, q, tab)
         else:
-            frob_xi = intpoly.epow([0, 1] if d > 1 else xi, q, f, q) if d > 1 else xi
             if d == 1:
                 # rational x: Frobenius fixes x, so x(aR) must equal x(R)
                 pointed = a_star == 1
             else:
+                frob_xi = intpoly.epow(xi, q, f, q)
                 numa, dena = xmul[a_star]
                 nv = intpoly.eval_poly_ext(numa, xi, f, q)
                 dv = intpoly.eval_poly_ext(dena, xi, f, q)
@@ -521,7 +531,7 @@ def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables):
     coeffs = (0, 0, 0, A % q, B % q)
     if ell == 2:
         out = []
-        for r in sorted(intpoly.roots_in_fq([B % q, A % q, 0, 1], q)):
+        for r in intpoly.roots_in_fq([B % q, A % q, 0, 1], q):
             out.append(((r, 0), [r]))
         return out
     v = 0
@@ -596,7 +606,7 @@ def _rational_ell_points(A, B, ell, q, tab: FqTables):
     coeffs = (0, 0, 0, A, B)
     psi = torsion_x_poly_ints(coeffs, q, ell)
     pts = []
-    for x in sorted(intpoly.roots_in_fq(psi, q)):
+    for x in intpoly.roots_in_fq(psi, q):
         rhs = (x * x * x + A * x + B) % q
         y = tab.sqrt[rhs]
         if y < 0:
@@ -992,6 +1002,7 @@ def _soundness_checks(
 def _sample_points(coeffs, q, tab: FqTables, want: int, salt: int):
     a1, a2, a3, a4, a6 = coeffs
     pts = []
+    inv2 = pow(2, -1, q)
     x = (salt * 5 + 3) % q
     for _ in range(q):
         lin = (a1 * x + a3) % q
@@ -999,7 +1010,7 @@ def _sample_points(coeffs, q, tab: FqTables, want: int, salt: int):
         disc = (lin * lin + 4 * rhs) % q
         s = tab.sqrt[disc]
         if s >= 0:
-            y = (s - lin) * pow(2, -1, q) % q
+            y = (s - lin) * inv2 % q
             pts.append((x, y))
             if len(pts) == want:
                 return pts

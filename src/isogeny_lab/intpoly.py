@@ -8,6 +8,9 @@ where object-per-coefficient arithmetic would be too slow.
 
 from __future__ import annotations
 
+import struct
+from operator import mul
+
 from .errors import InternalError
 
 
@@ -140,15 +143,69 @@ def pfrom_roots(roots: list[int], q: int) -> list[int]:
 
 
 def ppowmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
-    """base**e mod (m, q) by square and multiply."""
-    result = [1]
-    b = pmod(base, m, q)
-    while e:
+    """base**e mod (m, q) by square and multiply.
+
+    With n = deg m >= 2 and n^3 (q-1)^4 < 2^64, every step is Kronecker-packed
+    (Harvey, J. Symbolic Comput. 44, 2009); otherwise a step is
+    pmod(pmul(.)).
+    """
+    b = trim([c % q for c in pmod(base, m, q)])
+    if e == 0:
+        return [1]
+    n = len(m) - 1
+    if n <= 1 or n**3 * (q - 1) ** 4 >= 1 << 64:
+        pack = unpack = list
+
+        def mulmod(u, v):
+            return pmod(pmul(u, v, q), m, q)
+    else:
+        pack, mulmod, unpack = _packed_mulmod(m, q)
+    bp, rp = pack(b), None
+    while True:
         if e & 1:
-            result = pmod(pmul(result, b, q), m, q)
-        b = pmod(pmul(b, b, q), m, q)
+            rp = bp if rp is None else mulmod(rp, bp)
         e >>= 1
-    return result
+        if not e:
+            return unpack(rp)
+        bp = mulmod(bp, bp)
+
+
+def _packed_mulmod(m: list[int], q: int):
+    """(pack, mulmod, unpack) for F_q[x]/(m) with n = deg m >= 2 and
+    n^3 (q-1)^4 < 2^64.
+
+    An operand is one int holding n coefficients in 64-bit slots.  mulmod
+    makes one big-int product, reduces its 2n-1 slots mod q and folds the
+    slots x^n..x^(2n-2) back with rows x^(n+i) mod m, packed the same way
+    (row i+1 is x * row i folded back with row 0, which holds the inverse
+    of m's leading coefficient).  Its result is left unreduced: each slot
+    is at most (q-1) + (n-1)(q-1)^2 <= n(q-1)^2, so the 2n-1 slots of the
+    next product, at most n * (n(q-1)^2)^2, stay exact.  unpack reduces.
+    """
+    n = len(m) - 1
+    slots_n = struct.Struct(f"<{n}Q")
+    unpack_2n = struct.Struct(f"<{2 * n - 1}Q").unpack
+    nbytes, nbytes_2n = 8 * n, 8 * (2 * n - 1)
+    inv_lc = pow(m[-1], -1, q)
+    row0 = [(-c * inv_lc) % q for c in m[:-1]]
+    rows = [row0]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append([(a + top * c) % q for a, c in zip([0] + prev[:-1], row0)])
+    packed_rows = [int.from_bytes(slots_n.pack(*r), "little") for r in rows]
+
+    def pack(f: list[int]) -> int:
+        return int.from_bytes(slots_n.pack(*f, *[0] * (n - len(f))), "little")
+
+    def mulmod(u: int, v: int) -> int:
+        c = [x % q for x in unpack_2n((u * v).to_bytes(nbytes_2n, "little"))]
+        return pack(c[:n]) + sum(map(mul, c[n:], packed_rows))
+
+    def unpack(u: int) -> list[int]:
+        return trim([x % q for x in slots_n.unpack(u.to_bytes(nbytes, "little"))])
+
+    return pack, mulmod, unpack
 
 
 def power_sums(h, upto: int) -> list:

@@ -7,6 +7,7 @@ from isogeny_lab.curves import WeierstrassCurve, curve_order, division_polynomia
 from isogeny_lab.errors import CapabilityError
 from isogeny_lab.fields import ExtensionField, PrimeField, Polynomial
 from isogeny_lab.graphs import (
+    FqTables,
     SoundnessStats,
     build_pointed_graphs,
     enumerate_pointed_lines,
@@ -48,13 +49,10 @@ def test_integer_point_ops_match_object_layer():
     assert pt_mul(5, P, coeffs, q) == expect
 
 
-def test_order_table_matches_curve_order():
-    q = 13
+@pytest.mark.parametrize("q", [5, 7, 13, 31, 61])
+def test_order_table_matches_curve_order(q):
     F = PrimeField(q)
-    tab = fq_tables(q)
-    orders = tab.orders()
-    from isogeny_lab.curves import WeierstrassCurve
-
+    orders = FqTables(q).orders()
     for a in range(q):
         for b in range(q):
             if (4 * a**3 + 27 * b**2) % q == 0:

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isogeny_lab import intpoly
-from isogeny_lab.fields import PrimeField, Polynomial, QQ
+from isogeny_lab.fields import ExtensionField, PrimeField, Polynomial, QQ
 
 
 def _random_squarefree(rng, q, count):
@@ -184,3 +185,102 @@ def test_equal_degree_split_against_brute_force(q):
             got = intpoly.equal_degree_split(f, d, q)
             assert sorted(tuple(g) for g in got) == factors
             assert all(_brute_irreducible(g, q) for g in got)
+
+
+# --- ppowmod: the packed square-and-multiply against schoolbook steps ---------
+
+# primes at the edge of the packed step's bound n^3 (q-1)^4 < 2^64: at
+# q = 23167 it holds up to deg m = 4 (at 99.9 % of 2^64) and fails from
+# deg m = 5 on; at q = 2^31 - 1 it fails for every deg m >= 2
+_EDGE_Q = 23167
+_WIDE_Q = 2**31 - 1
+
+
+def _powmod_schoolbook(base, e, m, q):
+    """base**e mod m by square and multiply, every step pmod(pmul(.))."""
+    result = [1]
+    b = intpoly.pmod(base, m, q)
+    while e:
+        if e & 1:
+            result = intpoly.pmod(intpoly.pmul(result, b, q), m, q)
+        b = intpoly.pmod(intpoly.pmul(b, b, q), m, q)
+        e >>= 1
+    return result
+
+
+def _modulus(rng, q, n, monic):
+    return [rng.randrange(q) for _ in range(n)] + [1 if monic else rng.randrange(2, q)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 113])
+def test_ppowmod_matches_schoolbook_steps(q):
+    rng = random.Random(500 + q)
+    for n in range(31):
+        for monic in (True, False):
+            m = _modulus(rng, q, n, monic)
+            d = rng.randrange(1, 4)
+            for e in (0, 1, 2, q**d, (q**d - 1) // 2, rng.randrange(3, 10**5)):
+                for length in (0, rng.randrange(1, n + 2), n + 1 + rng.randrange(1, 8)):
+                    base = [rng.randrange(q) for _ in range(length)]
+                    assert intpoly.ppowmod(base, e, m, q) == _powmod_schoolbook(base, e, m, q)
+
+
+def test_ppowmod_small_exponents_are_repeated_products():
+    rng = random.Random(7)
+    q = 113
+    for n in (2, 5, 24):
+        m = _modulus(rng, q, n, monic=False)
+        base = [rng.randrange(q) for _ in range(n + 3)]
+        acc = [1]
+        for e in range(40):
+            assert intpoly.ppowmod(base, e, m, q) == acc
+            acc = intpoly.pmod(intpoly.pmul(acc, base, q), m, q)
+
+
+@pytest.mark.parametrize("q", [_EDGE_Q, _WIDE_Q])
+def test_ppowmod_at_the_slot_bound(q, monkeypatch):
+    """Both sides of the packed step's bound, with all-(q-1) operands; the
+    packed step is taken exactly where n^3 (q-1)^4 < 2^64."""
+    packed = []
+    orig = intpoly._packed_mulmod
+    monkeypatch.setattr(intpoly, "_packed_mulmod",
+                        lambda m, q: packed.append(len(m) - 1) or orig(m, q))
+    rng = random.Random(11)
+    for n in range(2, 9):
+        full = [q - 1] * (n + 1)
+        for m, base in ((full, full[:n]), (_modulus(rng, q, n, False), full),
+                        (_modulus(rng, q, n, True), [rng.randrange(q) for _ in range(2 * n)])):
+            for e in (1, 2, q, (q**2 - 1) // 2):
+                assert intpoly.ppowmod(base, e, m, q) == _powmod_schoolbook(base, e, m, q)
+    assert sorted(set(packed)) == ([2, 3, 4] if q == _EDGE_Q else [])
+
+
+@given(
+    st.sampled_from([3, 5, 7, 11, 113, _EDGE_Q, _WIDE_Q]),
+    st.lists(st.integers(0, 2**40), max_size=14),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=14),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_ppowmod_property(q, base, m, e):
+    base = [c % q for c in base]
+    m = [c % q for c in m]
+    if m[-1] == 0:
+        m[-1] = 1
+    assert intpoly.ppowmod(base, e, m, q) == _powmod_schoolbook(base, e, m, q)
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 4), (3, 3)])
+def test_extension_power_is_repeated_multiplication(p, k):
+    F = ExtensionField(p, k)
+    rng = random.Random(p * 10 + k)
+    size = p**k
+    elements = [F.element([rng.randrange(p) for _ in range(k)]) for _ in range(6)]
+    elements.append(F.element([0] * (k - 1) + [1]))
+    for a in elements:
+        acc = F.one()
+        for e in range(min(size, 400) + 2):
+            assert a**e == acc
+            acc = acc * a
+        assert a ** (size - 1) == (F.one() if not a.is_zero() else F.zero())
+        assert a**size == a

@@ -231,3 +231,37 @@ def test_line_subspace_without_a_point_is_internal_error():
     x0 = next(x for x in range(q) if not basis.curve.y_candidates(field.element(x)))
     with pytest.raises(InternalError, match="no y"):
         V._line_subspace(basis, [(-x0) % q, 1])
+
+
+_SOUND = {"dual_j_failures": 0, "homomorphism_failures": 0, "kernel_failures": 0,
+          "order_mismatches": 0, "singular_codomains": 0}
+_CLAIMS_ORDER_TWO = {CLAIM_THM1: VERIFIED, CLAIM_LEM32: VERIFIED, CLAIM_LEM42: VERIFIED}
+_CLAIMS_NONE = {CLAIM_THM1: NOT_APPLICABLE, CLAIM_LEM32: NOT_APPLICABLE,
+                CLAIM_LEM42: NOT_APPLICABLE}
+
+
+@pytest.mark.parametrize("q, ell, counts, claims", [
+    (113, 7, dict(arms_distinct=40, arms_total=2016, curves_scanned=12769, graphs_found=66,
+                  graphs_order_2=1, lattices_checked=1, multi_arm_targets=1,
+                  torsion_bases_checked=1), _CLAIMS_ORDER_TWO),
+    (107, 7, dict(arms_distinct=35, arms_total=1855, curves_scanned=11449, graphs_found=70,
+                  graphs_order_2=0, lattices_checked=0, multi_arm_targets=0,
+                  torsion_bases_checked=0), _CLAIMS_NONE),
+    (67, 3, dict(arms_distinct=70, arms_total=6534, curves_scanned=8978, graphs_found=104,
+                 graphs_order_2=6, lattices_checked=6, multi_arm_targets=6,
+                 torsion_bases_checked=6), _CLAIMS_ORDER_TWO),
+])
+def test_sweep_task_counts_and_claims_are_fixed(q, ell, counts, claims, monkeypatch):
+    """Fixed reports of three sweep tasks: ell = 7 with q = 1 mod 7 (psi_7
+    splits and _rational_ell_points runs) and with q != 1 mod 7, and ell = 3.
+    A kernel change that moves a verdict fails here."""
+    calls = []
+    orig = G._rational_ell_points
+    monkeypatch.setattr(G, "_rational_ell_points",
+                        lambda *args: calls.append(args) or orig(*args))
+    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    arms = counts["arms_total"]
+    assert rep.counts == {**counts, "soundness": {**_SOUND, "isogenies": arms}}
+    assert rep.paper_claims == claims
+    assert rep.violations == []
+    assert bool(calls) == (q % ell == 1)
