@@ -408,15 +408,6 @@ def curve_order(curve: WeierstrassCurve, cap: int = ORDER_ENUMERATION_CAP) -> in
     return total
 
 
-def hasse_interval(q: int) -> tuple[int, int]:
-    from math import isqrt
-
-    s = isqrt(4 * q)
-    while s * s < 4 * q:
-        s += 1
-    return q + 1 - s, q + 1 + s
-
-
 # --- torsion bases over extensions --------------------------------------------
 
 

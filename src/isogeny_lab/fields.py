@@ -286,9 +286,9 @@ class FieldElement:
         if isinstance(self.rep, int):
             return FieldElement(self.field, (self.rep * o.rep) % self.field.p)
         f = self.field
-        prod = intpoly.pmod(
-            intpoly.pmul(list(self.rep), list(o.rep), f.p), list(f.modulus), f.p
-        )
+        prod = intpoly.pmul(list(self.rep), list(o.rep), f.p)
+        if len(prod) > f.k:  # a shorter product is already reduced
+            prod = intpoly.pmod(prod, list(f.modulus), f.p)
         return FieldElement(f, tuple(prod + [0] * (f.k - len(prod))))
 
     __rmul__ = __mul__

@@ -664,7 +664,8 @@ def _conjugate_config(rng, module: GaloisModule, hyperplanes):
 def _coprime_order_block(rng, ell: int, size: int) -> Matrix:
     """A size x size invertible matrix of order coprime to ell: a diagonal
     of units for odd ell, blocks of the order-3 companion of x^2+x+1 for
-    ell = 2.  Commuting choices keep closures abelian and coprime."""
+    ell = 2.  Diagonals commute; at ell = 2 each call draws its own block
+    partition, so two such matrices need not commute."""
     if ell > 2:
         return tuple(
             tuple(rng.randrange(1, ell) if i == j else 0 for j in range(size))
@@ -692,12 +693,17 @@ def _coprime_order_block(rng, ell: int, size: int) -> Matrix:
 
 
 def random_semisimple_pointed_config(rng, ell: int, g: int, n: int) -> PointedConfiguration:
-    """A random semisimple pointed configuration of order n in dimension 2g.
+    """A random pointed configuration of order n in dimension 2g.
 
     Generators are block-diagonal: identity on the first n coordinates
-    (pointedness w.r.t. the coordinate hyperplanes) and commuting blocks of
-    order coprime to ell on the rest, so semisimplicity is guaranteed by
-    Maschke; everything is then conjugated by a random change of basis.
+    (pointedness w.r.t. the coordinate hyperplanes) and a block of order
+    coprime to ell on the rest; everything is then conjugated by a random
+    change of basis.  For odd ell the blocks are commuting diagonals, so
+    the group has order coprime to ell and Maschke makes the module
+    semisimple.  At ell = 2 each generator draws its own block partition:
+    the generators need not commute, the group can have even order and the
+    module need not be semisimple, so theorem2_trial checks is_semisimple
+    first and reports a draw that fails it.
     """
     dim = 2 * g
     if not 1 <= n <= dim:

@@ -115,9 +115,9 @@ def pt_add(P, Q, coeffs, q):
     if x1 == x2:
         if (y1 + y2 + a1 * x2 + a3) % q == 0:
             return None
-        den = (2 * y1 + a1 * x1 + a3) % q
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(den, -1, q) % q
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * pow(den, -1, q) % q
+        inv = pow(2 * y1 + a1 * x1 + a3, -1, q)
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv % q
+        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv % q
     else:
         den = (x2 - x1) % q
         inv = pow(den, -1, q)
@@ -177,13 +177,12 @@ def short_reduce_int(coeffs, q):
     b2, b4, b6, _ = curve_b_invariants_int(coeffs, q)
     c4 = (b2 * b2 - 24 * b4) % q
     c6 = (-b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6) % q
-    A = -c4 * pow(48, -1, q) % q
-    B = -c6 * pow(864, -1, q) % q
-    inv2 = pow(2, -1, q)
-    inv12 = pow(12, -1, q)
-    s = -a1 * inv2 % q
-    t0 = -a3 * inv2 % q
-    r = -b2 * inv12 % q
+    inv864 = pow(864, -1, q)  # 1/48, 1/2 and 1/12 are 18, 432 and 72 times it
+    A = -c4 * 18 * inv864 % q
+    B = -c6 * inv864 % q
+    s = -a1 * 432 * inv864 % q
+    t0 = -a3 * 432 * inv864 % q
+    r = -b2 * 72 * inv864 % q
     t = (s * r + t0) % q
     return A, B, (1, r, s, t)
 
@@ -308,18 +307,22 @@ def line_poly_int(xmul, xi, f, q):
 # --- Velu over ints ----------------------------------------------------------------
 
 
-def velu_codomain_int(coeffs, kappa, ell, q):
+def velu_codomain_int(coeffs, kappa, ell, q, binv=None, sums=None):
     """Codomain coefficients of the quotient by the subgroup with kernel
-    polynomial kappa (monic, ints)."""
+    polynomial kappa (monic, ints).
+
+    binv = (b2, b4, b6) of the curve and sums = the power sums p_1..p_3 of
+    kappa's roots are computed here unless the caller already has them.
+    """
     a1, a2, a3, a4, a6 = coeffs
-    b2, b4, b6, _ = curve_b_invariants_int(coeffs, q)
+    b2, b4, b6 = binv or curve_b_invariants_int(coeffs, q)[:3]
     d = intpoly.deg(kappa)
     if ell == 2:
         x0 = (-kappa[0]) % q
         t = (6 * x0 * x0 + b2 * x0 + b4) * pow(2, -1, q) % q
         w = x0 * t % q
     else:
-        p1, p2, p3 = intpoly.power_sums(kappa, 3)
+        p1, p2, p3 = sums or intpoly.power_sums(kappa, 3)
         t = (6 * p2 + b2 * p1 + d * b4) % q
         w = (10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6) % q
     return (a1, a2, a3, (a4 - 5 * t) % q, (a6 - b2 * t - 7 * w) % q)
@@ -357,11 +360,48 @@ def velu_x_maps_int(coeffs, kappa, ell, q):
     return num, h2
 
 
+def velu_x_map_at(binv, kappa, p1, ell, x, q):
+    """(num(x), num'(x), den(x), den'(x)) of velu_x_maps_int at x in F_q,
+    without building the polynomials.
+
+    binv = (b2, b4, b6) of the source curve and p1 the sum of kappa's roots.
+    With h = kappa, den = h^2 and num = ell x h^2 - 2 p1 h^2 - v h' h
+    - u (h'' h - h'^2), where v = 6x^2 + b2 x + b4 and
+    u = 4x^3 + b2 x^2 + 2 b4 x + b6 (den = h and num = x h + t at ell = 2);
+    one Horner pass gives h, h', h'' and h''' at x.
+    """
+    b2, b4, b6 = binv
+    t0 = t1 = t2 = t3 = 0  # t_k = h^(k)(x) / k!
+    for c in reversed(kappa):
+        t3 = t3 * x + t2
+        t2 = t2 * x + t1
+        t1 = t1 * x + t0
+        t0 = t0 * x + c
+    h, hp = t0 % q, t1 % q
+    if ell == 2:
+        t = (6 * p1 * p1 + b2 * p1 + b4) * ((q + 1) // 2)
+        return (x * h + t) % q, (h + x * hp) % q, h, hp
+    hpp, hppp = 2 * t2 % q, 6 * t3 % q
+    v = (6 * x + b2) * x + b4
+    u = ((4 * x + b2) * x + 2 * b4) * x + b6
+    lin = ell * x - 2 * p1
+    w = hpp * h - hp * hp  # its derivative is h''' h - h' h''
+    num = (lin * h - v * hp) * h - u * w
+    nump = (
+        (ell * h + 2 * lin * hp - (12 * x + b2) * hp) * h
+        - v * (hpp * h + hp * hp)
+        - ((12 * x + 2 * b2) * x + 2 * b4) * w
+        - u * (hppp * h - hp * hpp)
+    )
+    return num % q, nump % q, h * h % q, 2 * h * hp % q
+
+
 # --- canonical isomorphism-class keys ----------------------------------------------
 
 
 def short_class_key(A, B, q, tab: FqTables):
-    """Canonical key for the F_q-isomorphism class of y^2 = x^3 + Ax + B."""
+    """Canonical key (kind, j, twist) for the F_q-isomorphism class of
+    y^2 = x^3 + Ax + B; its second entry is the j-invariant."""
     A %= q
     B %= q
     if A == 0:
@@ -370,7 +410,8 @@ def short_class_key(A, B, q, tab: FqTables):
     if B == 0:
         g4 = gcd(4, q - 1)
         return (1, 1728 % q, pow(A, (q - 1) // g4, q))
-    j = j_invariant_int((0, 0, 0, A, B), q)
+    c = 4 * A * A * A
+    j = 1728 * c * pow(c + 27 * B * B, -1, q) % q
     return (2, j, tab.chi[A * B % q])
 
 
@@ -410,17 +451,6 @@ def compose_iso_int(i1, i2, q):
         (u1 * s2 + s1) % q,
         (u1 * u1 * u1 * t2 + s1 * u1 * u1 * r2 + t1) % q,
     )
-
-
-def transport_line_poly(w, iso, q):
-    """Transport a kernel x-polynomial through x = u^2 x' + r (monic out)."""
-    u, r, _, _ = iso
-    u2 = u * u % q
-    lin = [r % q, u2]
-    out = []
-    for c in reversed(w):
-        out = intpoly.padd(intpoly.pmul(out, lin, q), [c], q)
-    return intpoly.pmonic(out, q)
 
 
 # --- stable pointed lines of a target ----------------------------------------------
@@ -525,9 +555,12 @@ def _line_pointwise_rational(w, A, B, q, tab: FqTables) -> bool:
 # --- arm discovery -----------------------------------------------------------------
 
 
-def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables):
+def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables, psi_roots=None, key=None):
     """All order-ell subgroups of y^2 = x^3 + Ax + B generated by rational
-    points: list of (kernel_point, x_coords). Requires ell | N."""
+    points: list of (kernel_point, x_coords). Requires ell | N.
+
+    psi_roots and key (the curve's short_class_key) are handed to
+    _rational_ell_points."""
     coeffs = (0, 0, 0, A % q, B % q)
     if ell == 2:
         out = []
@@ -546,7 +579,7 @@ def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables):
             raise InternalError("no rational order-ell point despite ell | N")
         return [(pt, _subgroup_xs(pt, coeffs, ell, q))]
     # possibly two-dimensional rational torsion: use division-polynomial roots
-    points = _rational_ell_points(A, B, ell, q, tab)
+    points = _rational_ell_points(A, B, ell, q, tab, psi_roots, key)
     want_full = (ell * ell - 1) // 2
     xs_with_y = sorted({p[0] for p in points})
     if len(xs_with_y) < want_full:
@@ -601,12 +634,26 @@ def _find_order_ell_point(A, B, N, m, ell, q, tab: FqTables):
     return None
 
 
-def _rational_ell_points(A, B, ell, q, tab: FqTables):
-    """All rational points of order ell (up to y-sign pairing both kept)."""
-    coeffs = (0, 0, 0, A, B)
-    psi = torsion_x_poly_ints(coeffs, q, ell)
+def _rational_ell_points(A, B, ell, q, tab: FqTables, psi_roots=None, key=None):
+    """All rational points of order ell (up to y-sign pairing both kept).
+
+    psi_roots, when given, maps the key of each isomorphism class met so far
+    to (A0, B0, roots of psi_ell in F_q for y^2 = x^3 + A0 x + B0).  A curve
+    of a known class is (A, B) = (u^4 A0, u^6 B0), and (x, y) -> (u^2 x, u^3 y)
+    maps the one onto the other, so its roots are u^2 times the stored ones.
+    """
+    hit = psi_roots.get(key) if psi_roots is not None else None
+    if hit is None:
+        roots = intpoly.roots_in_fq(torsion_x_poly_ints((0, 0, 0, A, B), q, ell), q)
+        if psi_roots is not None:
+            psi_roots[key] = (A, B, roots)
+    else:
+        A0, B0, roots0 = hit
+        u = solve_twist_scale(A, B, A0, B0, q, tab)
+        u2 = u * u % q
+        roots = sorted(u2 * r % q for r in roots0)
     pts = []
-    for x in intpoly.roots_in_fq(psi, q):
+    for x in roots:
         rhs = (x * x * x + A * x + B) % q
         y = tab.sqrt[rhs]
         if y < 0:
@@ -812,35 +859,36 @@ def build_pointed_graphs(
             classes[key] = tc
         return tc
 
-    def add_arm(src_coeffs, kernel_pt, kernel_xs, N):
+    def add_arm(src, src_inv, kernel_pt, kernel_xs, N):
+        """src_inv = (short_class_key, (b2, b4, b6)) of the source curve."""
+        src_key, binv = src_inv
         kappa = intpoly.pfrom_roots(kernel_xs, q)
-        cod = velu_codomain_int(src_coeffs, kappa, ell, q)
-        if discriminant_int(cod, q) == 0:
+        sums = intpoly.power_sums(kappa, 3)
+        cod = velu_codomain_int(src, kappa, ell, q, binv, sums)
+        if cod[0] or cod[1] or cod[2]:
+            A2, B2, red_iso = short_reduce_int(cod, q)
+        else:
+            A2, B2, red_iso = cod[3], cod[4], (1, 0, 0, 0)
+        # the short form is isomorphic with u = 1, so it keeps cod's discriminant
+        if (4 * A2 * A2 * A2 + 27 * B2 * B2) % q == 0:
             if soundness is not None:
-                soundness.record("singular_codomains", "singular-codomain", src_coeffs)
+                soundness.record("singular_codomains", "singular-codomain", src)
             raise InternalError("Velu codomain is singular")
-        A2, B2, red_iso = short_reduce_int(cod, q)
         cod_tc = target_class_for(A2, B2, N)
         u = solve_twist_scale(A2, B2, cod_tc.rep[0], cod_tc.rep[1], q, tab)
         iso = compose_iso_int(red_iso, (u, 0, 0, 0), q)
         # source class: for matching arms to target lines
-        sA, sB, _ = short_reduce_int(src_coeffs, q)
-        src_key = short_class_key(sA, sB, q, tab)
         cands = cod_tc.line_index.get(src_key, [])
         if not cands:
             raise InternalError(
                 "no pointed line of the target matches the arm's source class"
             )
-        # the quotient x-map, built once for the line match and the checks
-        x_maps = None
-        if soundness is not None or len(cands) > 1:
-            x_maps = velu_x_maps_int(src_coeffs, kappa, ell, q)
         if len(cands) == 1:
             w = cands[0]
         else:
-            w = _match_dual_line(src_coeffs, kappa, x_maps, ell, q, cands, iso)
+            w = _match_dual_line(src, kappa, ell, q, cands, iso)
         arm = GraphArm(
-            source=tuple(src_coeffs),
+            source=tuple(src),
             kernel_point=kernel_pt,
             codomain=cod,
             iso_to_target=iso,
@@ -848,11 +896,12 @@ def build_pointed_graphs(
         )
         cod_tc.arms.append(arm)
         if soundness is not None:
-            _soundness_checks(soundness, src_coeffs, kappa, x_maps, kernel_pt, kernel_xs,
-                              cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders)
+            _soundness_checks(soundness, src, kappa, sums[0], kernel_pt, kernel_xs,
+                              cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders, src_inv)
         return arm
 
-    # short-form sources
+    # short-form sources; psi_roots holds the rational ell-torsion x's per class
+    psi_roots: dict[tuple, tuple] = {}
     for a in range(q):
         row = orders[a]
         for b in range(q):
@@ -860,8 +909,10 @@ def build_pointed_graphs(
             if N == 0 or N % ell:
                 continue
             src = (0, 0, 0, a, b)
-            for pt, xs in rational_order_ell_subgroups(a, b, N, ell, q, tab):
-                add_arm(src, pt, xs, N)
+            key = short_class_key(a, b, q, tab)
+            src_inv = (key, (0, 2 * a % q, 4 * b % q))
+            for pt, xs in rational_order_ell_subgroups(a, b, N, ell, q, tab, psi_roots, key):
+                add_arm(src, src_inv, pt, xs, N)
 
     # the universal 3-isogeny family contributes its canonical arm
     if ell == 3 and (include_family or include_family is None):
@@ -875,7 +926,8 @@ def build_pointed_graphs(
                 N = orders[sA][sB]
                 if N == 0 or N % 3:
                     raise InternalError("family curve with order not divisible by 3")
-                add_arm(src, (0, 0), [0], N)
+                src_inv = (short_class_key(sA, sB, q, tab), curve_b_invariants_int(src, q)[:3])
+                add_arm(src, src_inv, (0, 0), [0], N)
 
     graphs = []
     for key in sorted(classes):
@@ -900,7 +952,7 @@ def build_pointed_graphs(
     return graphs
 
 
-def _match_dual_line(src_coeffs, kappa, x_maps, ell, q, candidates, iso_to_target):
+def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
     """Select the arm's dual line among candidate target lines.
 
     w (in target-representative coordinates) is the dual line iff
@@ -912,7 +964,7 @@ def _match_dual_line(src_coeffs, kappa, x_maps, ell, q, candidates, iso_to_targe
     g, rem = intpoly.pdivmod(psi, kappa, q)
     if rem:
         raise InternalError("kernel polynomial does not divide the torsion polynomial")
-    num, den = x_maps
+    num, den = velu_x_maps_int(src_coeffs, kappa, ell, q)
     # the arm iso maps codomain -> rep: x_rep = (x_cod - r) / u^2
     u, r, _, _ = iso_to_target
     u2inv = pow(u * u % q, -1, q)
@@ -946,27 +998,27 @@ def _match_dual_line(src_coeffs, kappa, x_maps, ell, q, candidates, iso_to_targe
 
 
 def _soundness_checks(
-    stats: SoundnessStats, src, kappa, x_maps, kernel_pt, kernel_xs, cod, cod_short, w_line,
-    tc, N, ell, q, tab: FqTables, orders,
+    stats: SoundnessStats, src, kappa, p1, kernel_pt, kernel_xs, cod, cod_short, w_line,
+    tc, N, ell, q, tab: FqTables, orders, src_inv,
 ):
     """Per-isogeny engine checks: homomorphism sampling, kernel collapse,
     nonsingular codomain, dual-line quotient j, isogenous order equality.
 
-    x_maps is the arm's velu_x_maps_int and cod_short the short form (A, B)
-    of its codomain."""
+    p1 is the sum of kappa's roots, cod_short the short form (A, B) of the
+    codomain and src_inv the source's (short_class_key, (b2, b4, b6)).  The
+    x-map is evaluated at each check point by velu_x_map_at."""
     stats.isogenies += 1
-    num, den = x_maps
+    src_key, binv = src_inv
     a1, _, a3, _, _ = src
-    inv2 = pow(2, -1, q)
+    inv2 = (q + 1) // 2
 
     def ev(P):
         if P is None:
             return None
         x, y = P
-        if intpoly.peval(kappa, x, q) == 0:
+        nv, nd, dv, dd = velu_x_map_at(binv, kappa, p1, ell, x, q)
+        if dv == 0:  # den is a power of kappa: P is in the kernel
             return None
-        nv, nd = intpoly.peval_deriv(num, x, q)
-        dv, dd = intpoly.peval_deriv(den, x, q)
         dinv = pow(dv, -1, q)
         X = nv * dinv % q
         Xp = (nd * dv - nv * dd) * dinv % q * dinv % q
@@ -990,8 +1042,9 @@ def _soundness_checks(
         if ev(s2) != e0:
             stats.record("homomorphism_failures", "kernel-invariance", src)
             return
-    # dual-kernel quotient returns j(source); a singular one (None) never does
-    if tc.dual_quotient_j(w_line, ell, q) != j_invariant_int(src, q):
+    # dual-kernel quotient returns j(source), the second entry of its class
+    # key; a singular one (None) never does
+    if tc.dual_quotient_j(w_line, ell, q) != src_key[1]:
         stats.record("dual_j_failures", "dual-quotient-j", src)
         return
     # isogenous curves have equal order
@@ -1002,7 +1055,7 @@ def _soundness_checks(
 def _sample_points(coeffs, q, tab: FqTables, want: int, salt: int):
     a1, a2, a3, a4, a6 = coeffs
     pts = []
-    inv2 = pow(2, -1, q)
+    inv2 = (q + 1) // 2
     x = (salt * 5 + 3) % q
     for _ in range(q):
         lin = (a1 * x + a3) % q

@@ -62,13 +62,18 @@ def pmul(f: list[int], g: list[int], q: int) -> list[int]:
 
 
 def pdivmod(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder; g need not be monic."""
+    """Quotient and remainder; g need not be monic.
+
+    f may be unreduced (coefficients outside [0, q), trailing zeros mod q);
+    both results are reduced and trimmed.
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     r = f[:]
     dg = deg(g)
     inv_lc = pow(g[-1], -1, q)
     quot = [0] * max(0, len(f) - dg)
+    k = len(r)
     while len(r) - 1 >= dg and r:
         c = (r[-1] * inv_lc) % q
         k = len(r) - 1 - dg
@@ -76,6 +81,8 @@ def pdivmod(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
         for i, b in enumerate(g):
             r[k + i] = (r[k + i] - c * b) % q
         trim(r)
+    if k:  # r[:k] was never subtracted from, so never reduced
+        r = trim([c % q for c in r])
     return trim(quot), r
 
 
@@ -149,7 +156,7 @@ def ppowmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
     (Harvey, J. Symbolic Comput. 44, 2009); otherwise a step is
     pmod(pmul(.)).
     """
-    b = trim([c % q for c in pmod(base, m, q)])
+    b = pmod(base, m, q)
     if e == 0:
         return [1]
     n = len(m) - 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from isogeny_lab.curves import (
     curve_order,
     division_polynomial,
     frobenius_matrix,
-    hasse_interval,
     rational_ell_torsion,
     torsion_basis,
     torsion_field_degree,
@@ -16,6 +16,14 @@ from isogeny_lab.curves import (
 )
 from isogeny_lab.errors import CapabilityError, InternalError
 from isogeny_lab.fields import PrimeField, QQ
+
+
+def hasse_interval(q: int) -> tuple[int, int]:
+    """[q + 1 - s, q + 1 + s] with s = ceil(2 sqrt(q)), which contains #E(F_q)."""
+    s = isqrt(4 * q)
+    while s * s < 4 * q:
+        s += 1
+    return q + 1 - s, q + 1 + s
 
 
 def brute_points(curve):

@@ -19,10 +19,20 @@ from isogeny_lab.graphs import (
     pt_mul,
     rational_order_ell_subgroups,
     short_class_key,
-    transport_line_poly,
+    short_reduce_int,
     xmul_table,
 )
 from isogeny_lab.isogenies import curves_isomorphic, dual_kernel_polynomial
+
+
+def transport_line_poly(w, iso, q):
+    """Transport a kernel x-polynomial through x = u^2 x' + r (monic out)."""
+    u, r, _, _ = iso
+    lin = [r % q, u * u % q]
+    out = []
+    for c in reversed(w):
+        out = intpoly.padd(intpoly.pmul(out, lin, q), [c], q)
+    return intpoly.pmonic(out, q)
 
 
 def test_integer_point_ops_match_object_layer():
@@ -286,14 +296,16 @@ def test_line_poly_int_matches_subgroup_enumeration(ell, curves):
 
 
 def _corrupt_x_maps(monkeypatch):
-    """Shift every Velu x-map by one: x(phi(P)) + 1 is no homomorphism."""
-    orig = graphs_mod.velu_x_maps_int
+    """Shift every Velu x-map by one at the check points: x(phi(P)) + 1 is
+    no homomorphism."""
+    orig = graphs_mod.velu_x_map_at
 
-    def shifted(coeffs, kappa, ell, q):
-        num, den = orig(coeffs, kappa, ell, q)
-        return intpoly.padd(num, den, q), den
+    def shifted(*args):
+        nv, nd, dv, dd = orig(*args)
+        q = args[-1]
+        return (nv + dv) % q, (nd + dd) % q, dv, dd
 
-    monkeypatch.setattr(graphs_mod, "velu_x_maps_int", shifted)
+    monkeypatch.setattr(graphs_mod, "velu_x_map_at", shifted)
 
 
 def _wrap_checks(monkeypatch, change):
@@ -308,8 +320,6 @@ _W_LINE, _TC, _N = 8, 9, 10
 
 
 def test_soundness_corrupted_x_map_fails_homomorphism(monkeypatch):
-    # at (11, 3) every arm's dual line has a single candidate, so the
-    # corrupted map reaches the checks only
     _corrupt_x_maps(monkeypatch)
     stats = SoundnessStats()
     build_pointed_graphs(PrimeField(11), 3, soundness=stats)
@@ -373,3 +383,129 @@ def test_soundness_witnesses_capped_counters_exact(monkeypatch):
     assert len(uncapped.failures) == uncapped.homomorphism_failures > cap
     assert capped.to_json() == uncapped.to_json()
     assert capped.failures == uncapped.failures[:cap]
+
+
+# --- the x-map at the check points against the x-map polynomial -----------------
+
+_DIFF_SWEEPS = [(q, ell) for ell in (2, 3, 5, 7) for q in (5, 7, 11, 13, 17, 19, 23, 29, 31)
+                if q != ell]
+
+
+@pytest.fixture(scope="module")
+def check_point_calls():
+    """(source, b-invariants, kappa, p1, ell, x, q) of every velu_x_map_at
+    call that the soundness checks make on every arm of the sweeps with
+    q <= 31: the kernel point and the sampled points of each arm."""
+    calls = []
+    src = []
+    orig_checks = graphs_mod._soundness_checks
+    orig_at = graphs_mod.velu_x_map_at
+
+    def checks(*args):
+        src[:] = [args[1]]
+        return orig_checks(*args)
+
+    def at(binv, kappa, p1, ell, x, q):
+        calls.append((src[0], binv, tuple(kappa), p1, ell, x, q))
+        return orig_at(binv, kappa, p1, ell, x, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs_mod, "_soundness_checks", checks)
+        mp.setattr(graphs_mod, "velu_x_map_at", at)
+        for q, ell in _DIFF_SWEEPS:
+            stats = SoundnessStats()
+            build_pointed_graphs(PrimeField(q), ell, soundness=stats)
+            assert stats.ok()
+    return calls
+
+
+def _x_map_mismatches(calls):
+    """How many calls velu_x_map_at answers differently from peval_deriv of
+    the velu_x_maps_int polynomials at the same point."""
+    bad = 0
+    for src, binv, kappa, p1, ell, x, q in calls:
+        num, den = graphs_mod.velu_x_maps_int(src, list(kappa), ell, q)
+        want = (*intpoly.peval_deriv(num, x, q), *intpoly.peval_deriv(den, x, q))
+        bad += graphs_mod.velu_x_map_at(binv, list(kappa), p1, ell, x, q) != want
+    return bad
+
+
+def test_x_map_at_check_points_equals_polynomial(check_point_calls):
+    assert {c[4] for c in check_point_calls} == {2, 3, 5, 7}
+    assert _x_map_mismatches(check_point_calls) == 0
+
+
+_POLY, _POINT = "velu_x_maps_int", "velu_x_map_at"
+
+
+@pytest.mark.parametrize("attr, where", [
+    (_POLY, (0, 0)),  # constant coefficient of num
+    (_POLY, (0, -1)),  # leading coefficient of num
+    (_POLY, (1, 0)),  # constant coefficient of den
+    (_POINT, 0),  # b2
+    (_POINT, 1),  # b4
+    (_POINT, 2),  # b6
+    (_POINT, 3),  # p1
+    (_POINT, 4),  # ell
+])
+def test_x_map_differential_catches_a_wrong_coefficient(attr, where, check_point_calls,
+                                                        monkeypatch):
+    orig = getattr(graphs_mod, attr)
+    if attr == _POLY:
+        def mutated(*args):
+            maps = [list(p) for p in orig(*args)]
+            maps[where[0]][where[1]] += 1
+            return tuple(maps)
+    else:
+        def mutated(binv, kappa, p1, ell, x, q):
+            v = [*binv, p1, ell]
+            v[where] += 2  # keeps an odd ell odd
+            return orig(tuple(v[:3]), kappa, v[3], v[4], x, q)
+    monkeypatch.setattr(graphs_mod, attr, mutated)
+    assert _x_map_mismatches([c for c in check_point_calls if c[6] <= 13]) > 0
+
+
+@pytest.mark.parametrize("q, ell", [(11, 3), (13, 3), (13, 2), (31, 5)])
+def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch):
+    built = []
+    orig = graphs_mod.velu_x_maps_int
+    monkeypatch.setattr(graphs_mod, "velu_x_maps_int",
+                        lambda *a: built.append((tuple(a[0]), tuple(a[1]))) or orig(*a))
+    checked = []
+    _wrap_checks(monkeypatch, lambda a: checked.append(a) or a)
+    build_pointed_graphs(PrimeField(q), ell, soundness=SoundnessStats())
+    tab = fq_tables(q)
+    multi = []
+    for a in checked:
+        src, kappa, tc = a[1], a[2], a[_TC]
+        sA, sB, _ = short_reduce_int(src, q)
+        if len(tc.line_index[short_class_key(sA, sB, q, tab)]) > 1:
+            multi.append((tuple(src), tuple(kappa)))
+    assert sorted(built) == sorted(multi)
+    # at (11, 3) every arm has a single candidate line
+    assert bool(multi) == ((q, ell) != (11, 3))
+
+
+def test_rational_ell_points_transport_equals_direct():
+    """Transported roots against the direct psi_ell computation on every
+    short curve with ell^2 | N; transport covers j = 0, j = 1728 and
+    generic classes."""
+    transported = Counter()
+    curves = 0
+    for q, ell in [(13, 3), (31, 3), (37, 3), (31, 5), (41, 5), (29, 7), (43, 7)]:
+        tab = fq_tables(q)
+        orders = tab.orders()
+        psi_roots = {}
+        for a in range(q):
+            for b in range(q):
+                N = orders[a][b]
+                if not N or N % (ell * ell):
+                    continue
+                curves += 1
+                key = short_class_key(a, b, q, tab)
+                if key in psi_roots:
+                    transported[key[0]] += 1
+                got = graphs_mod._rational_ell_points(a, b, ell, q, tab, psi_roots, key)
+                assert got == graphs_mod._rational_ell_points(a, b, ell, q, tab)
+    assert set(transported) == {0, 1, 2}
+    assert sum(transported.values()) < curves

@@ -77,6 +77,39 @@ def test_peval_deriv_matches_pderiv_and_peval():
                 assert intpoly.peval_deriv(f, x, q) == want
 
 
+def _reduced(f, q):
+    return intpoly.trim([c % q for c in f])
+
+
+def _check_division(f, g, q):
+    """quot and rem are reduced and trimmed, deg rem < deg g and f = quot g + rem
+    coefficientwise mod q: this pins rem as the remainder of f mod g."""
+    quot, rem = intpoly.pdivmod(f, g, q)
+    for p in (quot, rem):
+        assert all(0 <= c < q for c in p) and (not p or p[-1])
+    assert len(rem) < len(g)
+    assert intpoly.padd(intpoly.pmul(quot, g, q), rem, q) == _reduced(f, q)
+    return quot, rem
+
+
+def test_pdivmod_reduces_unreduced_input():
+    g = [1, 0, 1]
+    assert intpoly.pmod([200], g, 113) == [87]
+    assert intpoly.pmod([5, 0], g, 113) == [5]
+    assert intpoly.pmod([-3, 1], g, 113) == [110, 1]
+    assert intpoly.pmod([226, -113], g, 113) == []
+    # the loop stops with low coefficients it never subtracted from
+    assert intpoly.pdivmod([300, -1, 0, 1], [0, 0, 1], 113) == ([0, 1], [74, 112])
+    rng = random.Random(9)
+    for q in (5, 13, 113):
+        for _ in range(300):
+            g = [rng.randrange(q) for _ in range(rng.randrange(0, 5))] + [rng.randrange(1, q)]
+            f = [rng.randrange(-3 * q, 3 * q) for _ in range(rng.randrange(0, len(g) + 5))]
+            if f and rng.random() < 0.3:
+                f[-1] = q * rng.randrange(-2, 3)  # a leading coefficient that is 0 mod q
+            assert _check_division(f, g, q) == intpoly.pdivmod(_reduced(f, q), g, q)
+
+
 # --- root finders: roots_in_fq, factors_of_degree, equal_degree_split ---------
 
 _ROOT_QS = [3, 5, 7, 11, 13]
