@@ -456,32 +456,28 @@ def compose_iso_int(i1, i2, q):
 # --- stable pointed lines of a target ----------------------------------------------
 
 
-def pointed_orbit_degree(ell: int, q: int) -> int:
-    """Multiplicative order of q in (Z/ell)*/{+-1}: the degree of the
-    irreducible factors of a pointed line's kernel polynomial."""
-    if ell == 2:
-        return 1
-    a = q % ell
-    e = 1
-    acc = a
-    while acc != 1 and acc != ell - 1:
-        acc = acc * a % ell
-        e += 1
-    return e
-
-
 def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
     """All Galois-stable lines of E[ell] with trivial quotient action, for
     the short curve y^2 = x^3 + Ax + B with #E = N (ell | N required).
 
     Returns a list of (w, quotient_key, quotient_coeffs) with w the monic
-    kernel x-polynomial of the line (int coefficients).
+    kernel x-polynomial of the line (int coefficients), sorted by w.
+
+    Frobenius has eigenvalues 1 and q on E[ell], so a pointed line is a
+    q-eigenline.  Its points P satisfy x(P)^q = x([a]P) with
+    a = min(q mod ell, ell - q mod ell), i.e. Frob(P) = +-[q]P, so one gcd
+    of psi_ell with X^q den_a - num_a (x([a]P) = num_a / den_a) holds its
+    kernel polynomial, as in the Elkies step of SEA (R. Schoof, J. Theor.
+    Nombres Bordeaux 7, 1995).  When q = -1 mod ell the gcd holds both
+    eigenlines, and the q-eigenline is the one whose y-coordinates are not
+    rational.  When q = 1 mod ell and Frobenius is the identity it holds
+    all of E[ell], and every line is pointed.
     """
     if N % ell:
         raise InternalError("pointed lines require ell | #E")
     coeffs = (0, 0, 0, A % q, B % q)
+    cubic = [B % q, A % q, 0, 1]
     if ell == 2:
-        cubic = [B % q, A % q, 0, 1]
         lines = [[(-r) % q, 1] for r in intpoly.roots_in_fq(cubic, q)]
         out = []
         for w in lines:
@@ -489,53 +485,33 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
             key = short_class_key(cod[3], cod[4], q, tab)
             out.append((tuple(w), key, cod))
         return out
-    e_star = pointed_orbit_degree(ell, q)
-    psi, F = psi_tilde_ints(coeffs, q, ell + 1)
+    psi, F = psi_tilde_ints(coeffs, q, ell)
     psi_x = psi[ell]
-    factors = intpoly.factors_of_degree(psi_x, e_star, q)
     qmod = q % ell
     a_star = min(qmod, ell - qmod)
-    xmul = xmul_table(psi, F, ell, q) if factors else {}
-    lines: dict[tuple, None] = {}
-    for f in factors:
-        d = intpoly.deg(f)
-        xi = [(-f[0]) % q] if d == 1 else [0, 1]
-        w = line_poly_int(xmul, xi, f, q)
-        if w is None:
-            continue
-        key = tuple(w)
-        if key in lines:
-            continue
-        # pointedness: the Frobenius scalar on the line must equal q mod ell
-        if qmod == 1:
-            pointed = True
-        elif qmod == ell - 1:
-            pointed = not _line_pointwise_rational(w, A, B, q, tab)
-        else:
-            if d == 1:
-                # rational x: Frobenius fixes x, so x(aR) must equal x(R)
-                pointed = a_star == 1
-            else:
-                frob_xi = intpoly.epow(xi, q, f, q)
-                numa, dena = xmul[a_star]
-                nv = intpoly.eval_poly_ext(numa, xi, f, q)
-                dv = intpoly.eval_poly_ext(dena, xi, f, q)
-                if not dv:
-                    pointed = False
-                else:
-                    target = intpoly.emul(nv, intpoly.einv(dv, f, q), f, q)
-                    pointed = intpoly.trim(list(frob_xi)) == intpoly.trim(list(target))
-        if pointed:
-            lines[key] = None
+    num, den = xmul_fraction_ints(psi, F, a_star, q)
+    xq = intpoly.ppowmod([0, 1], q, psi_x, q)
+    g = intpoly.pgcd(intpoly.psub(intpoly.pmul(xq, den, q), num, q), psi_x, q)
+    if qmod == ell - 1:
+        # keep the roots x at which the cubic is a non-square
+        s = intpoly.ppowmod(cubic, (q - 1) // 2, g, q)
+        g = intpoly.pgcd(intpoly.padd(s, [1], q), g, q)
+    half = (ell - 1) // 2
+    if intpoly.deg(g) == half:
+        lines = [tuple(g)]
+    elif qmod == 1 and intpoly.deg(g) == half * (ell + 1):
+        xmul = xmul_table(psi, F, ell, q)
+        roots = intpoly.equal_degree_split(g, 1, q)
+        lines = sorted({tuple(line_poly_int(xmul, [(-r[0]) % q], r, q)) for r in roots})
+    else:
+        raise InternalError(f"q-eigenline gcd has degree {intpoly.deg(g)}")
     out = []
     for w_key in lines:
-        w = list(w_key)
-        cod = velu_codomain_int(coeffs, w, ell, q)
+        cod = velu_codomain_int(coeffs, list(w_key), ell, q)
         if discriminant_int(cod, q) == 0:
             raise InternalError("line quotient is singular")
         key = short_class_key(cod[3], cod[4], q, tab)
         out.append((w_key, key, cod))
-    out.sort(key=lambda t: t[0])
     return out
 
 

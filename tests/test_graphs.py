@@ -1,10 +1,11 @@
+import inspect
 from collections import Counter
 
 import pytest
 
 from isogeny_lab import graphs as graphs_mod, intpoly
 from isogeny_lab.curves import WeierstrassCurve, curve_order, division_polynomial, torsion_basis
-from isogeny_lab.errors import CapabilityError
+from isogeny_lab.errors import CapabilityError, InternalError
 from isogeny_lab.fields import ExtensionField, PrimeField, Polynomial
 from isogeny_lab.graphs import (
     FqTables,
@@ -20,9 +21,11 @@ from isogeny_lab.graphs import (
     rational_order_ell_subgroups,
     short_class_key,
     short_reduce_int,
+    velu_codomain_int,
     xmul_table,
 )
 from isogeny_lab.isogenies import curves_isomorphic, dual_kernel_polynomial
+from isogeny_lab.verify import primes_in_range
 
 
 def transport_line_poly(w, iso, q):
@@ -136,6 +139,125 @@ def test_pointed_lines_divide_division_polynomial():
                 assert (psi % wpoly).is_zero()
                 count += 1
     assert count > 0
+
+
+# --- pointed lines: the eigenline gcd against factor-and-test ------------------
+
+
+def pointed_lines_by_factoring(A, B, N, ell, q, tab):
+    """Oracle for enumerate_pointed_lines at odd ell: every irreducible
+    factor of psi_ell of degree e* (the order of q in (Z/ell)*/{+-1}) spans
+    a candidate line; keep the Galois-stable ones on which Frobenius acts
+    by q mod ell."""
+    a = q % ell
+    e_star, acc = 1, a
+    while acc != 1 and acc != ell - 1:
+        acc = acc * a % ell
+        e_star += 1
+    coeffs = (0, 0, 0, A % q, B % q)
+    psi, F = psi_tilde_ints(coeffs, q, ell + 1)
+    factors = intpoly.factors_of_degree(psi[ell], e_star, q)
+    a_star = min(a, ell - a)
+    xmul = xmul_table(psi, F, ell, q)
+    lines = {}
+    for f in factors:
+        d = intpoly.deg(f)
+        xi = [(-f[0]) % q] if d == 1 else [0, 1]
+        w = line_poly_int(xmul, xi, f, q)
+        if w is None or tuple(w) in lines:
+            continue
+        if a == 1:
+            pointed = True
+        elif a == ell - 1:
+            pointed = not graphs_mod._line_pointwise_rational(w, A, B, q, tab)
+        elif d == 1:
+            # rational x: Frobenius fixes x, so x(aR) must equal x(R)
+            pointed = a_star == 1
+        else:
+            frob_xi = intpoly.epow(xi, q, f, q)
+            numa, dena = xmul[a_star]
+            nv = intpoly.eval_poly_ext(numa, xi, f, q)
+            dv = intpoly.eval_poly_ext(dena, xi, f, q)
+            if not dv:
+                pointed = False
+            else:
+                target = intpoly.emul(nv, intpoly.einv(dv, f, q), f, q)
+                pointed = intpoly.trim(list(frob_xi)) == intpoly.trim(list(target))
+        if pointed:
+            lines[tuple(w)] = None
+    out = []
+    for w in sorted(lines):
+        cod = velu_codomain_int(coeffs, list(w), ell, q)
+        out.append((w, short_class_key(cod[3], cod[4], q, tab), cod))
+    return out
+
+
+@pytest.fixture(scope="module")
+def pointed_line_cases():
+    """(curve, ell, q, tab, oracle lines) for one curve of every target class
+    with ell | N: ell in {3, 5, 7} at q < 60 and ell = 11 at q < 40."""
+    cases = []
+    for ell, q_max in [(3, 60), (5, 60), (7, 60), (11, 40)]:
+        for q in primes_in_range(5, q_max):
+            if q == ell:
+                continue
+            tab = fq_tables(q)
+            orders = tab.orders()
+            reps = {}
+            for a in range(q):
+                for b in range(q):
+                    N = orders[a][b]
+                    if N and N % ell == 0:
+                        reps.setdefault(short_class_key(a, b, q, tab), (a, b, N))
+            for a, b, N in reps.values():
+                cases.append(((a, b, N), ell, q, tab,
+                              pointed_lines_by_factoring(a, b, N, ell, q, tab)))
+    return cases
+
+
+def _oracle_mismatches(enumerate_lines, cases):
+    """How many cases enumerate_lines answers differently from the oracle;
+    a call that finds no consistent eigenline counts as a mismatch."""
+    bad = 0
+    for (a, b, N), ell, q, tab, want in cases:
+        try:
+            bad += enumerate_lines(a, b, N, ell, q, tab) != want
+        except InternalError:
+            bad += 1
+    return bad
+
+
+def test_pointed_lines_equal_factoring_oracle(pointed_line_cases):
+    branches = Counter()
+    for (a, b, N), ell, q, tab, want in pointed_line_cases:
+        assert enumerate_pointed_lines(a, b, N, ell, q, tab) == want
+        qmod = q % ell
+        if qmod == 1:
+            assert len(want) in (1, ell + 1)
+            branches["q = 1, all lines" if len(want) > 1 else "q = 1, one line"] += 1
+        else:
+            assert len(want) == 1
+            branches["q = -1" if qmod == ell - 1 else "a* > 1"] += 1
+    assert set(branches) == {"q = 1, all lines", "q = 1, one line", "q = -1", "a* > 1"}
+
+
+# (old, new) source edits of enumerate_pointed_lines; the oracle must tell
+# each mutant apart.  Skipping the split hands g on as one linear factor.
+_LINE_MUTATIONS = {
+    "a* off by one": ("a_star = min(qmod, ell - qmod)", "a_star = min(qmod, ell - qmod) + 1"),
+    "y-test sign flipped": ("intpoly.padd(s, [1], q)", "intpoly.psub(s, [1], q)"),
+    "full-torsion split skipped": ("intpoly.equal_degree_split(g, 1, q)", "[g]"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_LINE_MUTATIONS))
+def test_pointed_lines_differential_catches_mutation(mutation, pointed_line_cases):
+    old, new = _LINE_MUTATIONS[mutation]
+    src = inspect.getsource(graphs_mod.enumerate_pointed_lines)
+    assert src.count(old) == 1
+    namespace = dict(vars(graphs_mod))
+    exec(compile(src.replace(old, new), graphs_mod.__file__, "exec"), namespace)
+    assert _oracle_mismatches(namespace["enumerate_pointed_lines"], pointed_line_cases) > 0
 
 
 def test_build_pointed_graphs_7_3():
