@@ -3,7 +3,7 @@
 Exact arithmetic over prime fields, small extensions and Q; long
 Weierstrass curves with division polynomials, torsion bases, Weil pairing
 and Frobenius matrices; prime-degree Velu isogenies with dual kernels;
-matrix Galois modules with Maschke complements and the hyperplane lattice;
+matrix Galois modules with invariant complements and the hyperplane lattice;
 verification sweeps and the rational counterexample reproduction.
 """
 

@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     t2 = sub.add_parser("theorem2", help="constructive check on products of elliptic arms")
     t2.add_argument("--q", type=int, required=True)
     t2.add_argument("--ell", type=int, required=True)
-    t2.add_argument("--n", type=int, default=2)
     t2.add_argument("--max-pairs", type=int, default=6)
     t2.add_argument("--k-cap", type=int, default=6,
                     help="skip factor curves whose torsion splitting degree exceeds this")
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
             return _emit(rep, args)
         if args.command == "theorem2":
             rep = V.verify_theorem2_products(
-                args.q, args.ell, n=args.n, max_pairs=args.max_pairs,
+                args.q, args.ell, max_pairs=args.max_pairs,
                 splitting_degree_cap=args.k_cap,
             )
             return _emit(rep, args)

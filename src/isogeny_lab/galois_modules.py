@@ -1,7 +1,8 @@
 """Finitely generated matrix groups over F_ell acting on F_ell^(2g):
-invariant subspaces, semisimplicity, Maschke complements, the hyperplane
+invariant subspaces (enumerated exhaustively for small sizes),
+semisimplicity, invariant complements by one linear solve, the hyperplane
 intersection lattice with its dimension law, and the constructive
-rational-subspace procedure, all with exhaustive oracles for small sizes.
+rational-subspace procedure.
 
 Vectors are int tuples acted on from the left: (g v)_i = sum_j g[i][j] v_j.
 Subspaces are canonical reduced row echelon bases, so equality is
@@ -106,6 +107,11 @@ def nullspace(rows, ell: int, ncols: int) -> list[Vector]:
     return basis
 
 
+def _pivot(row) -> int:
+    """Column of the first nonzero entry."""
+    return next(i for i, x in enumerate(row) if x)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_ell^n in canonical reduced-row-echelon form."""
@@ -135,7 +141,7 @@ class Subspace:
     def contains_vector(self, v) -> bool:
         v = [x % self.ell for x in v]
         for row in self.rows:
-            pc = next(i for i, x in enumerate(row) if x)
+            pc = _pivot(row)
             if v[pc]:
                 f = v[pc]
                 v = [(x - f * y) % self.ell for x, y in zip(v, row)]
@@ -291,19 +297,14 @@ def group_closure(module: GaloisModule, cap: int = CLOSURE_CAP) -> frozenset:
     within cap; raises ClosureOverflowError otherwise."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return _closure(module.ell, module.dim, module.generators, cap)
-
-
-def _closure(ell: int, dim: int, gens, cap: int) -> frozenset:
-    """group_closure on raw generators; also used on restrictions of the
-    action to invariant subspaces, whose dimension may be odd."""
-    ident = identity_matrix(dim)
+    ell = module.ell
+    ident = identity_matrix(module.dim)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gens:
+            for g in module.generators:
                 prod = mat_mul(m, g, ell)
                 if prod not in seen:
                     seen.add(prod)
@@ -346,46 +347,33 @@ def _solve(rows, target, ell: int, ncols: int):
     return sol
 
 
-def is_semisimple(
-    module: GaloisModule,
-    closure_cap: int = CLOSURE_CAP,
-    enum_cap: int = ENUM_CAP,
-) -> bool:
+def is_semisimple(module: GaloisModule) -> bool:
     """Decision procedure: coprime closure size (Maschke), squarefree
-    minimal polynomial for cyclic modules, exhaustive complement search as
-    the bounded fallback."""
+    minimal polynomial for cyclic modules, and for ell^dim <= ENUM_CAP one
+    complement solve per invariant subspace."""
     try:
-        closure = group_closure(module, closure_cap)
-        if len(closure) % module.ell != 0:
+        if len(group_closure(module, CLOSURE_CAP)) % module.ell != 0:
             return True
     except ClosureOverflowError:
-        closure = None
+        pass
     if len(module.generators) == 1:
         from . import intpoly
 
         m = _minimal_polynomial(module.generators[0], module.ell)
         d = intpoly.pgcd(m, intpoly.pderiv(m, module.ell), module.ell)
         return intpoly.deg(d) == 0
-    if module.ell**module.dim <= enum_cap:
-        subs = enumerate_invariant_subspaces(module, enum_cap)
-        for v in subs:
-            if v.dim in (0, module.dim):
-                continue
-            if _find_invariant_complement(module, v, subs) is None:
-                return False
+    if module.ell**module.dim <= ENUM_CAP:
+        full = Subspace.full(module.ell, module.dim)
+        try:
+            for v in enumerate_invariant_subspaces(module):
+                _complement(module.ell, module.generators, v, full)
+        except NotSemisimpleError:
+            return False
         return True
     raise CapabilityError(
-        f"semisimplicity undecided: closure cap {closure_cap} and enumeration "
-        f"cap {enum_cap} (= ell^dim bound) both exceeded"
+        f"semisimplicity undecided: closure cap {CLOSURE_CAP} and enumeration "
+        f"cap {ENUM_CAP} (= ell^dim bound) both exceeded"
     )
-
-
-def _find_invariant_complement(module, v: Subspace, subs) -> Subspace | None:
-    want = module.dim - v.dim
-    for w in subs:
-        if w.dim == want and v.intersect(w).dim == 0:
-            return w
-    return None
 
 
 def _all_subspaces(ell: int, n: int):
@@ -407,113 +395,73 @@ def _all_subspaces(ell: int, n: int):
                 yield Subspace(ell=ell, ambient=n, rows=tuple(tuple(r) for r in rows))
 
 
-def _invariant_complement_raw(ell: int, dim: int, gens, sub: Subspace) -> Subspace:
-    if sub.dim == dim:
-        return Subspace.zero(ell, dim)
-    if sub.dim == 0:
-        return Subspace.full(ell, dim)
-    closure = None
-    try:
-        closure = _closure(ell, dim, gens, CLOSURE_CAP)
-    except ClosureOverflowError:
-        pass
-    if closure is not None and len(closure) % ell != 0:
-        pi = _averaged_projector(ell, dim, gens, sub, closure)
-        w = Subspace.from_vectors(ell, dim, nullspace(pi, ell, dim))
-        if not (
-            _is_invariant(gens, w)
-            and sub.intersect(w).dim == 0
-            and sub.dim + w.dim == dim
-        ):
-            raise AssertionError("Maschke averaging produced an invalid complement")
-        return w
-    if ell**dim <= ENUM_CAP:
-        want = dim - sub.dim
-        for w in _all_subspaces(ell, dim):
-            if w.dim == want and _is_invariant(gens, w) and sub.intersect(w).dim == 0:
-                return w
+def _complement(ell: int, gens, inner: Subspace, outer: Subspace) -> Subspace:
+    """Invariant W with inner + W = outer (direct), for invariant subspaces
+    inner inside outer; raises NotSemisimpleError when no such W exists.
+
+    C, the rows of outer whose pivots inner lacks, completes inner's rows
+    u_i to a basis of outer.  In that basis every generator is
+    [[A, B], [0, D]], and W = span{c_j + sum_i X_ij u_i} is invariant iff
+    A X - X D = -B for every generator: one linear system in the entries
+    of X, whatever the group order is mod ell.
+    """
+    us = inner.rows
+    p_in = [_pivot(u) for u in us]
+    cs = [r for r in outer.rows if _pivot(r) not in p_in]
+    p_c = [_pivot(c) for c in cs]
+    s, t = len(us), len(cs)
+
+    def coords(v):
+        # (inner, C)-coordinates of v in outer.  Echelon rows vanish at the
+        # other rows' pivots (inner's pivots are pivots of outer), so the
+        # inner part is v at inner's pivots and the rest is read at C's.
+        a = [v[p] for p in p_in]
+        return a, [(v[p] - sum(x * u[p] for x, u in zip(a, us))) % ell for p in p_c]
+
+    rows, target = [], []
+    for g in gens:
+        a_cols = [coords(mat_vec(g, u, ell))[0] for u in us]
+        bd_cols = [coords(mat_vec(g, c, ell)) for c in cs]
+        for i in range(s):
+            for j in range(t):
+                row = [0] * (s * t)  # X_mj is unknown m * t + j
+                for m in range(s):
+                    row[m * t + j] += a_cols[m][i]
+                for k in range(t):
+                    row[i * t + k] -= bd_cols[j][1][k]
+                rows.append(row)
+                target.append(-bd_cols[j][0][i])
+    x = _solve(rows, target, ell, s * t)
+    if x is None:
         raise NotSemisimpleError("no invariant complement exists for the given subspace")
-    raise CapabilityError(
-        f"invariant complement undecidable within enumeration cap {ENUM_CAP}"
-    )
+    w = [
+        [(cv + sum(x[i * t + j] * u[col] for i, u in enumerate(us))) % ell
+         for col, cv in enumerate(c)]
+        for j, c in enumerate(cs)
+    ]
+    return Subspace.from_vectors(ell, outer.ambient, w)
 
 
 def invariant_complement(module: GaloisModule, sub: Subspace) -> Subspace:
-    """An invariant W with sub + W = ambient (direct); Maschke averaging when
-    the closure size is invertible mod ell, exhaustive search otherwise.
-    Raises NotSemisimpleError when no complement exists."""
+    """An invariant W with sub + W = ambient (direct), by one linear solve
+    that holds whatever the group order is mod ell.  Raises
+    NotSemisimpleError when no complement exists."""
     if not is_invariant(module, sub):
         raise ValueError("subspace is not invariant")
-    return _invariant_complement_raw(module.ell, module.dim, module.generators, sub)
-
-
-def _averaged_projector(ell: int, n: int, gens, sub: Subspace, closure) -> Matrix:
-    """pi = |G|^-1 sum_g g pi0 g^-1 for any projector pi0 onto sub."""
-    rows = list(sub.rows)
-    pivots = {next(i for i, x in enumerate(r) if x) for r in rows}
-    completion = [
-        tuple(1 if i == c else 0 for i in range(n)) for c in range(n) if c not in pivots
-    ]
-    basis = rows + completion
-    s_cols = tuple(zip(*basis))  # columns are basis vectors
-    s_mat = tuple(tuple(int(x) for x in row) for row in s_cols)
-    s_inv = mat_inverse(s_mat, ell)
-    if s_inv is None:
-        raise AssertionError("basis completion failed")
-    d = tuple(
-        tuple(1 if (i == j and i < sub.dim) else 0 for j in range(n)) for i in range(n)
-    )
-    pi0 = mat_mul(mat_mul(s_mat, d, ell), s_inv, ell)
-    total = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    for g in closure:
-        g_inv = mat_inverse(g, ell)
-        term = mat_mul(mat_mul(g, pi0, ell), g_inv, ell)
-        total = tuple(
-            tuple((a + b) % ell for a, b in zip(r1, r2)) for r1, r2 in zip(total, term)
-        )
-    inv_order = pow(len(closure) % ell, -1, ell)
-    pi = tuple(tuple((x * inv_order) % ell for x in row) for row in total)
-    # exact projector identities: idempotent and commuting with every generator
-    if mat_mul(pi, pi, ell) != pi:
-        raise AssertionError("averaged projector is not idempotent")
-    for g in gens:
-        if mat_mul(g, pi, ell) != mat_mul(pi, g, ell):
-            raise AssertionError("averaged projector does not commute with a generator")
-    return pi
+    full = Subspace.full(module.ell, module.dim)
+    return _complement(module.ell, module.generators, sub, full)
 
 
 def relative_invariant_complement(
     module: GaloisModule, inner: Subspace, outer: Subspace
 ) -> Subspace:
-    """Invariant W with inner + W = outer (direct), computed by restricting
-    the action to outer."""
+    """Invariant W with inner + W = outer (direct), by the same solve inside
+    outer.  Raises NotSemisimpleError when no such W exists."""
     if not outer.contains(inner):
         raise ValueError("inner subspace is not contained in outer")
     if not is_invariant(module, inner) or not is_invariant(module, outer):
         raise ValueError("both subspaces must be invariant")
-    ell = module.ell
-    if inner.dim == outer.dim:
-        return Subspace.zero(ell, module.dim)
-    k = outer.dim
-    gens = []
-    for g in module.generators:
-        cols = []
-        for r in outer.rows:
-            img = mat_vec(g, r, ell)
-            cols.append(_coords_in(outer, img, ell))
-        gens.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    inner_sub = Subspace.from_vectors(
-        ell, k, [_coords_in(outer, r, ell) for r in inner.rows]
-    )
-    w_coords = _invariant_complement_raw(ell, k, tuple(gens), inner_sub)
-    w_rows = []
-    for cr in w_coords.rows:
-        vec = [0] * module.dim
-        for c, row in zip(cr, outer.rows):
-            for i, x in enumerate(row):
-                vec[i] = (vec[i] + c * x) % ell
-        w_rows.append(tuple(vec))
-    w = Subspace.from_vectors(ell, module.dim, w_rows)
+    w = _complement(module.ell, module.generators, inner, outer)
     if not (
         is_invariant(module, w)
         and inner.intersect(w).dim == 0
@@ -521,21 +469,6 @@ def relative_invariant_complement(
     ):
         raise AssertionError("relative complement verification failed")
     return w
-
-
-def _coords_in(sub: Subspace, vec, ell: int):
-    """Coordinates of vec in the echelon basis of sub (must be a member)."""
-    v = [x % ell for x in vec]
-    coords = []
-    for row in sub.rows:
-        pc = next(i for i, x in enumerate(row) if x)
-        c = v[pc]
-        coords.append(c)
-        if c:
-            v = [(x - c * y) % ell for x, y in zip(v, row)]
-    if any(v):
-        raise ValueError("vector is not in the subspace")
-    return tuple(coords)
 
 
 def subspace_lattice(hyperplanes) -> dict[frozenset, Subspace]:

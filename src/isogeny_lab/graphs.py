@@ -839,7 +839,7 @@ def build_pointed_graphs(
         """src_inv = (short_class_key, (b2, b4, b6)) of the source curve."""
         src_key, binv = src_inv
         kappa = intpoly.pfrom_roots(kernel_xs, q)
-        sums = intpoly.power_sums(kappa, 3)
+        sums = [sum(x**k for x in kernel_xs) % q for k in (1, 2, 3)]
         cod = velu_codomain_int(src, kappa, ell, q, binv, sums)
         if cod[0] or cod[1] or cod[2]:
             A2, B2, red_iso = short_reduce_int(cod, q)

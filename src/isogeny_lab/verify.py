@@ -267,25 +267,22 @@ def _line_subspace(basis, w_ints: list[int]) -> Subspace:
 def verify_theorem2_products(
     q: int,
     ell: int,
-    n: int = 2,
     max_pairs: int = 6,
     splitting_degree_cap: int = 6,
     curve_limit: int = G.DEFAULT_CURVE_LIMIT,
 ) -> VerificationReport:
-    """Form rank-4 product configurations from pairs of elliptic arms and
-    check the constructive theorem's machinery on them.
+    """Form rank-4 product configurations of order n = 2 from pairs of
+    elliptic arms and check the constructive theorem's machinery on them.
 
     Every module here is generated by the single (block-diagonal) Frobenius,
     so the fixed space has dimension >= 2 with or without semisimplicity;
     semisimple instances additionally run the construction.
     """
-    if n != 2:
-        raise ValueError("product verification is implemented for n = 2")
     t0 = time.time()
     field = PrimeField(q)
     graph_list = G.build_pointed_graphs(field, ell, curve_limit=curve_limit)
     rep = VerificationReport(
-        parameters={"q": q, "ell": ell, "n": n, "max_pairs": max_pairs,
+        parameters={"q": q, "ell": ell, "n": 2, "max_pairs": max_pairs,
                     "splitting_degree_cap": splitting_degree_cap}
     )
     arms = []

@@ -2,8 +2,8 @@
 (`perfbench/layers.py`) and fails when one is no longer defined, or when a
 function it expects on a workload records no call.  These tests resolve
 every traced name the same way, and run one sweep task of each sweep
-workload under the benchmark's tracer, so that a rename or a rerouted call
-fails here too."""
+workload and a short `theorem2-ext` module round under the benchmark's
+tracer, so that a rename or a rerouted call fails here too."""
 
 import importlib
 import json
@@ -58,3 +58,34 @@ def test_sweep_tasks_record_every_expected_call():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"absent": [], "silent": {"sweep-ell7": [], "sweep-ell3": []}}
+
+
+# The module calls of `theorem2-ext`: the necessity witness and short seeded
+# runs of the lattice and construction suites.
+_TRACED_MODULES = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import isogeny_lab.verify as V
+import layers
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install(layers.TARGETS)
+V.abstract_necessity_witness()
+V.run_trials(V.lemma42_trial, 20, 1)
+V.run_trials(V.theorem2_trial, 4, 1)
+stats = tracer.snapshot()["stats"]
+names = [n for n in layers.EXPECTED["theorem2-ext"] if n.startswith("galois_modules.")]
+print(json.dumps({{"absent": tracer.absent, "checked": len(names),
+                  "silent": [n for n in names if not stats[n][0]]}}))
+"""
+
+
+def test_theorem2_module_calls_record_every_expected_galois_call():
+    script = _TRACED_MODULES.format(perfbench=str(PERFBENCH), src=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["absent"] == [] and result["silent"] == []
+    assert result["checked"] > 0

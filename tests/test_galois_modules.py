@@ -28,6 +28,7 @@ from isogeny_lab.galois_modules import (
     theorem2_construct,
 )
 from isogeny_lab.galois_modules import _all_subspaces
+from isogeny_lab.verify import run_trials
 
 
 def brute_fixed(module):
@@ -107,14 +108,101 @@ def test_invariant_complement_not_semisimple():
 
 
 def test_maschke_projector_identities():
-    # averaged projector is idempotent and commutes (asserted internally);
-    # external check: complement is invariant and direct
+    # a group of order 4, prime to 5, so Maschke guarantees a complement;
+    # the solver returns one that is invariant and direct
     m = GaloisModule.from_matrices(5, [[[2, 0], [0, 1]], [[4, 0], [0, 1]]])
     v = Subspace.from_vectors(5, 2, [(1, 0)])
     w = invariant_complement(m, v)
     assert is_invariant(m, w)
     assert v.intersect(w).dim == 0
     assert v.add(w).dim == 2
+
+
+def oracle_complement(module, sub, subs):
+    """Exhaustive search: an invariant subspace among subs that is a direct
+    complement of sub, or None."""
+    want = module.dim - sub.dim
+    for w in subs:
+        if w.dim == want and sub.intersect(w).dim == 0:
+            return w
+    return None
+
+
+def assert_direct_invariant_complement(module, inner, outer, w):
+    assert is_invariant(module, w)
+    assert inner.intersect(w).dim == 0
+    assert inner.add(w).rows == outer.rows
+
+
+def suite_modules(count):
+    """The modules of the first `count` semisimple and cyclic suite draws at
+    seeds 42-44 (as theorem2_trial and cyclic_law_trial draw them), kept
+    when ell^dim <= 81."""
+    modules = []
+
+    def drawing(make):
+        def trial(rng):
+            ell = rng.choice([2, 3, 5])
+            g = rng.choice([1, 2, 3])
+            n = rng.randrange(1, min(4, 2 * g) + 1)
+            if ell ** (2 * g) <= 81:
+                modules.append(make(rng, ell, g, n).module)
+
+        return trial
+
+    for seed in (42, 43, 44):
+        for make in (random_semisimple_pointed_config, random_cyclic_pointed_config):
+            run_trials(drawing(make), count, seed)
+    return modules
+
+
+def test_complement_solver_agrees_with_exhaustive_search():
+    modules = suite_modules(12) + [necessity_witness_config().module]
+    checked = missing = 0
+    for module in modules:
+        full = Subspace.full(module.ell, module.dim)
+        subs = enumerate_invariant_subspaces(module)
+        for sub in subs:
+            expected = oracle_complement(module, sub, subs)
+            checked += 1
+            if expected is None:
+                missing += 1
+                with pytest.raises(NotSemisimpleError):
+                    invariant_complement(module, sub)
+            else:
+                assert_direct_invariant_complement(
+                    module, sub, full, invariant_complement(module, sub)
+                )
+    # both outcomes are exercised
+    assert missing > 0 and checked - missing > missing
+
+
+# A Jordan block J_2(1) plus the identity on F_7^4: the closure has order 7 and
+# ell^dim = 2401, so neither Maschke averaging nor an exhaustive search applies.
+M_JORDAN_I2 = GaloisModule.from_matrices(
+    7, [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+)
+
+
+def test_complement_beyond_closure_and_enumeration():
+    full = Subspace.full(7, 4)
+    e34 = Subspace.from_vectors(7, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    e1 = Subspace.from_vectors(7, 4, [(1, 0, 0, 0)])
+    # complements of e34 are not unique, so check properties, not rows
+    assert_direct_invariant_complement(
+        M_JORDAN_I2, e34, full, invariant_complement(M_JORDAN_I2, e34)
+    )
+    with pytest.raises(NotSemisimpleError):
+        invariant_complement(M_JORDAN_I2, e1)  # g e2 - e2 = e1
+    assert_direct_invariant_complement(
+        M_JORDAN_I2, e34, full, relative_invariant_complement(M_JORDAN_I2, e34, full)
+    )
+    with pytest.raises(NotSemisimpleError):
+        relative_invariant_complement(M_JORDAN_I2, e1, full)
+    e134 = e1.add(e34)
+    assert_direct_invariant_complement(
+        M_JORDAN_I2, e1, e134, relative_invariant_complement(M_JORDAN_I2, e1, e134)
+    )
 
 
 def test_relative_complement_edges():
