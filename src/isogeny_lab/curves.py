@@ -678,15 +678,47 @@ def _aux_point_stream(curve: WeierstrassCurve, ell: int, cap: int = 80):
     """Auxiliary points for the Miller loops of an ell-pairing: the points
     outside E[ell] among the first `cap` or so affine points of the curve,
     in a deterministic order.  Points outside E[ell] keep the evaluations
-    away from the functions' zeros and poles in all but thin coincidences."""
-    field = curve.field
-    pts = []
-    for x in field.iter_elements():
-        for y in curve.y_candidates(x):
-            pts.append(curve.point(x, y))
-        if len(pts) >= cap:
-            break
-    return [S for S in pts if not (ell * S).infinity]
+    away from the functions' zeros and poles in all but thin coincidences.
+
+    The points are found only as far as an iteration reaches (a pairing
+    mostly needs the first two or three), and every iteration, nested ones
+    included, sees the same sequence.  An affine S lies in E[ell] iff the
+    division polynomial vanishes at x(S); for ell = 2 that polynomial is
+    (2y + a1 x + a3)^2."""
+    return _LazySequence(_aux_points(curve, ell, cap))
+
+
+def _aux_points(curve: WeierstrassCurve, ell: int, cap: int):
+    psi = division_polynomial(curve, ell)
+    seen = 0
+    for x in curve.field.iter_elements():
+        ys = curve.y_candidates(x)
+        if ys and not _val_is_zero(psi(x)):
+            yield from (curve.point(x, y) for y in ys)
+        seen += len(ys)
+        if seen >= cap:
+            return
+
+
+class _LazySequence:
+    """The items of a generator, drawn from it only as far as some
+    iteration has reached and kept for every later iteration."""
+
+    def __init__(self, source):
+        self._items = []
+        self._source = source
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._items) or self._draw():
+            yield self._items[i]
+            i += 1
+
+    def _draw(self) -> bool:
+        for item in self._source:
+            self._items.append(item)
+            return True
+        return False
 
 
 # --- Frobenius matrices -------------------------------------------------------

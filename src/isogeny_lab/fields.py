@@ -588,7 +588,8 @@ def poly_roots(f: Polynomial, field=None) -> set:
     """All roots of nonzero f in the given finite field (default: its own),
     by distinct-degree / equal-degree splitting; odd characteristic only.
 
-    An f over a subfield is lifted into `field` first.
+    An f over a subfield is lifted into `field` first.  When `field` is
+    F_{p^k} and f has F_p coefficients, f is factored over F_p first.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a root")
@@ -602,14 +603,31 @@ def poly_roots(f: Polynomial, field=None) -> set:
         raise CapabilityError("poly_roots requires a finite field; use rational_roots")
     if field.characteristic() == 2:
         raise CapabilityError("poly_roots requires odd characteristic")
+    if isinstance(field, ExtensionField) and not any(any(c.rep[1:]) for c in f.coeffs):
+        return set(_roots_from_base_factors([c.rep[0] for c in f.coeffs], field))
     return set(_roots_large_field(f, field))
+
+
+def _roots_from_base_factors(f: list[int], field: ExtensionField) -> list:
+    """Roots in F_{p^k} of an f with F_p coefficients, from its factors over
+    F_p: only the irreducible factors whose degree divides k have roots
+    there, and gcd(x^(p^k) - x, f) is their squarefree product.  A linear
+    factor gives its root directly; a longer one is split over F_{p^k}."""
+    roots = []
+    for h in intpoly.factor_squarefree(intpoly.frobenius_gcd(f, field.k, field.p), field.p):
+        if len(h) == 2:
+            roots.append(field.from_base_int(-h[0]))
+        else:
+            roots.extend(_roots_large_field(Polynomial(field, h), field))
+    return roots
 
 
 def _roots_large_field(f: Polynomial, field) -> list:
     """Roots of f in a finite field of odd characteristic: the gcd with
     x^|field| - x, split by gcds with (x + t)^((|field| - 1)/2) - 1 for
-    shifts t running through the field."""
-    size = field.size()
+    shifts t running through the field from the (p+1)-th element on (see
+    `_shift_element`)."""
+    size, p = field.size(), field.characteristic()
     x = Polynomial.x(field)
     xq = x.pow_mod(size, f)
     lin = (xq - x).gcd(f)
@@ -625,9 +643,13 @@ def _roots_large_field(f: Polynomial, field) -> list:
             continue
         half = (size - 1) // 2
         split = None
-        for t in range(512):
-            # shifts must range over the whole field: base-field constants
-            # never separate conjugate roots
+        for t in range(p, p + 512):
+            # shifts must range over the whole field, and the counter starts
+            # at p, past the constants of F_p: for t in F_p and a root a,
+            # chi(sigma(a) + t) = sigma(chi(a + t)) = chi(a + t), so such a
+            # shift never separates Frobenius-conjugate roots, which are all
+            # the roots of an F_p-irreducible g.  Over F_p itself the
+            # counter mod p runs through 0, 1, 2, ...
             h = _shift_element(field, t).pow_mod(half, g) - Polynomial(
                 field, [field.one()]
             )

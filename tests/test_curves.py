@@ -302,3 +302,61 @@ def test_aux_point_stream_filters_per_ell():
                 pts = _aux_point_stream(E, ell)
                 assert all(not (ell * S).infinity for S in pts)
                 assert set(pts) == {S for S in affine if not (ell * S).infinity}
+
+
+def _eager_aux_points(curve, ell, cap=80):
+    """Reference auxiliary points: the first `cap` or so affine points in
+    field order, then those with ell * S != O."""
+    pts = []
+    for x in curve.field.iter_elements():
+        for y in curve.y_candidates(x):
+            pts.append(curve.point(x, y))
+        if len(pts) >= cap:
+            break
+    return [S for S in pts if not (ell * S).infinity]
+
+
+# Over F_13 and F_11 the curves have 20 and 15 points (2-, 5- and 3-torsion);
+# over F_{7^2} and F_{11^2} more points than the cap of 80.
+_AUX_CURVES = [((13, 1), (1, 0)), ((11, 1), (1, 7)), ((7, 2), (1, 3)), ((11, 2), (1, 7)),
+               ((5, 2), (1, 1))]
+
+
+@pytest.mark.parametrize("field_pk, ab", _AUX_CURVES)
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_lazy_aux_points_match_the_eager_list(field_pk, ab, ell):
+    from isogeny_lab.curves import _aux_point_stream
+    from isogeny_lab.fields import ExtensionField
+
+    p, k = field_pk
+    field = PrimeField(p) if k == 1 else ExtensionField(p, k)
+    E = WeierstrassCurve(field, 0, 0, 0, *ab)
+    for cap in (80, 7):
+        expected = _eager_aux_points(E, ell, cap)
+        _aux_point_stream.cache_clear()
+        assert list(_aux_point_stream(E, ell, cap)) == expected
+        # nested iterators, as in the pairing's double loop, and an outer
+        # one resumed after an inner one has drawn further
+        _aux_point_stream.cache_clear()
+        stream = _aux_point_stream(E, ell, cap)
+        outer = iter(stream)
+        first = next(outer, None)
+        inner = [T for T in stream]
+        assert inner == expected
+        assert ([first] + list(outer) if first is not None else []) == expected
+        assert [[T for T in stream] for _ in stream] == [expected] * len(expected)
+
+
+def test_aux_point_cache_counts_one_miss_per_curve_and_ell():
+    """The benchmark reads the hits and misses of the auxiliary-point cache."""
+    from isogeny_lab.curves import _aux_point_stream
+
+    E = WeierstrassCurve(PrimeField(13), 0, 0, 0, 1, 0)
+    basis = torsion_basis(E, 5)
+    P, Q = basis.P, basis.Q
+    _aux_point_stream.cache_clear()
+    for A, B in [(P, Q), (Q, P), (P + Q, Q), (2 * P, Q)]:
+        weil_pairing(A, B, 5)
+    info = _aux_point_stream.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    assert _aux_point_stream(basis.curve, 5) is _aux_point_stream(basis.curve, 5)

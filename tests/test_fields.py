@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isogeny_lab.curves import WeierstrassCurve, division_polynomial
 from isogeny_lab.errors import CapabilityError, FieldMismatchError
 from isogeny_lab.fields import (
     ExtensionField,
@@ -16,6 +17,7 @@ from isogeny_lab.fields import (
     rational_roots,
     rational_sqrt,
 )
+from isogeny_lab.fields import _shift_element
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -134,6 +136,83 @@ def test_poly_roots_over_extension_fields_against_a_scan(pk):
         if not g.is_zero():
             lifted = Polynomial(K, [K.element(c) for c in g.coeffs])
             assert poly_roots(g, K) == scan(lifted)
+
+
+def _roots_whole_polynomial(f, K):
+    """Reference roots of f in K, found without factoring over F_p: the gcd
+    of f with x^|K| - x, split by gcds with (x + t)^((|K| - 1)/2) - 1 for
+    the shifts t = 0, 1, 2, ... of `_shift_element`."""
+    size = K.size()
+    x = Polynomial.x(K)
+    one = Polynomial(K, [K.one()])
+    roots, stack = set(), [(x.pow_mod(size, f) - x).gcd(f)]
+    while stack:
+        g = stack.pop()
+        if g.degree == 1:
+            roots.add(-g.monic().coeffs[0])
+        elif g.degree > 1:
+            for t in range(512):
+                d = (_shift_element(K, t).pow_mod((size - 1) // 2, g) - one).gcd(g)
+                if 0 < d.degree < g.degree:
+                    break
+            else:
+                raise AssertionError("the reference split did not converge")
+            stack += [d, g // d]
+    return roots
+
+
+def _lift(f, K):
+    return Polynomial(K, [K.element(c) for c in f.coeffs])
+
+
+@pytest.mark.parametrize("pk", [(7, 2), (7, 4), (11, 2), (13, 3)])
+def test_extension_roots_of_division_polynomials_match_the_whole_polynomial_path(pk):
+    """psi_3 and psi_5 of short curves have F_p coefficients, so `poly_roots`
+    finds their roots in F_{p^k} from their factors over F_p."""
+    p, k = pk
+    Fp, K = PrimeField(p), ExtensionField(p, k)
+    rng = random.Random(p * 100 + k)
+    curves = 0
+    while curves < 3:
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b**2) % p == 0:
+            continue
+        curves += 1
+        E = WeierstrassCurve(Fp, 0, 0, 0, a, b)
+        for ell in (3, 5):
+            psi = division_polynomial(E, ell)
+            assert poly_roots(psi, K) == _roots_whole_polynomial(_lift(psi, K), K)
+            # the same polynomial given with coefficients in K
+            assert poly_roots(_lift(psi, K)) == poly_roots(psi, K)
+
+
+@pytest.mark.parametrize("pk", [(7, 2), (5, 3), (3, 4), (11, 2)])
+def test_extension_roots_of_products_of_fp_factors_match_the_whole_polynomial_path(pk):
+    """Random products over F_p with repeated factors, each with an
+    irreducible factor of degree k (split over F_{p^k}) and one of a degree
+    that does not divide k (no roots there)."""
+    p, k = pk
+    Fp, K = PrimeField(p), ExtensionField(p, k)
+    rng = random.Random(p * 1000 + k)
+    irreducibles = [find_irreducible(p, d) for d in range(1, 6)]
+    for _ in range(6):
+        f = Polynomial(Fp, [rng.randrange(1, p)])
+        for _ in range(rng.randrange(1, 4)):
+            g = Polynomial(Fp, [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1])
+            for _ in range(rng.randrange(1, 3)):
+                f = f * g
+        for d in (k, rng.choice([d for d in range(2, 6) if k % d])):
+            # h(x + c) is irreducible of degree d like h
+            h, c = irreducibles[d - 1], rng.randrange(p)
+            shifted = Polynomial.zero(Fp)
+            for coeff in reversed(h.coeffs):
+                shifted = shifted * Polynomial(Fp, [c, 1]) + Polynomial(Fp, [coeff])
+            for _ in range(rng.randrange(1, 3)):
+                f = f * shifted
+        lifted = _lift(f, K)
+        got = poly_roots(f, K)
+        assert got == _roots_whole_polynomial(lifted, K)
+        assert all(lifted(r) == K.zero() for r in got)
 
 
 def test_poly_roots_rejects_characteristic_two():
