@@ -184,7 +184,7 @@ def main(argv=None) -> int:
         if args.command == "theorem1":
             rep = V.verify_theorem1(
                 args.q, args.ell, curve_limit=args.max_curves,
-                include_family=False if args.no_family else None,
+                include_family=not args.no_family,
             )
             return _emit(rep, args)
         if args.command == "theorem2":

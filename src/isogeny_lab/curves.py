@@ -1,6 +1,6 @@
 """Long-Weierstrass elliptic curves: group law, division polynomials, point
-counting, l-torsion bases over extensions, Weil pairing and Frobenius
-matrices mod l.
+counting, l-torsion bases over extensions, the Weil pairing by Miller's
+formula and Frobenius matrices mod l.
 
 Curves live over a prime field, an extension field, or Q.  Base fields of
 characteristic 2 and 3 are rejected.
@@ -423,10 +423,13 @@ class TorsionBasis:
     @functools.cached_property
     def _coordinate_table(self) -> dict:
         table = {}
-        for a in range(self.ell):
-            for b in range(self.ell):
-                pt = a * self.P + b * self.Q
+        row_start = self.curve.infinity()  # b * Q
+        for b in range(self.ell):
+            pt = row_start  # a * P + b * Q
+            for a in range(self.ell):
                 table[None if pt.infinity else (pt.x, pt.y)] = (a, b)
+                pt = pt + self.P
+            row_start = row_start + self.Q
         return table
 
     def coordinates(self, point: CurvePoint) -> tuple[int, int]:
@@ -545,7 +548,7 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-# --- Weil pairing (Miller's algorithm on shifted divisors) --------------------
+# --- Weil pairing (Miller's normalized functions) ------------------------------
 
 
 def _line_value(A: CurvePoint, B: CurvePoint, X: CurvePoint):
@@ -575,150 +578,53 @@ def _vertical_value(A: CurvePoint, X: CurvePoint):
     return X.x - A.x
 
 
-def _miller_shifted(P: CurvePoint, S: CurvePoint, ell: int, X1: CurvePoint, X2: CurvePoint):
-    """Evaluate at (X1)-(X2) the function with divisor ell(P+S) - ell(S).
+def _miller_shifted(P: CurvePoint, ell: int, X: CurvePoint):
+    """f_{ell,P}(X) for the normalized Miller function with divisor
+    ell(P) - ell(O), by double-and-add on
+    f_{i+j} = f_i f_j l_{iP,jP} / v_{(i+j)P}.
 
-    Uses partial functions h_m with divisor m(P+S) - m(S) - ([m]P) + (O);
-    h_1 = v_{P+S} / l_{P,S}.  Raises ZeroDivisionError on degenerate
-    evaluations (caller retries with fresh auxiliary points).
+    Every line and vertical is monic in y or x, so f is normalized at O.
+    Their zeros are multiples of P, so the value is defined and nonzero for
+    X outside <P>.  The name is kept because `perfbench/layers.py` traces it.
     """
-    PS = P + S
-    num = _vertical_value(PS, X1) * _line_value(P, S, X2)
-    den = _vertical_value(PS, X2) * _line_value(P, S, X1)
-    if _val_is_zero(num) or _val_is_zero(den):
-        raise ZeroDivisionError("degenerate auxiliary point in Miller loop")
-    h_num, h_den = num, den
+    num = den = X.curve.field.one()
     Z = P
-    bits = bin(ell)[3:]
-    for bit in bits:
-        # double
-        lv_n = _line_value(Z, Z, X1)
-        lv_d = _line_value(Z, Z, X2)
+    for bit in bin(ell)[3:]:
         Z2 = Z + Z
-        vv_n = _vertical_value(Z2, X2)
-        vv_d = _vertical_value(Z2, X1)
-        h_num = h_num * h_num * lv_n * vv_n
-        h_den = h_den * h_den * lv_d * vv_d
+        num = num * num * _line_value(Z, Z, X)
+        den = den * den * _vertical_value(Z2, X)
         Z = Z2
-        if _val_is_zero(h_num) or _val_is_zero(h_den):
-            raise ZeroDivisionError("degenerate auxiliary point in Miller loop")
         if bit == "1":
-            lv_n = _line_value(Z, P, X1)
-            lv_d = _line_value(Z, P, X2)
             Z1 = Z + P
-            vv_n = _vertical_value(Z1, X2)
-            vv_d = _vertical_value(Z1, X1)
-            h_num = h_num * num * lv_n * vv_n
-            h_den = h_den * den * lv_d * vv_d
+            num = num * _line_value(Z, P, X)
+            den = den * _vertical_value(Z1, X)
             Z = Z1
-            if _val_is_zero(h_num) or _val_is_zero(h_den):
-                raise ZeroDivisionError("degenerate auxiliary point in Miller loop")
-    if not Z.infinity:
-        raise ValueError("point is not ell-torsion")
-    return h_num / h_den
+    return num / den
 
 
 def weil_pairing(P: CurvePoint, Q: CurvePoint, ell: int):
-    """Weil pairing e_ell(P, Q); bilinear, alternating, nondegenerate.
+    """Weil pairing e_ell(P, Q) for a prime ell; bilinear, alternating,
+    nondegenerate.
 
-    Miller's algorithm on shifted divisors.  When the base curve has too few
-    points to supply generic auxiliary points (tiny fields), the computation
-    is lifted to a small extension; the value always lies in the original
-    field and is coerced back.
+    Miller's formula e_ell(P, Q) = (-1)^ell f_{ell,P}(Q) / f_{ell,Q}(P) with
+    normalized Miller functions (V. S. Miller, J. Cryptology 17, 2004).  When
+    Q is O or a multiple of P the value is 1; otherwise P and Q are
+    independent, and neither loop meets a zero or a pole of its functions.
     """
     if P.curve != Q.curve:
         raise FieldMismatchError("pairing arguments on different curves")
-    curve = P.curve
     if not (ell * P).infinity or not (ell * Q).infinity:
         raise ValueError("pairing arguments must be ell-torsion")
-    one = curve.field.one()
-    if P.infinity or Q.infinity or P == Q or P == -Q:
-        # e(P, +-P) = 1 by the alternating property
+    one = P.curve.field.one()
+    if P.infinity or Q.infinity:
         return one
-    got = _weil_attempt(P, Q, ell)
-    if got is not None:
-        return got
-    field = curve.field
-    if isinstance(field, PrimeField):
-        for k in (2, 3):
-            K = ExtensionField(field.p, k)
-            curve_k = curve.base_change(K)
-            Pk = curve_k.point(K.element(P.x), K.element(P.y))
-            Qk = curve_k.point(K.element(Q.x), K.element(Q.y))
-            got = _weil_attempt(Pk, Qk, ell)
-            if got is not None:
-                rep = got.rep
-                if any(rep[1:]):
-                    raise InternalError("pairing value escaped the base field")
-                return field.element(rep[0])
-    raise InternalError("Weil pairing failed to find usable auxiliary points")
-
-
-def _weil_attempt(P: CurvePoint, Q: CurvePoint, ell: int, max_tries: int = 512):
-    aux = _aux_point_stream(P.curve, ell)
-    tries = 0
-    for S in aux:
-        for T in aux:
-            if T in (S, -S):
-                continue
-            tries += 1
-            if tries > max_tries:
-                return None
-            try:
-                fA = _miller_shifted(P, S, ell, Q + T, T)
-                fB = _miller_shifted(Q, T, ell, P + S, S)
-                return fA / fB
-            except ZeroDivisionError:
-                continue
-    return None
-
-
-@functools.lru_cache(maxsize=64)
-def _aux_point_stream(curve: WeierstrassCurve, ell: int, cap: int = 80):
-    """Auxiliary points for the Miller loops of an ell-pairing: the points
-    outside E[ell] among the first `cap` or so affine points of the curve,
-    in a deterministic order.  Points outside E[ell] keep the evaluations
-    away from the functions' zeros and poles in all but thin coincidences.
-
-    The points are found only as far as an iteration reaches (a pairing
-    mostly needs the first two or three), and every iteration, nested ones
-    included, sees the same sequence.  An affine S lies in E[ell] iff the
-    division polynomial vanishes at x(S); for ell = 2 that polynomial is
-    (2y + a1 x + a3)^2."""
-    return _LazySequence(_aux_points(curve, ell, cap))
-
-
-def _aux_points(curve: WeierstrassCurve, ell: int, cap: int):
-    psi = division_polynomial(curve, ell)
-    seen = 0
-    for x in curve.field.iter_elements():
-        ys = curve.y_candidates(x)
-        if ys and not _val_is_zero(psi(x)):
-            yield from (curve.point(x, y) for y in ys)
-        seen += len(ys)
-        if seen >= cap:
-            return
-
-
-class _LazySequence:
-    """The items of a generator, drawn from it only as far as some
-    iteration has reached and kept for every later iteration."""
-
-    def __init__(self, source):
-        self._items = []
-        self._source = source
-
-    def __iter__(self):
-        i = 0
-        while i < len(self._items) or self._draw():
-            yield self._items[i]
-            i += 1
-
-    def _draw(self) -> bool:
-        for item in self._source:
-            self._items.append(item)
-            return True
-        return False
+    multiple = P
+    for _ in range(ell - 1):
+        if multiple == Q:
+            return one
+        multiple = multiple + P
+    value = _miller_shifted(P, ell, Q) / _miller_shifted(Q, ell, P)
+    return -value if ell % 2 else value
 
 
 # --- Frobenius matrices -------------------------------------------------------

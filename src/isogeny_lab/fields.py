@@ -589,7 +589,9 @@ def poly_roots(f: Polynomial, field=None) -> set:
     by distinct-degree / equal-degree splitting; odd characteristic only.
 
     An f over a subfield is lifted into `field` first.  When `field` is
-    F_{p^k} and f has F_p coefficients, f is factored over F_p first.
+    F_{p^k} and f has F_p coefficients, f is factored over F_p first;
+    otherwise gcd(x^|field| - x, f), the product of f's distinct linear
+    factors, is split.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a root")
@@ -605,7 +607,8 @@ def poly_roots(f: Polynomial, field=None) -> set:
         raise CapabilityError("poly_roots requires odd characteristic")
     if isinstance(field, ExtensionField) and not any(any(c.rep[1:]) for c in f.coeffs):
         return set(_roots_from_base_factors([c.rep[0] for c in f.coeffs], field))
-    return set(_roots_large_field(f, field))
+    x = Polynomial.x(field)
+    return set(_roots_large_field((x.pow_mod(field.size(), f) - x).gcd(f), field))
 
 
 def _roots_from_base_factors(f: list[int], field: ExtensionField) -> list:
@@ -623,16 +626,13 @@ def _roots_from_base_factors(f: list[int], field: ExtensionField) -> list:
 
 
 def _roots_large_field(f: Polynomial, field) -> list:
-    """Roots of f in a finite field of odd characteristic: the gcd with
-    x^|field| - x, split by gcds with (x + t)^((|field| - 1)/2) - 1 for
-    shifts t running through the field from the (p+1)-th element on (see
-    `_shift_element`)."""
+    """Roots of a squarefree f that splits into linear factors over a finite
+    field of odd characteristic: f is split by gcds with
+    (x + t)^((|field| - 1)/2) - 1 for shifts t running through the field
+    from the (p+1)-th element on (see `_shift_element`)."""
     size, p = field.size(), field.characteristic()
-    x = Polynomial.x(field)
-    xq = x.pow_mod(size, f)
-    lin = (xq - x).gcd(f)
     roots = []
-    stack = [lin]
+    stack = [f]
     while stack:
         g = stack.pop()
         if g.degree <= 0:

@@ -799,12 +799,12 @@ def build_pointed_graphs(
     field: PrimeField,
     ell: int,
     curve_limit: int = DEFAULT_CURVE_LIMIT,
-    include_family: bool | None = None,
+    include_family: bool = True,
     soundness: SoundnessStats | None = None,
 ) -> list[PointedGraph]:
     """Enumerate every pointed K-rational ell-isogeny graph over F_q whose
-    sources are short-form curves (plus the universal 3-isogeny family when
-    ell = 3).
+    sources are short-form curves, plus the universal 3-isogeny family when
+    ell = 3 and `include_family` is set.
 
     Targets are grouped up to F_q-isomorphism; arms are matched to the
     target's stable pointed lines and deduplicated per line.
@@ -816,7 +816,7 @@ def build_pointed_graphs(
         raise ValueError("base field characteristic must exceed 3")
     if ell == q:
         raise ValueError("ell must differ from the characteristic")
-    n_curves = q * q * (2 if (include_family or (include_family is None and ell == 3)) else 1)
+    n_curves = q * q * (2 if include_family and ell == 3 else 1)
     if n_curves > curve_limit:
         raise CapabilityError(
             f"enumeration of ~{n_curves} curves exceeds the cap {curve_limit}"
@@ -891,7 +891,7 @@ def build_pointed_graphs(
                 add_arm(src, src_inv, pt, xs, N)
 
     # the universal 3-isogeny family contributes its canonical arm
-    if ell == 3 and (include_family or include_family is None):
+    if ell == 3 and include_family:
         for w_par in range(q):
             w3 = w_par * w_par * w_par % q
             for v_par in range(1, q):

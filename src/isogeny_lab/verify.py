@@ -65,17 +65,17 @@ def verify_theorem1(
     q: int,
     ell: int,
     curve_limit: int = G.DEFAULT_CURVE_LIMIT,
-    include_family: bool | None = None,
-    check_soundness: bool = True,
+    include_family: bool = True,
     _prebuilt=None,
 ) -> VerificationReport:
     """Sweep all pointed graphs over F_q; every target of order two must
     carry full rational ell-torsion with identity Frobenius, and the
-    generators of its dual-kernel lines must be rational."""
+    generators of its dual-kernel lines must be rational.  `include_family`
+    adds the universal 3-isogeny family when ell = 3."""
     t0 = time.time()
     field = PrimeField(q)
     if _prebuilt is None:
-        stats = G.SoundnessStats() if check_soundness else None
+        stats = G.SoundnessStats()
         graph_list = G.build_pointed_graphs(
             field, ell, curve_limit=curve_limit, include_family=include_family,
             soundness=stats,
@@ -83,7 +83,7 @@ def verify_theorem1(
         torsion = _order_two_torsion(field, graph_list)
     else:
         graph_list, stats, torsion = _prebuilt
-    family = bool(include_family or (include_family is None and ell == 3))
+    family = include_family and ell == 3
     rep = VerificationReport(
         parameters={"q": q, "ell": ell, "curve_limit": curve_limit,
                     "family_included": family}
@@ -96,11 +96,10 @@ def verify_theorem1(
         "arms_total": sum(g.arm_multiplicity for g in graph_list),
         "arms_distinct": sum(len(g.arms) for g in graph_list),
     }
-    if stats is not None:
-        rep.counts["soundness"] = stats.to_json()
-        if not stats.ok():
-            for f in stats.failures:
-                rep.add_violation(CLAIM_THM1, {"kind": "isogeny-soundness", **f, "q": q, "ell": ell})
+    rep.counts["soundness"] = stats.to_json()
+    if not stats.ok():
+        for f in stats.failures:
+            rep.add_violation(CLAIM_THM1, {"kind": "isogeny-soundness", **f, "q": q, "ell": ell})
     checked_bases = 0
     for g in order2:
         ok, witness = _check_full_torsion_target(g, *torsion[g.target])
@@ -182,7 +181,7 @@ def lemma_sweep(
     q: int,
     ell: int,
     curve_limit: int = G.DEFAULT_CURVE_LIMIT,
-    include_family: bool | None = None,
+    include_family: bool = True,
     _prebuilt=None,
 ) -> VerificationReport:
     """For every multi-arm target: deduplicated arms have pairwise distinct
@@ -587,17 +586,16 @@ def primes_in_range(lo: int, hi: int):
 
 
 def _sweep_task(args):
-    q, ell, curve_limit, include_family, check_soundness = args
+    q, ell, curve_limit, include_family = args
     field = PrimeField(q)
-    stats = G.SoundnessStats() if check_soundness else None
+    stats = G.SoundnessStats()
     graph_list = G.build_pointed_graphs(
         field, ell, curve_limit=curve_limit, include_family=include_family,
         soundness=stats,
     )
     prebuilt = (graph_list, stats, _order_two_torsion(field, graph_list))
     thm = verify_theorem1(
-        q, ell, curve_limit=curve_limit, include_family=include_family,
-        check_soundness=check_soundness, _prebuilt=prebuilt,
+        q, ell, curve_limit=curve_limit, include_family=include_family, _prebuilt=prebuilt,
     )
     lem = lemma_sweep(
         q, ell, curve_limit=curve_limit, include_family=include_family,
@@ -612,8 +610,7 @@ def run_sweep(
     q_min: int = 5,
     threads: int = 1,
     curve_limit: int = G.DEFAULT_CURVE_LIMIT,
-    include_family: bool | None = None,
-    check_soundness: bool = True,
+    include_family: bool = True,
 ) -> VerificationReport:
     """Theorem-1 plus lemma sweeps over all primes q_min <= q < q_max with
     q != ell, merged into a single deterministic report."""
@@ -623,7 +620,7 @@ def run_sweep(
         for q in primes_in_range(q_min, q_max):
             if q == ell:
                 continue
-            tasks.append((q, ell, curve_limit, include_family, check_soundness))
+            tasks.append((q, ell, curve_limit, include_family))
     if threads > 1:
         import multiprocessing as mp
 

@@ -78,7 +78,7 @@ def test_criterion_2_and_7_theorem1_sweep(capsys):
         for q in primes_in_range(5, 200):
             if q % ell == 0:
                 continue
-            rep = _sweep_task((q, ell, 250_000, None, True))
+            rep = _sweep_task((q, ell, 250_000, True))
             tasks += 1
             violations.extend(rep.violations)
             order2 = rep.counts.get("graphs_order_2", 0)

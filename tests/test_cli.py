@@ -36,6 +36,12 @@ def test_theorem1_7_3_exit_zero(capsys):
     data = json.loads(out)
     assert data["violations"] == []
     assert data["counts"]["graphs_order_2"] == 1
+    assert data["parameters"]["family_included"] is True
+    code, out = run_cli(["theorem1", "--q", "7", "--ell", "3", "--no-family"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["parameters"]["family_included"] is False
+    assert data["counts"]["curves_scanned"] == 7 * 7
 
 
 def test_module_fixed_on_identity(capsys, tmp_path):

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from isogeny_lab.curves import (
     WeierstrassCurve,
+    _line_value,
+    _miller_shifted,
+    _vertical_value,
     curve_order,
     division_polynomial,
     frobenius_matrix,
@@ -15,7 +18,7 @@ from isogeny_lab.curves import (
     weil_pairing,
 )
 from isogeny_lab.errors import CapabilityError, InternalError
-from isogeny_lab.fields import PrimeField, QQ
+from isogeny_lab.fields import ExtensionField, PrimeField, QQ, _val_is_zero
 
 
 def hasse_interval(q: int) -> tuple[int, int]:
@@ -285,78 +288,160 @@ def test_torsion_basis_coordinates(ab, ell):
         basis.coordinates(outside)
 
 
-def test_aux_point_stream_filters_per_ell():
-    """The cached auxiliary points are filtered for the ell asked for, in
-    whichever order two ells are asked for on the same curve."""
-    from isogeny_lab.curves import _aux_point_stream
-
-    # orders 20 and 15: both curves have rational points of both orders,
-    # and fewer points than the stream's cap, so it holds all of them
-    cases = [(WeierstrassCurve(PrimeField(13), 0, 0, 0, 1, 0), (2, 5)),
-             (WeierstrassCurve(PrimeField(11), 0, 0, 0, 1, 7), (3, 5))]
-    for E, ells in cases:
-        affine = brute_points(E)
-        for order in (ells, ells[::-1]):
-            _aux_point_stream.cache_clear()
-            for ell in order:
-                pts = _aux_point_stream(E, ell)
-                assert all(not (ell * S).infinity for S in pts)
-                assert set(pts) == {S for S in affine if not (ell * S).infinity}
-
-
-def _eager_aux_points(curve, ell, cap=80):
-    """Reference auxiliary points: the first `cap` or so affine points in
-    field order, then those with ell * S != O."""
-    pts = []
-    for x in curve.field.iter_elements():
-        for y in curve.y_candidates(x):
-            pts.append(curve.point(x, y))
-        if len(pts) >= cap:
-            break
-    return [S for S in pts if not (ell * S).infinity]
-
-
-# Over F_13 and F_11 the curves have 20 and 15 points (2-, 5- and 3-torsion);
-# over F_{7^2} and F_{11^2} more points than the cap of 80.
-_AUX_CURVES = [((13, 1), (1, 0)), ((11, 1), (1, 7)), ((7, 2), (1, 3)), ((11, 2), (1, 7)),
-               ((5, 2), (1, 1))]
-
-
-@pytest.mark.parametrize("field_pk, ab", _AUX_CURVES)
-@pytest.mark.parametrize("ell", [2, 3, 5])
-def test_lazy_aux_points_match_the_eager_list(field_pk, ab, ell):
-    from isogeny_lab.curves import _aux_point_stream
-    from isogeny_lab.fields import ExtensionField
-
-    p, k = field_pk
-    field = PrimeField(p) if k == 1 else ExtensionField(p, k)
-    E = WeierstrassCurve(field, 0, 0, 0, *ab)
-    for cap in (80, 7):
-        expected = _eager_aux_points(E, ell, cap)
-        _aux_point_stream.cache_clear()
-        assert list(_aux_point_stream(E, ell, cap)) == expected
-        # nested iterators, as in the pairing's double loop, and an outer
-        # one resumed after an inner one has drawn further
-        _aux_point_stream.cache_clear()
-        stream = _aux_point_stream(E, ell, cap)
-        outer = iter(stream)
-        first = next(outer, None)
-        inner = [T for T in stream]
-        assert inner == expected
-        assert ([first] + list(outer) if first is not None else []) == expected
-        assert [[T for T in stream] for _ in stream] == [expected] * len(expected)
-
-
-def test_aux_point_cache_counts_one_miss_per_curve_and_ell():
-    """The benchmark reads the hits and misses of the auxiliary-point cache."""
-    from isogeny_lab.curves import _aux_point_stream
-
+def test_weil_pairing_is_one_on_a_multiple():
     E = WeierstrassCurve(PrimeField(13), 0, 0, 0, 1, 0)
     basis = torsion_basis(E, 5)
-    P, Q = basis.P, basis.Q
-    _aux_point_stream.cache_clear()
+    P = basis.P
+    one = basis.curve.field.one()
+    assert weil_pairing(P, 2 * P, 5) == one
+    assert weil_pairing(P, basis.curve.infinity(), 5) == one
+
+
+# --- reference pairing: Miller's algorithm on shifted divisors ----------------
+
+
+def _shifted_miller(P, S, ell, X1, X2):
+    """f(X1) / f(X2) for the function f with divisor ell(P+S) - ell(S), or
+    None when an evaluation meets a zero or a pole."""
+    PS = P + S
+    num = _vertical_value(PS, X1) * _line_value(P, S, X2)
+    den = _vertical_value(PS, X2) * _line_value(P, S, X1)
+    if _val_is_zero(num) or _val_is_zero(den):
+        return None
+    h_num, h_den = num, den
+    Z = P
+    for bit in bin(ell)[3:]:
+        Z2 = Z + Z
+        h_num = h_num * h_num * _line_value(Z, Z, X1) * _vertical_value(Z2, X2)
+        h_den = h_den * h_den * _line_value(Z, Z, X2) * _vertical_value(Z2, X1)
+        Z = Z2
+        if _val_is_zero(h_num) or _val_is_zero(h_den):
+            return None
+        if bit == "1":
+            Z1 = Z + P
+            h_num = h_num * num * _line_value(Z, P, X1) * _vertical_value(Z1, X2)
+            h_den = h_den * den * _line_value(Z, P, X2) * _vertical_value(Z1, X1)
+            Z = Z1
+            if _val_is_zero(h_num) or _val_is_zero(h_den):
+                return None
+    return h_num / h_den
+
+
+def _shifted_divisor_pairing(P, Q, ell, cap=80):
+    """f_{P+S}((Q+T) - (T)) / f_{Q+T}((P+S) - (S)) for the first auxiliary
+    points S, T outside E[ell] at which no evaluation degenerates, drawn from
+    the first `cap` or so affine points; None when there are none."""
+    curve = P.curve
+    points = []
+    for x in curve.field.iter_elements():
+        points.extend(curve.point(x, y) for y in curve.y_candidates(x))
+        if len(points) >= cap:
+            break
+    aux = [S for S in points if not (ell * S).infinity]
+    for S in aux:
+        for T in aux:
+            if T in (S, -S):
+                continue
+            fA = _shifted_miller(P, S, ell, Q + T, T)
+            fB = _shifted_miller(Q, T, ell, P + S, S)
+            if fA is not None and fB is not None:
+                return fA / fB
+    return None
+
+
+def reference_weil_pairing(P, Q, ell):
+    """The Weil pairing on shifted divisors.  Over a prime field with too
+    few auxiliary points it is computed over F_{p^2} or F_{p^3}, and the
+    value must come back in F_p."""
+    curve = P.curve
+    if P.infinity or Q.infinity or P == Q or P == -Q:
+        return curve.field.one()
+    value = _shifted_divisor_pairing(P, Q, ell)
+    if value is not None:
+        return value
+    assert isinstance(curve.field, PrimeField)
+    for k in (2, 3):
+        K = ExtensionField(curve.field.p, k)
+        curve_k = curve.base_change(K)
+        lift = lambda R: curve_k.point(K.element(R.x), K.element(R.y))  # noqa: E731
+        value = _shifted_divisor_pairing(lift(P), lift(Q), ell)
+        if value is not None:
+            assert not any(value.rep[1:])
+            return curve.field.element(value.rep[0])
+    raise AssertionError("no usable auxiliary points over F_p, F_p^2 or F_p^3")
+
+
+def _assert_pairings_match_reference(basis):
+    P, Q, ell = basis.P, basis.Q, basis.ell
     for A, B in [(P, Q), (Q, P), (P + Q, Q), (2 * P, Q)]:
-        weil_pairing(A, B, 5)
-    info = _aux_point_stream.cache_info()
-    assert (info.hits, info.misses) == (3, 1)
-    assert _aux_point_stream(basis.curve, 5) is _aux_point_stream(basis.curve, 5)
+        assert weil_pairing(A, B, ell) == reference_weil_pairing(A, B, ell), (A, B)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_weil_pairing_matches_reference_on_short_curves(q):
+    """Every short curve over F_q with a basis of E[ell] over F_q, ell in
+    {2, 3, 5}, and the first one whose basis needs F_{q^2}.  Over F_q the set
+    holds the curves whose pairings the reference lifts to an extension, as
+    y^2 = x^3 + 3 over F_13 at ell = 3."""
+    F = PrimeField(q)
+    lifted = 0
+    for ell in (2, 3, 5):
+        if ell == q:
+            continue
+        quadratic_done = False
+        for a in range(q):
+            for b in range(q):
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                E = WeierstrassCurve(F, 0, 0, 0, a, b)
+                k = torsion_field_degree(E, ell)
+                if k > 2 or (k == 2 and quadratic_done):
+                    continue
+                quadratic_done |= k == 2
+                basis = torsion_basis(E, ell)
+                _assert_pairings_match_reference(basis)
+                if k == 1 and _shifted_divisor_pairing(basis.P, basis.Q, ell) is None:
+                    lifted += 1
+    assert lifted > 0
+
+
+@pytest.mark.parametrize("q, ell", [(13, 3), (17, 2), (41, 5), (43, 7)])
+def test_weil_pairing_matches_reference_on_order_two_targets(q, ell):
+    from isogeny_lab import graphs as G
+    from isogeny_lab.verify import _order_two_torsion
+
+    F = PrimeField(q)
+    torsion = _order_two_torsion(F, G.build_pointed_graphs(F, ell))
+    bases = [basis for k, basis in torsion.values() if k == 1]
+    assert bases
+    for basis in bases:
+        _assert_pairings_match_reference(basis)
+
+
+@pytest.mark.parametrize("q, ell, k", [(11, 3, 2), (7, 5, 4), (19, 5, 2)])
+def test_weil_pairing_matches_reference_over_extensions(q, ell, k):
+    """A target of the product checks at (q, ell) whose ell-torsion splits
+    over F_{q^k}."""
+    from isogeny_lab import graphs as G
+
+    F = PrimeField(q)
+    for g in G.build_pointed_graphs(F, ell):
+        E = g.target_curve(F)
+        if torsion_field_degree(E, ell) == k:
+            _assert_pairings_match_reference(torsion_basis(E, ell))
+            return
+    pytest.fail(f"no target with k = {k}")
+
+
+@pytest.mark.parametrize("q, ab, ell", [(13, (0, 3), 3), (7, (0, 2), 3), (13, (1, 0), 5)])
+def test_weil_pairing_sign_and_order_are_pinned_by_the_reference(q, ab, ell):
+    """Miller's formula at odd ell: dropping the sign (-1)^ell, or swapping
+    f_P and f_Q, disagrees with the reference."""
+    E = WeierstrassCurve(PrimeField(q), 0, 0, 0, *ab)
+    basis = torsion_basis(E, ell)
+    P, Q = basis.P, basis.Q
+    ref = reference_weil_pairing(P, Q, ell)
+    fP, fQ = _miller_shifted(P, ell, Q), _miller_shifted(Q, ell, P)
+    assert -fP / fQ == ref
+    assert fP / fQ != ref
+    assert -fQ / fP != ref

@@ -49,6 +49,18 @@ def test_theorem1_no_order2_when_q_2_mod_3():
     assert rep.paper_claims[CLAIM_THM1] == NOT_APPLICABLE
 
 
+def test_theorem1_family_flag_is_ignored_away_from_ell_3():
+    """The universal family is a 3-isogeny family: asking for it at ell = 5
+    neither adds curves nor marks the report."""
+    with_flag = json.loads(verify_theorem1(13, 5, include_family=True).to_json())
+    default = json.loads(verify_theorem1(13, 5).to_json())
+    with_flag.pop("timing")
+    default.pop("timing")
+    assert with_flag == default
+    assert default["parameters"]["family_included"] is False
+    assert default["counts"]["curves_scanned"] == 13 * 13
+
+
 def test_lemma_sweep_7_3():
     rep = lemma_sweep(7, 3)
     assert rep.clean
@@ -173,7 +185,7 @@ def _without_timing(rep):
 def test_sweep_task_matches_independent_runs(q, ell):
     """Oracle: one sweep task, which builds the graphs and the torsion bases
     once, reports exactly what independent theorem-1 and lemma runs do."""
-    task = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    task = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, True))
     assert task.counts["graphs_order_2"] > 0
     alone = merge_reports({"q": q, "ell": ell},
                           [verify_theorem1(q, ell), lemma_sweep(q, ell)])
@@ -191,7 +203,7 @@ def test_sweep_task_one_torsion_basis_per_target(q, ell, monkeypatch):
     monkeypatch.setattr(intpoly, "factor_squarefree",
                         lambda f, q: factored.append(tuple(f)) or orig_factor(f, q))
     torsion_field_degree.cache_clear()
-    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, True))
     bases = [(E.a4, E.a6) for E in targets]
     assert len(bases) == len(set(bases)) == rep.counts["graphs_order_2"]
     assert rep.counts["torsion_bases_checked"] == rep.counts["lattices_checked"] == len(bases)
@@ -214,7 +226,7 @@ def test_sweep_task_six_pairings_per_target(q, ell, monkeypatch):
 
     monkeypatch.setattr(curves, "weil_pairing", counting)
     monkeypatch.setattr(V, "weil_pairing", counting)
-    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, True))
     assert rep.counts["torsion_bases_checked"] == rep.counts["graphs_order_2"] > 0
     assert len(calls) == 6 * rep.counts["graphs_order_2"]
 
@@ -259,7 +271,7 @@ def test_sweep_task_counts_and_claims_are_fixed(q, ell, counts, claims, monkeypa
     orig = G._rational_ell_points
     monkeypatch.setattr(G, "_rational_ell_points",
                         lambda *args: calls.append(args) or orig(*args))
-    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, None, True))
+    rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, True))
     arms = counts["arms_total"]
     assert rep.counts == {**counts, "soundness": {**_SOUND, "isogenies": arms}}
     assert rep.paper_claims == claims
