@@ -9,10 +9,11 @@ characteristic 2 and 3 are rejected.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intpoly
+from . import graphs, intpoly
 from .errors import CapabilityError, FieldMismatchError, InternalError
 from .fields import (
     ExtensionField,
@@ -301,15 +302,6 @@ class CurvePoint:
             return hash((self.curve, "inf"))
         return hash((self.curve, self.x, self.y))
 
-    def coords_json(self):
-        if self.infinity:
-            return None
-        def enc(v):
-            if isinstance(v, FieldElement):
-                return v.coeff_list() if not isinstance(v.rep, int) else v.rep
-            return [v.numerator, v.denominator]
-        return [enc(self.x), enc(self.y)]
-
     def __repr__(self):
         if self.infinity:
             return "O"
@@ -319,61 +311,19 @@ class CurvePoint:
 # --- division polynomials ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _psi_tilde(curve: WeierstrassCurve, n: int) -> Polynomial:
-    """y-stripped division polynomial: psi_n = psi~_n * psi_2^(n even)."""
-    field = curve.field
-    b2, b4, b6, b8 = curve.b_invariants()
-    if n == 0:
-        return Polynomial.zero(field)
-    if n in (1, 2):
-        return Polynomial(field, [field.one()])
-    if n == 3:
-        return Polynomial(field, [b8, 3 * b6, 3 * b4, b2, 3 * field.one()])
-    if n == 4:
-        return Polynomial(
-            field,
-            [
-                b4 * b8 - b6 * b6,
-                b2 * b8 - b4 * b6,
-                10 * b8,
-                10 * b6,
-                5 * b4,
-                b2,
-                2 * field.one(),
-            ],
-        )
-    F = _two_torsion_poly(curve)
-    m = n // 2
-    t = lambda k: _psi_tilde(curve, k)  # noqa: E731
-    if n % 2 == 1:
-        # n = 2m+1
-        first = t(m + 2) * t(m) * t(m) * t(m)
-        second = t(m - 1) * t(m + 1) * t(m + 1) * t(m + 1)
-        if m % 2 == 0:
-            return F * F * first - second
-        return first - F * F * second
-    # n = 2m
-    inner = t(m + 2) * t(m - 1) * t(m - 1) - t(m - 2) * t(m + 1) * t(m + 1)
-    return t(m) * inner
-
-
-@functools.lru_cache(maxsize=None)
-def _two_torsion_poly(curve: WeierstrassCurve) -> Polynomial:
-    """F(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2 on the curve."""
-    b2, b4, b6, _ = curve.b_invariants()
-    field = curve.field
-    return Polynomial(field, [b6, 2 * b4, b2, 4 * field.one()])
-
-
 def division_polynomial(curve: WeierstrassCurve, n: int) -> Polynomial:
     """Univariate polynomial whose roots are the x-coordinates of the
     nonzero n-torsion points: psi~_n for odd n, F * psi~_n for even n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n % 2 == 1:
-        return _psi_tilde(curve, n)
-    return _two_torsion_poly(curve) * _psi_tilde(curve, n)
+    psi, F = graphs.psi_tilde(
+        curve.b_invariants(),
+        n,
+        functools.partial(Polynomial, curve.field),
+        operator.mul,
+        operator.sub,
+    )
+    return psi[n] if n % 2 == 1 else F * psi[n]
 
 
 # --- point counting -----------------------------------------------------------
@@ -448,10 +398,6 @@ class TorsionBasis:
         return weil_pairing(self.P, self.Q, self.ell)
 
 
-def _x_poly_ints(curve: WeierstrassCurve, ell: int) -> list[int]:
-    return division_polynomial(curve, ell).int_coeffs()
-
-
 @functools.lru_cache(maxsize=64)
 def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     """Minimal k with E[ell] contained in E(F_{q^k}); q prime.
@@ -467,9 +413,8 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     q = field.p
     if ell == q:
         raise ValueError("ell must differ from the characteristic")
-    psi = _x_poly_ints(curve, ell)
-    factors = intpoly.factor_squarefree(psi, q)
-    a1, a2, a3, a4, a6 = (c.to_int() for c in curve.coefficients())
+    a1, a2, a3, a4, a6 = coeffs = [c.to_int() for c in curve.coefficients()]
+    factors = intpoly.factor_squarefree(graphs.torsion_x_poly_ints(coeffs, q, ell), q)
     rhs_coeffs = [a6, a4, a2, 1]
     k = 1
     for f in factors:

@@ -75,9 +75,6 @@ class PrimeField:
         for v in range(self.p):
             yield FieldElement(self, v)
 
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, rng.randrange(self.p))
-
     def sqrt(self, a: "FieldElement") -> "FieldElement | None":
         r = intpoly.sqrt_mod(a.rep, self.p)
         return None if r is None else FieldElement(self, r)
@@ -133,10 +130,6 @@ class ExtensionField:
         rep = [v % self.p] + [0] * (self.k - 1)
         return FieldElement(self, tuple(rep))
 
-    def embed(self, a: "FieldElement") -> "FieldElement":
-        """Embed an F_p element (or coerce an int) into this field."""
-        return self.element(a)
-
     def gen(self) -> "FieldElement":
         if self.k == 1:
             return self.element(intpoly.pmod([0, 1], list(self.modulus), self.p))
@@ -163,9 +156,6 @@ class ExtensionField:
                 yield from rec(prefix + [c])
 
         yield from rec([])
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def is_square(self, a: "FieldElement") -> bool:
         if a.is_zero():

@@ -158,18 +158,6 @@ def curve_b_invariants_int(coeffs, q):
     return b2, b4, b6, b8
 
 
-def discriminant_int(coeffs, q):
-    b2, b4, b6, b8 = curve_b_invariants_int(coeffs, q)
-    return (-b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % q
-
-
-def j_invariant_int(coeffs, q):
-    b2, b4, b6, b8 = curve_b_invariants_int(coeffs, q)
-    c4 = (b2 * b2 - 24 * b4) % q
-    disc = (-b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % q
-    return c4 * c4 * c4 * pow(disc, -1, q) % q
-
-
 def short_reduce_int(coeffs, q):
     """Short form (A, B) plus the iso data (u, r, s, t) mapping the curve to
     y^2 = x^3 + Ax + B (u = 1)."""
@@ -190,51 +178,55 @@ def short_reduce_int(coeffs, q):
 # --- division polynomials over ints -----------------------------------------------
 
 
-def psi_tilde_ints(coeffs, q, upto):
-    """List psi~_0..psi~_upto (y-stripped division polynomials) as int polys,
-    plus F = 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    b2, b4, b6, b8 = curve_b_invariants_int(coeffs, q)
-    F = intpoly.trim([b6 % q, (2 * b4) % q, b2 % q, 4 % q])
-    psi: list[list[int]] = [[] for _ in range(upto + 1)]
-    if upto >= 1:
-        psi[1] = [1]
-    if upto >= 2:
-        psi[2] = [1]
-    if upto >= 3:
-        psi[3] = intpoly.trim([b8 % q, (3 * b6) % q, (3 * b4) % q, b2 % q, 3 % q])
-    if upto >= 4:
-        psi[4] = intpoly.trim(
-            [
-                (b4 * b8 - b6 * b6) % q,
-                (b2 * b8 - b4 * b6) % q,
-                (10 * b8) % q,
-                (10 * b6) % q,
-                (5 * b4) % q,
-                b2 % q,
-                2 % q,
-            ]
-        )
-    F2 = intpoly.pmul(F, F, q)
+def psi_tilde(b, upto, poly, mul, sub):
+    """psi~_0..psi~_upto, the y-stripped division polynomials (psi_n =
+    psi~_n * (2y + a1 x + a3) for even n, psi_n = psi~_n for odd n), plus
+    F = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2, from the
+    b-invariants b = (b2, b4, b6, b8).
+
+    Written once for any coefficient ring: poly builds a polynomial from an
+    ascending coefficient list (ring values and small ints), mul and sub are
+    the polynomial product and difference.  psi_tilde_ints is the ints-mod-q
+    instance and curves.division_polynomial the Polynomial one.
+    """
+    b2, b4, b6, b8 = b
+    F = poly([b6, 2 * b4, b2, 4])
+    psi = [
+        poly([]),
+        poly([1]),
+        poly([1]),
+        poly([b8, 3 * b6, 3 * b4, b2, 3]),
+        poly([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
+    ][: upto + 1]
+    F2 = mul(F, F) if upto >= 5 else None
     for n in range(5, upto + 1):
         m = n // 2
         t = psi
         if n % 2 == 1:
-            first = intpoly.pmul(t[m + 2], intpoly.pmul(t[m], intpoly.pmul(t[m], t[m], q), q), q)
-            second = intpoly.pmul(
-                t[m - 1], intpoly.pmul(t[m + 1], intpoly.pmul(t[m + 1], t[m + 1], q), q), q
-            )
+            first = mul(t[m + 2], mul(t[m], mul(t[m], t[m])))
+            second = mul(t[m - 1], mul(t[m + 1], mul(t[m + 1], t[m + 1])))
             if m % 2 == 0:
-                psi[n] = intpoly.psub(intpoly.pmul(F2, first, q), second, q)
+                psi.append(sub(mul(F2, first), second))
             else:
-                psi[n] = intpoly.psub(first, intpoly.pmul(F2, second, q), q)
+                psi.append(sub(first, mul(F2, second)))
         else:
-            inner = intpoly.psub(
-                intpoly.pmul(t[m + 2], intpoly.pmul(t[m - 1], t[m - 1], q), q),
-                intpoly.pmul(t[m - 2], intpoly.pmul(t[m + 1], t[m + 1], q), q),
-                q,
+            inner = sub(
+                mul(t[m + 2], mul(t[m - 1], t[m - 1])),
+                mul(t[m - 2], mul(t[m + 1], t[m + 1])),
             )
-            psi[n] = intpoly.pmul(t[m], inner, q)
+            psi.append(mul(t[m], inner))
     return psi, F
+
+
+def psi_tilde_ints(coeffs, q, upto):
+    """psi_tilde over ints mod q, for the long-form curve coeffs."""
+    return psi_tilde(
+        curve_b_invariants_int(coeffs, q),
+        upto,
+        lambda cs: intpoly.trim([c % q for c in cs]),
+        lambda f, g: intpoly.pmul(f, g, q),
+        lambda f, g: intpoly.psub(f, g, q),
+    )
 
 
 def torsion_x_poly_ints(coeffs, q, ell):
@@ -507,8 +499,8 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
         raise InternalError(f"q-eigenline gcd has degree {intpoly.deg(g)}")
     out = []
     for w_key in lines:
-        cod = velu_codomain_int(coeffs, list(w_key), ell, q)
-        if discriminant_int(cod, q) == 0:
+        cod = velu_codomain_int(coeffs, list(w_key), ell, q)  # short, like its source
+        if (4 * cod[3] ** 3 + 27 * cod[4] ** 2) % q == 0:
             raise InternalError("line quotient is singular")
         key = short_class_key(cod[3], cod[4], q, tab)
         out.append((w_key, key, cod))
@@ -790,8 +782,9 @@ class _TargetClass:
         """j of the representative's quotient by the line w, or None when
         that quotient is singular; computed once per line."""
         if w not in self._dual_j:
-            wq = velu_codomain_int((0, 0, 0, self.rep[0], self.rep[1]), list(w), ell, q)
-            self._dual_j[w] = None if discriminant_int(wq, q) == 0 else j_invariant_int(wq, q)
+            A, B = velu_codomain_int((0, 0, 0, *self.rep), list(w), ell, q)[3:]
+            singular = (4 * A**3 + 27 * B * B) % q == 0
+            self._dual_j[w] = None if singular else short_class_key(A, B, q, fq_tables(q))[1]
         return self._dual_j[w]
 
 

@@ -128,16 +128,6 @@ def peval(f: list[int], x: int, q: int) -> int:
     return acc
 
 
-def peval_deriv(f: list[int], x: int, q: int) -> tuple[int, int]:
-    """(f(x), f'(x)) in one Horner pass."""
-    acc = 0
-    dacc = 0
-    for c in reversed(f):
-        dacc = (dacc * x + acc) % q
-        acc = (acc * x + c) % q
-    return acc, dacc
-
-
 def pderiv(f: list[int], q: int) -> list[int]:
     return trim([(i * c) % q for i, c in enumerate(f)][1:])
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs, intpoly
-from .curves import CurvePoint, WeierstrassCurve, division_polynomial
+from .curves import CurvePoint, WeierstrassCurve
 from .errors import CapabilityError, FieldMismatchError, InternalError
 from .fields import (
     FieldElement,
@@ -119,12 +119,6 @@ class Isogeny:
     num: Polynomial
     den: Polynomial
     kernel_point: CurvePoint | None = None
-
-    def x_image(self, x):
-        d = self.den(x)
-        if _val_is_zero(d):
-            return None
-        return self.num(x) / d
 
     def evaluate(self, point: CurvePoint) -> CurvePoint:
         if point.curve != self.domain:
@@ -357,7 +351,7 @@ def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
         raise CapabilityError("dual kernels are computed over prime base fields")
     q = field.p
     ell = phi.degree
-    psi = division_polynomial(phi.domain, ell).int_coeffs()
+    psi = graphs.torsion_x_poly_ints([c.to_int() for c in phi.domain.coefficients()], q, ell)
     kappa = phi.kernel_poly.int_coeffs()
     g, rem = intpoly.pdivmod(psi, kappa, q)
     if rem:

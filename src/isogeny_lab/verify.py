@@ -102,7 +102,8 @@ def verify_theorem1(
             rep.add_violation(CLAIM_THM1, {"kind": "isogeny-soundness", **f, "q": q, "ell": ell})
     checked_bases = 0
     for g in order2:
-        ok, witness = _check_full_torsion_target(g, *torsion[g.target])
+        ok, witness = _check_full_torsion_target(q, ell, g.target, g.target_order,
+                                                 *torsion[g.target])
         if not ok:
             rep.add_violation(CLAIM_THM1, witness)
             continue
@@ -139,19 +140,19 @@ def _order_two_torsion(field: PrimeField, graph_list) -> dict:
     return out
 
 
-def _check_full_torsion_target(g: G.PointedGraph, k: int, basis):
-    """Honest check: E[ell] splits at k = 1 and the Frobenius matrix is the
+def _check_full_torsion_target(q: int, ell: int, target, order: int | None, k: int, basis):
+    """Honest check on the target y^2 = x^3 + Ax + B of #E = order (None:
+    count it): E[ell] splits at k = 1 and the Frobenius matrix is the
     identity; also runs the pairing suite on the constructed basis."""
-    ell, q = g.ell, g.q
     if k != 1:
         return False, {"kind": "torsion-not-rational", "q": q, "ell": ell,
-                       "target": list(g.target), "splitting_degree": k}
-    mat = frobenius_matrix(basis.curve, basis, order=g.target_order)
+                       "target": list(target), "splitting_degree": k}
+    mat = frobenius_matrix(basis.curve, basis, order=order)
     if not mat.is_identity():
         return False, {"kind": "frobenius-not-identity", "q": q, "ell": ell,
-                       "target": list(g.target), "matrix": [list(r) for r in mat.entries]}
+                       "target": list(target), "matrix": [list(r) for r in mat.entries]}
     if not _pairing_suite(basis):
-        return False, {"kind": "pairing-suite", "q": q, "ell": ell, "target": list(g.target)}
+        return False, {"kind": "pairing-suite", "q": q, "ell": ell, "target": list(target)}
     return True, None
 
 
@@ -655,10 +656,9 @@ def replay_witness(witness: dict) -> bool:
             )
         A, B = witness["target"]
         E = WeierstrassCurve(field, 0, 0, 0, A, B)
-        if torsion_field_degree(E, ell) != 1:
-            return False
-        basis = torsion_basis(E, ell)
-        if not frobenius_matrix(E, basis).is_identity():
+        k = torsion_field_degree(E, ell)
+        basis = torsion_basis(E, ell) if k == 1 else None
+        if not _check_full_torsion_target(q, ell, (A, B), None, k, basis)[0]:
             return False
         if kind == "dual-line-generator-not-rational":
             tab = G.fq_tables(q)

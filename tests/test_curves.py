@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isogeny_lab import intpoly
 from isogeny_lab.curves import (
     WeierstrassCurve,
     _line_value,
@@ -19,6 +21,7 @@ from isogeny_lab.curves import (
 )
 from isogeny_lab.errors import CapabilityError, InternalError
 from isogeny_lab.fields import ExtensionField, PrimeField, QQ, _val_is_zero
+from isogeny_lab.graphs import psi_tilde_ints, pt_mul, xmul_fraction_ints
 
 
 def hasse_interval(q: int) -> tuple[int, int]:
@@ -155,6 +158,54 @@ def test_division_polynomial_roots_are_torsion_x(q_ell, data):
     zero = F.zero()
     for x in roots:
         assert psi(x) == zero
+
+
+def _random_long_curve(rng, q):
+    while True:
+        coeffs = tuple(rng.randrange(q) for _ in range(5))
+        try:
+            return coeffs, WeierstrassCurve(PrimeField(q), *coeffs)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("q", [13, 31, 61, 101])
+def test_division_polynomial_agrees_with_the_group_law(q):
+    """Oracle for the one psi recurrence, at every rational point P of random
+    long-form curves: division_polynomial(E, n) vanishes at x(P) exactly when
+    [n]P = O, and otherwise xmul_fraction_ints gives x([n]P)."""
+    rng = random.Random(q)
+    for _ in range(2):
+        coeffs, E = _random_long_curve(rng, q)
+        a1, a2, a3, a4, a6 = coeffs
+        points = [(x, y) for x in range(q) for y in range(q)
+                  if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % q == 0]
+        psi, F = psi_tilde_ints(coeffs, q, 14)
+        for n in range(1, 14):
+            div = division_polynomial(E, n).int_coeffs()
+            num, den = xmul_fraction_ints(psi, F, n, q)
+            for P in points:
+                nP = pt_mul(n, P, coeffs, q)
+                assert (intpoly.peval(div, P[0], q) == 0) == (nP is None)
+                if nP is not None:
+                    x_num, x_den = intpoly.peval(num, P[0], q), intpoly.peval(den, P[0], q)
+                    assert x_num == nP[0] * x_den % q and x_den
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 2, -10, -30),  # the counterexample's quotient E3'(2, 1)
+    (1, Fraction(-1, 2), Fraction(1, 3), 2, Fraction(7, 5)),  # good reduction at each q
+])
+@pytest.mark.parametrize("q", [13, 31, 61, 101])
+def test_division_polynomial_over_q_reduces_to_the_fq_one(coeffs, q):
+    def red(c):
+        return Fraction(c).numerator * pow(Fraction(c).denominator, -1, q) % q
+
+    E_q = WeierstrassCurve(PrimeField(q), *(red(c) for c in coeffs))
+    E = WeierstrassCurve(QQ, *coeffs)
+    for n in range(1, 10):
+        reduced = intpoly.trim([red(c) for c in division_polynomial(E, n).coeffs])
+        assert reduced == division_polynomial(E_q, n).int_coeffs()
 
 
 def test_torsion_basis_f5_two_torsion():

@@ -1,4 +1,5 @@
 import inspect
+import random
 from collections import Counter
 
 import pytest
@@ -13,7 +14,6 @@ from isogeny_lab.graphs import (
     build_pointed_graphs,
     enumerate_pointed_lines,
     fq_tables,
-    j_invariant_int,
     line_poly_int,
     psi_tilde_ints,
     pt_add,
@@ -86,6 +86,10 @@ def test_class_keys_separate_exactly_isomorphism_classes():
         for b in range(q):
             if (4 * a**3 + 27 * b**2) % q:
                 curves.append((a, b))
+    # the key's second entry is the j-invariant
+    for a, b in curves:
+        j = WeierstrassCurve(F, 0, 0, 0, a, b).j_invariant().rep
+        assert short_class_key(a, b, q, tab)[1] == j
     # same key <=> isomorphic, on a modest sample
     sample = curves[::7]
     for a1, b1 in sample[:12]:
@@ -342,7 +346,7 @@ def test_ell2_graphs():
         assert g.target_order % 2 == 0
         assert len(g.arms) <= 3
         for arm in g.arms:
-            assert arm.kernel_point[1] == 0 or True  # kernel is 2-torsion
+            assert arm.kernel_point[1] == 0  # 2-torsion on a short curve
             phi = arm.isogeny(PrimeField(13))
             assert phi.degree == 2
 
@@ -363,16 +367,6 @@ def test_graph_serialization():
     assert all(d["q"] == 7 and d["ell"] == 3 for d in data)
     o2 = [d for d in data if d["order"] >= 2]
     assert len(o2) == 1 and len(o2[0]["arms"]) == 4
-
-
-def test_j_invariant_int_matches_object():
-    from isogeny_lab.curves import WeierstrassCurve
-
-    q = 13
-    F = PrimeField(q)
-    for coeffs in [(1, 0, 2, 0, 0), (0, 0, 0, 1, 1), (1, 2, 3, 4, 5)]:
-        E = WeierstrassCurve(F, *coeffs)
-        assert j_invariant_int(coeffs, q) == E.j_invariant().rep
 
 
 @pytest.mark.parametrize(
@@ -541,13 +535,33 @@ def check_point_calls():
     return calls
 
 
+def peval_deriv(f, x, q):
+    """(f(x), f'(x)) in one Horner pass."""
+    acc = 0
+    dacc = 0
+    for c in reversed(f):
+        dacc = (dacc * x + acc) % q
+        acc = (acc * x + c) % q
+    return acc, dacc
+
+
+def test_peval_deriv_matches_pderiv_and_peval():
+    rng = random.Random(3)
+    for q in (5, 13, 101):
+        for _ in range(40):
+            f = intpoly.trim([rng.randrange(q) for _ in range(rng.randrange(0, 10))])
+            for x in (0, 1, q - 1, rng.randrange(q)):
+                want = (intpoly.peval(f, x, q), intpoly.peval(intpoly.pderiv(f, q), x, q))
+                assert peval_deriv(f, x, q) == want
+
+
 def _x_map_mismatches(calls):
     """How many calls velu_x_map_at answers differently from peval_deriv of
     the velu_x_maps_int polynomials at the same point."""
     bad = 0
     for src, binv, kappa, p1, ell, x, q in calls:
         num, den = graphs_mod.velu_x_maps_int(src, list(kappa), ell, q)
-        want = (*intpoly.peval_deriv(num, x, q), *intpoly.peval_deriv(den, x, q))
+        want = (*peval_deriv(num, x, q), *peval_deriv(den, x, q))
         bad += graphs_mod.velu_x_map_at(binv, list(kappa), p1, ell, x, q) != want
     return bad
 

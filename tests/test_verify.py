@@ -141,6 +141,15 @@ def test_replay_passing_witnesses():
     assert replay_witness(w3)
 
 
+def test_replay_runs_the_pairing_suite(monkeypatch):
+    """A pairing-suite witness replays through the sweep's own target check,
+    so a failing suite keeps it failing."""
+    w = {"claim": CLAIM_THM1, "kind": "pairing-suite", "q": 7, "ell": 3, "target": [0, 2]}
+    assert replay_witness(w)
+    monkeypatch.setattr(V, "_pairing_suite", lambda basis: False)
+    assert replay_witness(w) is False
+
+
 def test_replay_synthetic_violation():
     # two equal hyperplanes claimed independent: the lattice check must fail
     w = {
