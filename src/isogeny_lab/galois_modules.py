@@ -123,6 +123,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ell: int, ambient: int, vectors) -> "Subspace":
         vecs = [tuple(x % ell for x in v) for v in vectors]
+        if any(len(v) != ambient for v in vecs):
+            raise ValueError(f"vectors must have length {ambient}")
         reduced, _ = rref(vecs, ell) if vecs else ((), [])
         return cls(ell=ell, ambient=ambient, rows=reduced)
 
@@ -503,7 +505,11 @@ def theorem2_construct(cfg: PointedConfiguration) -> list[Vector]:
     """The constructive procedure: W_i with H_I + W_i = H_{I minus i}
     (direct), Q_i the canonical generator of W_i.  Asserts the guaranteed
     postconditions: every Q_i fixed, the Q_i independent, span inside the
-    fixed subspace."""
+    fixed subspace.
+
+    This is the one semisimplicity decision of its callers:
+    NotSemisimpleError means only that the module is not semisimple, and
+    every failure after that is a TheoremViolationError."""
     module = cfg.module
     hyps = list(cfg.hyperplanes)
     n = len(hyps)
@@ -521,7 +527,11 @@ def theorem2_construct(cfg: PointedConfiguration) -> list[Vector]:
         for j, h in enumerate(hyps):
             if j != i:
                 h_rest = h_rest.intersect(h)
-        w = relative_invariant_complement(module, h_all, h_rest)
+        try:
+            w = relative_invariant_complement(module, h_all, h_rest)
+        except NotSemisimpleError as exc:
+            # the module was just found semisimple, so the complement exists
+            raise TheoremViolationError(f"complement W_{i} is missing: {exc}") from exc
         if w.dim != 1:
             raise TheoremViolationError(
                 f"complement W_{i} has dimension {w.dim}, expected 1"

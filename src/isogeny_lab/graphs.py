@@ -296,71 +296,89 @@ def line_poly_int(xmul, xi, f, q):
     return w
 
 
-# --- Velu over ints ----------------------------------------------------------------
+# --- Velu's formulas -----------------------------------------------------------------
+
+
+def velu_t_w(b, ell, d, sums, half):
+    """Velu's t and w for the subgroup whose kernel polynomial has degree d
+    and root power sums sums = (p_1, p_2, p_3) (only p_1 at ell = 2), on a
+    curve with b-invariants b = (b2, b4, b6); the quotient is
+    a4 - 5t, a6 - b2 t - 7w (J. Velu, C. R. Acad. Sci. Paris 273, 1971).
+
+    Plain operators only, so it runs on unreduced ints, FieldElements and
+    Fractions alike.  half is 1/2 in the ring; only ell = 2 uses it.
+    """
+    b2, b4, b6 = b
+    if ell == 2:
+        x0 = sums[0]
+        t = (6 * x0 * x0 + b2 * x0 + b4) * half
+        return t, x0 * t
+    p1, p2, p3 = sums
+    return 6 * p2 + b2 * p1 + d * b4, 10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6
+
+
+def velu_x_map(b, h, p1, t, ell, poly, mul, sub, deriv):
+    """(num, den) of the quotient x-map x -> num/den for the kernel
+    polynomial h with root sum p1, on a curve with b = (b2, b4, b6):
+
+        den = h^2,  num = (ell x - 2 p1) h^2 - v h' h - u (h'' h - h'^2)
+
+    with v = 6x^2 + b2 x + b4 and u = 4x^3 + b2 x^2 + 2 b4 x + b6; at
+    ell = 2, den = h and num = x h + t with Velu's t.
+
+    Written once for any coefficient ring, like psi_tilde: poly builds a
+    polynomial from an ascending coefficient list, mul, sub and deriv are
+    the product, difference and derivative.  velu_x_maps_int is the
+    ints-mod-q instance and isogenies.quotient_by_kernel_polynomial the
+    Polynomial one.
+    """
+    if ell == 2:
+        return sub(mul(poly([0, 1]), h), poly([-t])), h
+    b2, b4, b6 = b
+    hp = deriv(h)
+    h2 = mul(h, h)
+    num = sub(
+        sub(mul(poly([-2 * p1, ell]), h2), mul(poly([b4, b2, 6]), mul(hp, h))),
+        mul(poly([b6, 2 * b4, b2, 4]), sub(mul(deriv(hp), h), mul(hp, hp))),
+    )
+    return num, h2
 
 
 def velu_codomain_int(coeffs, kappa, ell, q, binv=None, sums=None):
     """Codomain coefficients of the quotient by the subgroup with kernel
-    polynomial kappa (monic, ints).
+    polynomial kappa (monic, ints): velu_t_w over ints mod q.
 
     binv = (b2, b4, b6) of the curve and sums = the power sums p_1..p_3 of
     kappa's roots are computed here unless the caller already has them.
     """
     a1, a2, a3, a4, a6 = coeffs
-    b2, b4, b6 = binv or curve_b_invariants_int(coeffs, q)[:3]
-    d = intpoly.deg(kappa)
-    if ell == 2:
-        x0 = (-kappa[0]) % q
-        t = (6 * x0 * x0 + b2 * x0 + b4) * pow(2, -1, q) % q
-        w = x0 * t % q
-    else:
-        p1, p2, p3 = sums or intpoly.power_sums(kappa, 3)
-        t = (6 * p2 + b2 * p1 + d * b4) % q
-        w = (10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6) % q
-    return (a1, a2, a3, (a4 - 5 * t) % q, (a6 - b2 * t - 7 * w) % q)
+    b = binv or curve_b_invariants_int(coeffs, q)[:3]
+    sums = sums or intpoly.power_sums(kappa, 3)
+    t, w = velu_t_w(b, ell, intpoly.deg(kappa), sums, (q + 1) // 2)
+    return (a1, a2, a3, (a4 - 5 * t) % q, (a6 - b[0] * t - 7 * w) % q)
 
 
 def velu_x_maps_int(coeffs, kappa, ell, q):
-    """(num, den) int polynomials of the quotient x-map."""
-    b2, b4, b6, _ = curve_b_invariants_int(coeffs, q)
-    h = kappa
-    if ell == 2:
-        x0 = (-h[0]) % q
-        t = (6 * x0 * x0 + b2 * x0 + b4) * pow(2, -1, q) % q
-        num = intpoly.padd(intpoly.pmul([0, 1], h, q), [t], q)
-        return num, h[:]
-    d = intpoly.deg(h)
-    p1 = intpoly.power_sums(h, 1)[0]
-    v = intpoly.trim([b4, b2, 6 % q])
-    u = intpoly.trim([b6, (2 * b4) % q, b2, 4 % q])
-    hp = intpoly.pderiv(h, q)
-    hpp = intpoly.pderiv(hp, q)
-    h2 = intpoly.pmul(h, h, q)
-    num = intpoly.psub(
-        intpoly.psub(
-            intpoly.psub(
-                intpoly.pscale(intpoly.pmul([0, 1], h2, q), ell, q),
-                intpoly.pscale(h2, 2 * p1, q),
-                q,
-            ),
-            intpoly.pmul(v, intpoly.pmul(hp, h, q), q),
-            q,
-        ),
-        intpoly.pmul(u, intpoly.psub(intpoly.pmul(hpp, h, q), intpoly.pmul(hp, hp, q), q), q),
-        q,
+    """(num, den) int polynomials of the quotient x-map: velu_x_map over
+    ints mod q."""
+    b = curve_b_invariants_int(coeffs, q)[:3]
+    sums = intpoly.power_sums(kappa, 3)
+    t = velu_t_w(b, ell, intpoly.deg(kappa), sums, (q + 1) // 2)[0]
+    return velu_x_map(
+        b, kappa, sums[0], t, ell,
+        lambda cs: intpoly.trim([c % q for c in cs]),
+        lambda f, g: intpoly.pmul(f, g, q),
+        lambda f, g: intpoly.psub(f, g, q),
+        lambda f: intpoly.pderiv(f, q),
     )
-    return num, h2
 
 
 def velu_x_map_at(binv, kappa, p1, ell, x, q):
-    """(num(x), num'(x), den(x), den'(x)) of velu_x_maps_int at x in F_q,
-    without building the polynomials.
+    """(num(x), num'(x), den(x), den'(x)) of the velu_x_map polynomials at
+    x in F_q, without building them.
 
-    binv = (b2, b4, b6) of the source curve and p1 the sum of kappa's roots.
-    With h = kappa, den = h^2 and num = ell x h^2 - 2 p1 h^2 - v h' h
-    - u (h'' h - h'^2), where v = 6x^2 + b2 x + b4 and
-    u = 4x^3 + b2 x^2 + 2 b4 x + b6 (den = h and num = x h + t at ell = 2);
-    one Horner pass gives h, h', h'' and h''' at x.
+    binv = (b2, b4, b6) of the source curve and p1 the sum of kappa's roots;
+    one Horner pass gives h, h', h'' and h''' at x for h = kappa.
     """
     b2, b4, b6 = binv
     t0 = t1 = t2 = t3 = 0  # t_k = h^(k)(x) / k!
@@ -371,7 +389,7 @@ def velu_x_map_at(binv, kappa, p1, ell, x, q):
         t0 = t0 * x + c
     h, hp = t0 % q, t1 % q
     if ell == 2:
-        t = (6 * p1 * p1 + b2 * p1 + b4) * ((q + 1) // 2)
+        t = velu_t_w(binv, 2, 1, (p1,), (q + 1) // 2)[0]
         return (x * h + t) % q, (h + x * hp) % q, h, hp
     hpp, hppp = 2 * t2 % q, 6 * t3 % q
     v = (6 * x + b2) * x + b4
@@ -470,33 +488,28 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
     coeffs = (0, 0, 0, A % q, B % q)
     cubic = [B % q, A % q, 0, 1]
     if ell == 2:
-        lines = [[(-r) % q, 1] for r in intpoly.roots_in_fq(cubic, q)]
-        out = []
-        for w in lines:
-            cod = velu_codomain_int(coeffs, w, 2, q)
-            key = short_class_key(cod[3], cod[4], q, tab)
-            out.append((tuple(w), key, cod))
-        return out
-    psi, F = psi_tilde_ints(coeffs, q, ell)
-    psi_x = psi[ell]
-    qmod = q % ell
-    a_star = min(qmod, ell - qmod)
-    num, den = xmul_fraction_ints(psi, F, a_star, q)
-    xq = intpoly.ppowmod([0, 1], q, psi_x, q)
-    g = intpoly.pgcd(intpoly.psub(intpoly.pmul(xq, den, q), num, q), psi_x, q)
-    if qmod == ell - 1:
-        # keep the roots x at which the cubic is a non-square
-        s = intpoly.ppowmod(cubic, (q - 1) // 2, g, q)
-        g = intpoly.pgcd(intpoly.padd(s, [1], q), g, q)
-    half = (ell - 1) // 2
-    if intpoly.deg(g) == half:
-        lines = [tuple(g)]
-    elif qmod == 1 and intpoly.deg(g) == half * (ell + 1):
-        xmul = xmul_table(psi, F, ell, q)
-        roots = intpoly.equal_degree_split(g, 1, q)
-        lines = sorted({tuple(line_poly_int(xmul, [(-r[0]) % q], r, q)) for r in roots})
+        lines = [((-r) % q, 1) for r in intpoly.roots_in_fq(cubic, q)]
     else:
-        raise InternalError(f"q-eigenline gcd has degree {intpoly.deg(g)}")
+        psi, F = psi_tilde_ints(coeffs, q, ell)
+        psi_x = psi[ell]
+        qmod = q % ell
+        a_star = min(qmod, ell - qmod)
+        num, den = xmul_fraction_ints(psi, F, a_star, q)
+        xq = intpoly.ppowmod([0, 1], q, psi_x, q)
+        g = intpoly.pgcd(intpoly.psub(intpoly.pmul(xq, den, q), num, q), psi_x, q)
+        if qmod == ell - 1:
+            # keep the roots x at which the cubic is a non-square
+            s = intpoly.ppowmod(cubic, (q - 1) // 2, g, q)
+            g = intpoly.pgcd(intpoly.padd(s, [1], q), g, q)
+        half = (ell - 1) // 2
+        if intpoly.deg(g) == half:
+            lines = [tuple(g)]
+        elif qmod == 1 and intpoly.deg(g) == half * (ell + 1):
+            xmul = xmul_table(psi, F, ell, q)
+            roots = intpoly.equal_degree_split(g, 1, q)
+            lines = sorted({tuple(line_poly_int(xmul, [(-r[0]) % q], r, q)) for r in roots})
+        else:
+            raise InternalError(f"q-eigenline gcd has degree {intpoly.deg(g)}")
     out = []
     for w_key in lines:
         cod = velu_codomain_int(coeffs, list(w_key), ell, q)  # short, like its source
@@ -765,7 +778,7 @@ class SoundnessStats:
 
 
 class _TargetClass:
-    __slots__ = ("key", "rep", "order", "lines", "arms", "line_index", "_dual_j")
+    __slots__ = ("key", "rep", "order", "lines", "arms", "line_index", "dual_j")
 
     def __init__(self, key, rep, order, lines):
         self.key = key
@@ -776,16 +789,8 @@ class _TargetClass:
         self.line_index = {}
         for w, qkey, _ in lines:
             self.line_index.setdefault(qkey, []).append(w)
-        self._dual_j = {}
-
-    def dual_quotient_j(self, w, ell, q):
-        """j of the representative's quotient by the line w, or None when
-        that quotient is singular; computed once per line."""
-        if w not in self._dual_j:
-            A, B = velu_codomain_int((0, 0, 0, *self.rep), list(w), ell, q)[3:]
-            singular = (4 * A**3 + 27 * B * B) % q == 0
-            self._dual_j[w] = None if singular else short_class_key(A, B, q, fq_tables(q))[1]
-        return self._dual_j[w]
+        # j of the representative's quotient by each line
+        self.dual_j = {w: qkey[1] for w, qkey, _ in lines}
 
 
 def build_pointed_graphs(
@@ -1011,9 +1016,8 @@ def _soundness_checks(
         if ev(s2) != e0:
             stats.record("homomorphism_failures", "kernel-invariance", src)
             return
-    # dual-kernel quotient returns j(source), the second entry of its class
-    # key; a singular one (None) never does
-    if tc.dual_quotient_j(w_line, ell, q) != src_key[1]:
+    # dual-kernel quotient returns j(source), the second entry of its class key
+    if tc.dual_j[w_line] != src_key[1]:
         stats.record("dual_j_failures", "dual-quotient-j", src)
         return
     # isogenous curves have equal order

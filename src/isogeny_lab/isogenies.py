@@ -3,18 +3,17 @@ isomorphisms, the universal 3-isogeny family, and dual-kernel computation.
 
 The quotient is computed from the kernel polynomial alone: the Velu sums
 are symmetric functions of the kernel x-coordinates, so power sums via
-Newton's identities give the codomain, and the x-map collapses to
-
-    X = ell*x - 2*p1 - v(x) h'/h - u(x) (h'' h - h'^2) / h^2
-
-with v = 6x^2 + b2 x + b4, u = 4x^3 + b2 x^2 + 2 b4 x + b6.  The y-map is
-forced by the normalization (the pullback of the invariant differential is
-the invariant differential):  Y = (X'(x) (2y + a1 x + a3) - a1 X - a3)/2.
+Newton's identities give the codomain and the x-map (graphs.velu_t_w and
+graphs.velu_x_map, shared with the int layer).  The y-map is forced by the
+normalization (the pullback of the invariant differential is the invariant
+differential):  Y = (X'(x) (2y + a1 x + a3) - a1 X - a3)/2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import dataclass, replace
 
 from . import graphs, intpoly
 from .curves import CurvePoint, WeierstrassCurve
@@ -147,11 +146,9 @@ def kernel_polynomial_from_point(point: CurvePoint, ell: int) -> Polynomial:
     curve = point.curve
     field = curve.field
     x = Polynomial.x(field)
-    if ell == 2:
-        return x - Polynomial(field, [point.x])
     out = Polynomial(field, [field.one()])
     acc = point
-    for _ in range((ell - 1) // 2):
+    for _ in range(max(1, (ell - 1) // 2)):
         out = out * (x - Polynomial(field, [acc.x]))
         acc = acc + point
     return out
@@ -160,43 +157,25 @@ def kernel_polynomial_from_point(point: CurvePoint, ell: int) -> Polynomial:
 def quotient_by_kernel_polynomial(
     curve: WeierstrassCurve, h: Polynomial, ell: int
 ) -> Isogeny:
-    """Velu quotient of `curve` by the subgroup with kernel polynomial h."""
+    """Velu quotient of `curve` by the subgroup with kernel polynomial h: the
+    Polynomial instance of graphs.velu_t_w and graphs.velu_x_map."""
     field = curve.field
-    b2, b4, b6, _ = curve.b_invariants()
-    one = field.one()
     h = h.monic()
-    d = h.degree
-    x = Polynomial.x(field)
-    if ell == 2:
-        if d != 1:
-            raise ValueError("degree-2 kernel polynomial must be linear")
-        x0 = -h.coeffs[0]
-        t = (6 * x0 * x0 + b2 * x0 + b4) / 2
-        w = x0 * t
-        num = x * h + Polynomial(field, [t])
-        den = h
-    else:
-        if d != (ell - 1) // 2:
-            raise ValueError("kernel polynomial degree must be (ell-1)/2")
-        p1, p2, p3 = intpoly.power_sums(h.coeffs, 3)
-        t = 6 * p2 + b2 * p1 + d * b4
-        w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6
-        v_poly = Polynomial(field, [b4, b2, 6 * one])
-        u_poly = Polynomial(field, [b6, 2 * b4, b2, 4 * one])
-        hp = h.derivative()
-        hpp = hp.derivative()
-        h2 = h * h
-        num = (
-            ell * x * h2
-            - Polynomial(field, [2 * p1]) * h2
-            - v_poly * hp * h
-            - u_poly * (hpp * h - hp * hp)
-        )
-        den = h2
+    d = 1 if ell == 2 else (ell - 1) // 2
+    if h.degree != d:
+        raise ValueError(f"kernel polynomial degree must be {d}")
+    b = curve.b_invariants()[:3]
+    sums = intpoly.power_sums(h.coeffs, 3)
+    t, w = graphs.velu_t_w(b, ell, d, sums, field.one() / 2)
+    num, den = graphs.velu_x_map(
+        b, h, sums[0], t, ell,
+        functools.partial(Polynomial, field),
+        operator.mul,
+        operator.sub,
+        Polynomial.derivative,
+    )
     a1, a2, a3, a4, a6 = curve.coefficients()
-    codomain = WeierstrassCurve(field, a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * w)
-    if _val_is_zero(codomain.discriminant()):
-        raise InternalError("Velu codomain is singular")
+    codomain = WeierstrassCurve(field, a1, a2, a3, a4 - 5 * t, a6 - b[0] * t - 7 * w)
     return Isogeny(
         domain=curve,
         codomain=codomain,
@@ -223,16 +202,7 @@ def velu_quotient(curve: WeierstrassCurve, point: CurvePoint, ell: int | None = 
     if ch and ch == ell:
         raise ValueError("ell must differ from the characteristic")
     h = kernel_polynomial_from_point(point, ell)
-    phi = quotient_by_kernel_polynomial(curve, h, ell)
-    return Isogeny(
-        domain=phi.domain,
-        codomain=phi.codomain,
-        degree=ell,
-        kernel_poly=phi.kernel_poly,
-        num=phi.num,
-        den=phi.den,
-        kernel_point=point,
-    )
+    return replace(quotient_by_kernel_polynomial(curve, h, ell), kernel_point=point)
 
 
 def _point_prime_order(point: CurvePoint, bound: int = 200) -> int:

@@ -12,6 +12,7 @@ counterexample.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .curves import (
     torsion_field_degree,
     weil_pairing,
 )
-from .errors import InternalError, NotSemisimpleError, TheoremViolationError
+from .errors import CapabilityError, InternalError, NotSemisimpleError, TheoremViolationError
 from .fields import Polynomial, PrimeField, QQ, poly_roots, rational_roots, rational_sqrt
 from .galois_modules import (
     GaloisModule,
@@ -264,6 +265,27 @@ def _line_subspace(basis, w_ints: list[int]) -> Subspace:
 # --- theorem 2 on products -------------------------------------------------------
 
 
+def _check_theorem2_config(mod: GaloisModule, hyps: tuple) -> tuple[dict | None, bool | None]:
+    """The product sweep's check of one configuration, in order:
+    pointedness, order, fixed dimension, then the construction, which is
+    the one semisimplicity decision.  Returns (violation, semisimple): the
+    violation's kind (and error) or None, and whether the module is
+    semisimple, None when the construction did not run."""
+    if not all(pointedness_check(mod, h) for h in hyps):
+        return {"kind": "product-not-pointed"}, None
+    if graph_order(hyps) != len(hyps):
+        return {"kind": "product-order"}, None
+    if fixed_subspace(mod).dim < len(hyps):
+        return {"kind": "fixed-dim"}, None
+    try:
+        theorem2_construct(PointedConfiguration(module=mod, hyperplanes=hyps))
+    except NotSemisimpleError:
+        return None, False
+    except TheoremViolationError as exc:
+        return {"kind": "construction-failed", "error": str(exc)}, True
+    return None, True
+
+
 def verify_theorem2_products(
     q: int,
     ell: int,
@@ -276,7 +298,8 @@ def verify_theorem2_products(
 
     Every module here is generated by the single (block-diagonal) Frobenius,
     so the fixed space has dimension >= 2 with or without semisimplicity;
-    semisimple instances additionally run the construction.
+    the construction then decides semisimplicity and, on semisimple
+    instances, builds the vectors.
     """
     t0 = time.time()
     field = PrimeField(q)
@@ -285,18 +308,10 @@ def verify_theorem2_products(
         parameters={"q": q, "ell": ell, "n": 2, "max_pairs": max_pairs,
                     "splitting_degree_cap": splitting_degree_cap}
     )
-    arms = []
-    for g in graph_list:
-        for arm in g.arms:
-            arms.append((g, arm))
-    pairs = []
-    for i in range(len(arms)):
-        for j in range(i, len(arms)):
-            pairs.append((arms[i], arms[j]))
+    arms = [(g, arm) for g in graph_list for arm in g.arms]
     rep.counts = {"arms_available": len(arms), "pairs_checked": 0,
                   "pairs_skipped_large_splitting": 0,
                   "semisimple_instances": 0, "non_semisimple_instances": 0}
-    used = 0
     factor_cache: dict = {}
 
     def factor_data(g):
@@ -312,15 +327,14 @@ def verify_theorem2_products(
                 factor_cache[key] = (basis, mat)
         return factor_cache[key]
 
-    for (g1, a1), (g2, a2) in pairs:
-        if used >= max_pairs:
+    for (g1, a1), (g2, a2) in itertools.combinations_with_replacement(arms, 2):
+        if rep.counts["pairs_checked"] >= max_pairs:
             break
         d1 = factor_data(g1)
         d2 = factor_data(g2)
         if d1 is None or d2 is None:
             rep.counts["pairs_skipped_large_splitting"] += 1
             continue
-        used += 1
         rep.counts["pairs_checked"] += 1
         b1, m1 = d1
         b2, m2 = d2
@@ -334,37 +348,16 @@ def verify_theorem2_products(
         (l2a, l2b) = l2.rows[0]
         h1 = Subspace.from_vectors(ell, 4, [(l1a, l1b, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
         h2 = Subspace.from_vectors(ell, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, l2a, l2b)])
-        witness_data = {
-            "q": q, "ell": ell,
-            "targets": [list(g1.target), list(g2.target)],
-            "module": mod.to_json(),
-            "hyperplanes": [h1.to_json(), h2.to_json()],
-        }
-        if not (pointedness_check(mod, h1) and pointedness_check(mod, h2)):
-            rep.add_violation(CLAIM_THM2, {"kind": "product-not-pointed", **witness_data})
-            continue
-        if graph_order([h1, h2]) != 2:
-            rep.add_violation(CLAIM_THM2, {"kind": "product-order", **witness_data})
-            continue
-        fixed = fixed_subspace(mod)
-        if fixed.dim < 2:
-            rep.add_violation(CLAIM_THM2, {"kind": "fixed-dim", **witness_data})
-            continue
-        if is_semisimple(mod):
-            rep.counts["semisimple_instances"] += 1
-            cfg = PointedConfiguration(module=mod, hyperplanes=(h1, h2))
-            try:
-                qs = theorem2_construct(cfg)
-            except (TheoremViolationError, NotSemisimpleError) as exc:
-                rep.add_violation(
-                    CLAIM_THM2, {"kind": "construction-failed", "error": str(exc),
-                                 **witness_data}
-                )
-                continue
-            if mat_rank(qs, ell) != 2:
-                rep.add_violation(CLAIM_THM2, {"kind": "construction-rank", **witness_data})
-        else:
-            rep.counts["non_semisimple_instances"] += 1
+        violation, semisimple = _check_theorem2_config(mod, (h1, h2))
+        if semisimple is not None:
+            rep.counts["semisimple_instances" if semisimple else "non_semisimple_instances"] += 1
+        if violation:
+            rep.add_violation(CLAIM_THM2, {
+                **violation, "q": q, "ell": ell,
+                "targets": [list(g1.target), list(g2.target)],
+                "module": mod.to_json(),
+                "hyperplanes": [h1.to_json(), h2.to_json()],
+            })
     if CLAIM_THM2 not in rep.paper_claims:
         rep.paper_claims[CLAIM_THM2] = (
             VERIFIED if rep.counts["pairs_checked"] else NOT_APPLICABLE
@@ -517,10 +510,12 @@ def theorem2_trial(rng: random.Random):
     n = rng.randrange(1, min(4, 2 * g) + 1)
     cfg = random_semisimple_pointed_config(rng, ell, g, n)
     data = {"ell": ell, "g": g, "n": n, "config": cfg.to_json()}
-    if not is_semisimple(cfg.module):
-        return {"kind": "generator-not-semisimple", **data}
     try:
         qs = theorem2_construct(cfg)
+    except NotSemisimpleError:
+        return {"kind": "generator-not-semisimple", **data}
+    except CapabilityError:  # an undecided module is not a failure witness
+        raise
     except Exception as exc:  # noqa: BLE001 - recorded as witness
         return {"kind": "construction-error", "error": str(exc), **data}
     if len(qs) != n or mat_rank(qs, ell) != n:
@@ -533,12 +528,10 @@ def theorem2_trial(rng: random.Random):
 
 
 def _brute_fixed_vectors(module: GaloisModule) -> set:
-    import itertools as it
-
     from .galois_modules import mat_vec
 
     out = set()
-    for vec in it.product(range(module.ell), repeat=module.dim):
+    for vec in itertools.product(range(module.ell), repeat=module.dim):
         if all(mat_vec(gm, vec, module.ell) == vec for gm in module.generators):
             out.add(vec)
     return out
@@ -683,17 +676,8 @@ def replay_witness(witness: dict) -> bool:
                 for rows in witness["hyperplanes"]
             )
             try:
-                if not all(pointedness_check(mod, h) for h in hyps):
-                    return False
-                if graph_order(list(hyps)) != len(hyps):
-                    return False
-                if fixed_subspace(mod).dim < len(hyps):
-                    return False
-                if is_semisimple(mod):
-                    cfg = PointedConfiguration(module=mod, hyperplanes=hyps)
-                    theorem2_construct(cfg)
-                return True
-            except (TheoremViolationError, NotSemisimpleError, ValueError):
+                return _check_theorem2_config(mod, hyps)[0] is None
+            except ValueError:
                 return False
         rep = verify_theorem2_products(witness["q"], witness["ell"])
         return rep.clean

@@ -167,6 +167,22 @@ def test_module_construct_not_semisimple_is_plain_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("row", [[1, 0, 0], [1]])
+def test_module_malformed_hyperplane_is_plain_error(row, capsys, tmp_path):
+    # a hyperplane vector of the wrong length used to give order 1 and a
+    # constructed vector (too long) or an IndexError traceback (too short)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "ell": 3, "dim": 2,
+        "generators": [[[1, 0], [0, 1]]],
+        "hyperplanes": [[row]],
+    }))
+    for op in ("order", "construct"):
+        code = main(["module", "--input", str(path), "--op", op])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_theorem_violation_exits_two(capsys, tmp_path, monkeypatch):
     def violate(cfg):
         raise TheoremViolationError("synthetic violation")

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isogeny_lab.errors import ClosureOverflowError, NotSemisimpleError
+from isogeny_lab import galois_modules
+from isogeny_lab.errors import ClosureOverflowError, NotSemisimpleError, TheoremViolationError
 from isogeny_lab.galois_modules import (
     GaloisModule,
     PointedConfiguration,
@@ -352,6 +353,14 @@ def test_necessity_witness():
     assert not is_semisimple(cfg.module)
     assert fixed_subspace(cfg.module).dim == 0
     assert brute_fixed(cfg.module) == {(0, 0, 0, 0)}
+
+
+def test_construct_missing_complement_after_semisimple_is_violation(monkeypatch):
+    """Once theorem2_construct has found the module semisimple, a missing
+    complement is a theorem violation, not a NotSemisimpleError."""
+    monkeypatch.setattr(galois_modules, "is_semisimple", lambda module: True)
+    with pytest.raises(TheoremViolationError, match="complement W_0 is missing"):
+        theorem2_construct(necessity_witness_config())
 
 
 @given(st.integers(0, 10_000))

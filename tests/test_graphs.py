@@ -459,7 +459,7 @@ def test_soundness_wrong_dual_line_fails_every_arm_on_it(monkeypatch):
         for tc in sorted({tc for tc, _ in seen}, key=lambda tc: tc.rep)
         for w1, _, _ in tc.lines if per_line[tc.rep, w1] >= 2
         for w2, _, _ in tc.lines
-        if tc.dual_quotient_j(w2, ell, q) != tc.dual_quotient_j(w1, ell, q)
+        if tc.dual_j[w2] != tc.dual_j[w1]
     )
 
     def redirect(a):

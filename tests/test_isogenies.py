@@ -1,16 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isogeny_lab import graphs as G
 from isogeny_lab.curves import (
     WeierstrassCurve,
     curve_order,
     division_polynomial,
     torsion_basis,
 )
-from isogeny_lab.fields import PrimeField, QQ, poly_roots
+from isogeny_lab.fields import Polynomial, PrimeField, QQ, poly_roots
 from isogeny_lab.isogenies import (
     CurveIsomorphism,
     curves_isomorphic,
@@ -79,7 +81,34 @@ def test_family_universal_claim_at_scale():
         done += 1
 
 
-def test_velu_kernel_collapses_and_translation_invariance():
+# Short curves (q, a4, a6, ell), two per ell: the first has rational
+# ell-torsion, the second full ell-torsion over F_{q^2} only.
+_TORSION_CURVES = [
+    (5, 1, 0, 2), (5, 0, 1, 2), (7, 0, 2, 3), (5, 0, 1, 3),
+    (31, 0, 11, 5), (19, 1, 0, 5), (43, 0, 3, 7), (13, 0, 4, 7),
+]
+
+
+@pytest.fixture(scope="module")
+def velu_cases():
+    """(phi, kernel generator, sample points of the domain): the quotients
+    by the lines of P, Q and P + Q for a torsion basis of each curve above,
+    over F_q or F_{q^2}, and the family over Q at (v, w) = (-1, 1), which
+    has the rational point R = (1, 1), by its 3-torsion point (0, 0)."""
+    cases = []
+    for i, (q, a4, a6, ell) in enumerate(_TORSION_CURVES):
+        basis = torsion_basis(WeierstrassCurve(PrimeField(q), 0, 0, 0, a4, a6), ell)
+        assert basis.k == 1 + i % 2
+        pts = affine_points(basis.curve, cap=40)
+        for gen in (basis.P, basis.Q, basis.P + basis.Q):
+            cases.append((velu_quotient(basis.curve, gen, ell), gen, pts))
+    e3, p, _ = family_e3(QQ, -1, 1)
+    r = e3.point(1, 1)
+    cases.append((velu_quotient(e3, p, 3), p, [r, 2 * r, -r, r + p, 3 * r]))
+    return cases
+
+
+def test_velu_kernel_collapses_and_translation_invariance(velu_cases):
     F13 = PrimeField(13)
     e3, p, _ = family_e3(F13, 2, 1)
     phi = velu_quotient(e3, p)
@@ -88,17 +117,60 @@ def test_velu_kernel_collapses_and_translation_invariance():
     assert phi(2 * p).is_infinity()
     for Q in affine_points(e3, cap=10):
         assert phi(Q + p) == phi(Q)
+    for phi, gen, pts in velu_cases:
+        assert all(phi(k * gen).is_infinity() for k in range(1, phi.degree))
+        for Q in pts[:5]:
+            assert phi(Q + gen) == phi(Q)
 
 
-def test_velu_homomorphism_twenty_samples():
+def test_velu_homomorphism_twenty_samples(velu_cases):
     F13 = PrimeField(13)
     e3, p, _ = family_e3(F13, 2, 1)
-    phi = velu_quotient(e3, p)
-    pts = affine_points(e3)
+    velu_cases = [(velu_quotient(e3, p), p, affine_points(e3)), *velu_cases]
+    assert {phi.degree for phi, _, _ in velu_cases} == {2, 3, 5, 7}
     rng = random.Random(0)
-    for _ in range(20):
-        A, B = rng.choice(pts), rng.choice(pts)
-        assert phi(A + B) == phi(A) + phi(B)
+    for phi, _, pts in velu_cases:
+        for _ in range(20):
+            A, B = rng.choice(pts), rng.choice(pts)
+            img = phi(A + B)
+            assert img.is_infinity() or phi.codomain.contains(img.x, img.y)
+            assert img == phi(A) + phi(B)
+
+
+def test_int_velu_is_the_polynomial_instance_mod_q(velu_cases):
+    """velu_codomain_int and velu_x_maps_int equal quotient_by_kernel_polynomial
+    reduced mod q, on short and long curves, and so does the quotient that
+    enumerate_pointed_lines stores with each line."""
+    prime = [(phi, gen) for phi, gen, _ in velu_cases if isinstance(phi.domain.field, PrimeField)]
+    assert {phi.degree for phi, _ in prime} == {2, 3, 5, 7}
+    for phi, gen in prime:
+        F, ell = phi.domain.field, phi.degree
+        iso = CurveIsomorphism(F, 2, 3, 4, 5)
+        long_curve = iso.apply_to_curve(phi.domain)
+        for E, P in [(phi.domain, gen), (long_curve, iso.apply_to_point(gen, long_curve))]:
+            h = kernel_polynomial_from_point(P, ell)
+            want = quotient_by_kernel_polynomial(E, h, ell)
+            coeffs, kappa = [c.to_int() for c in E.coefficients()], h.int_coeffs()
+            assert list(G.velu_codomain_int(coeffs, kappa, ell, F.p)) == [
+                c.to_int() for c in want.codomain.coefficients()]
+            num, den = G.velu_x_maps_int(coeffs, kappa, ell, F.p)
+            assert (num, den) == (want.num.int_coeffs(), want.den.int_coeffs())
+    lines = 0
+    for q, ell in [(13, 2), (13, 3), (31, 5), (29, 7)]:
+        F, tab = PrimeField(q), G.fq_tables(q)
+        orders = tab.orders()
+        for A, B in itertools.product(range(q), repeat=2):
+            N = orders[A][B]
+            if not N or N % ell:
+                continue
+            for w, key, cod in G.enumerate_pointed_lines(A, B, N, ell, q, tab):
+                want = quotient_by_kernel_polynomial(
+                    WeierstrassCurve(F, 0, 0, 0, A, B), Polynomial(F, list(w)), ell
+                ).codomain
+                assert list(cod) == [c.to_int() for c in want.coefficients()]
+                assert key[1] == want.j_invariant().to_int()
+                lines += 1
+    assert lines > 0
 
 
 def test_velu_fiber_sizes():

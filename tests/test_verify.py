@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from isogeny_lab import curves, graphs as G, intpoly, verify as V
+from isogeny_lab import curves, galois_modules as GM, graphs as G, intpoly, verify as V
 from isogeny_lab.curves import division_polynomial, torsion_field_degree
 from isogeny_lab.errors import InternalError
 from isogeny_lab.fields import PrimeField
@@ -74,6 +74,20 @@ def test_theorem2_products_small():
     assert rep.clean
     assert rep.paper_claims[CLAIM_THM2] in (VERIFIED, NOT_APPLICABLE)
     assert rep.counts["pairs_checked"] > 0
+
+
+def test_semisimplicity_decided_once_per_configuration(monkeypatch):
+    """theorem2_construct is the one semisimplicity decision of a trial and
+    of each product configuration."""
+    calls = []
+    orig = GM.is_semisimple
+    for mod in (GM, V):
+        monkeypatch.setattr(mod, "is_semisimple", lambda m: calls.append(m) or orig(m))
+    assert run_trials(theorem2_trial, 20, seed=2) == []
+    assert len(calls) == 20
+    calls.clear()
+    rep = verify_theorem2_products(7, 3, max_pairs=3)
+    assert len(calls) == rep.counts["pairs_checked"] > 0
 
 
 def test_counterexample_report():
