@@ -24,6 +24,10 @@ class NotSemisimpleError(IsogenyLabError):
     """No invariant complement exists; the module is not semisimple."""
 
 
+class NotPointedError(IsogenyLabError, ValueError):
+    """A hyperplane's quotient action is not trivial."""
+
+
 class TheoremViolationError(IsogenyLabError):
     """A postcondition that the verified theorems guarantee has failed.
 

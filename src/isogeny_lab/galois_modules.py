@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     CapabilityError,
     ClosureOverflowError,
+    NotPointedError,
     NotSemisimpleError,
     TheoremViolationError,
 )
@@ -231,14 +232,10 @@ class PointedConfiguration:
     hyperplanes: tuple[Subspace, ...]
 
     def __post_init__(self):
-        m = self.module
+        # pointedness_check raises ValueError unless h is an invariant hyperplane
         for h in self.hyperplanes:
-            if h.ambient != m.dim or h.dim != m.dim - 1:
-                raise ValueError("hyperplanes must have codimension 1")
-            if not is_invariant(m, h):
-                raise ValueError("hyperplane is not invariant")
-            if not pointedness_check(m, h):
-                raise ValueError("hyperplane quotient action is not trivial")
+            if not pointedness_check(self.module, h):
+                raise NotPointedError("hyperplane quotient action is not trivial")
 
     def to_json(self):
         data = self.module.to_json()

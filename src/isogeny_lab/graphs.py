@@ -137,6 +137,7 @@ def pt_neg(P, coeffs, q):
 
 
 def pt_mul(n, P, coeffs, q):
+    """[n]P by double and add from the low bit; nothing is doubled after the top bit."""
     if n < 0:
         return pt_mul(-n, pt_neg(P, coeffs, q), coeffs, q)
     R = None
@@ -144,8 +145,9 @@ def pt_mul(n, P, coeffs, q):
     while n:
         if n & 1:
             R = pt_add(R, add, coeffs, q)
-        add = pt_add(add, add, coeffs, q)
         n >>= 1
+        if n:
+            add = pt_add(add, add, coeffs, q)
     return R
 
 
@@ -428,7 +430,7 @@ def short_class_key(A, B, q, tab: FqTables):
 def solve_twist_scale(A1, B1, A2, B2, q, tab: FqTables):
     """u with (A1/u^4, B1/u^6) = (A2, B2), assuming the curves share a key."""
     if A1 % q and B1 % q:
-        u2 = B1 * pow(B2, -1, q) * A2 % q * pow(A1, -1, q) % q
+        u2 = B1 * A2 * pow(B2 * A1, -1, q) % q
         u = tab.sqrt[u2]
         if u < 0:
             raise InternalError("same-key curves do not admit an isomorphism (generic j)")
@@ -778,14 +780,18 @@ class SoundnessStats:
 
 
 class _TargetClass:
-    __slots__ = ("key", "rep", "order", "lines", "arms", "line_index", "dual_j")
+    """One target class: its pointed lines, the first arm on each dual line
+    (the one a report shows) and how many arms there were in all."""
+
+    __slots__ = ("key", "rep", "order", "lines", "arms", "n_arms", "line_index", "dual_j")
 
     def __init__(self, key, rep, order, lines):
         self.key = key
         self.rep = rep  # (A, B)
         self.order = order
         self.lines = lines  # [(w, quotient_key, quotient_coeffs)]
-        self.arms = []  # (GraphArm fields...) appended as tuples
+        self.arms = {}  # dual line -> the first GraphArm on it
+        self.n_arms = 0
         self.line_index = {}
         for w, qkey, _ in lines:
             self.line_index.setdefault(qkey, []).append(w)
@@ -837,7 +843,10 @@ def build_pointed_graphs(
         """src_inv = (short_class_key, (b2, b4, b6)) of the source curve."""
         src_key, binv = src_inv
         kappa = intpoly.pfrom_roots(kernel_xs, q)
-        sums = [sum(x**k for x in kernel_xs) % q for k in (1, 2, 3)]
+        p1 = p2 = p3 = 0
+        for x in kernel_xs:
+            p1, p2, p3 = p1 + x, p2 + x * x, p3 + x * x * x
+        sums = (p1 % q, p2 % q, p3 % q)
         cod = velu_codomain_int(src, kappa, ell, q, binv, sums)
         if cod[0] or cod[1] or cod[2]:
             A2, B2, red_iso = short_reduce_int(cod, q)
@@ -861,18 +870,14 @@ def build_pointed_graphs(
             w = cands[0]
         else:
             w = _match_dual_line(src, kappa, ell, q, cands, iso)
-        arm = GraphArm(
-            source=tuple(src),
-            kernel_point=kernel_pt,
-            codomain=cod,
-            iso_to_target=iso,
-            dual_line=tuple(w),
-        )
-        cod_tc.arms.append(arm)
+        cod_tc.n_arms += 1
+        if w not in cod_tc.arms:
+            cod_tc.arms[w] = GraphArm(
+                source=src, kernel_point=kernel_pt, codomain=cod, iso_to_target=iso, dual_line=w
+            )
         if soundness is not None:
             _soundness_checks(soundness, src, kappa, sums[0], kernel_pt, kernel_xs,
                               cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders, src_inv)
-        return arm
 
     # short-form sources; psi_roots holds the rational ell-torsion x's per class
     psi_roots: dict[tuple, tuple] = {}
@@ -900,7 +905,9 @@ def build_pointed_graphs(
                 N = orders[sA][sB]
                 if N == 0 or N % 3:
                     raise InternalError("family curve with order not divisible by 3")
-                src_inv = (short_class_key(sA, sB, q, tab), curve_b_invariants_int(src, q)[:3])
+                # b2, b4, b6 of y^2 + w xy + v y = x^3
+                binv = (w_par * w_par % q, w_par * v_par % q, v_par * v_par % q)
+                src_inv = (short_class_key(sA, sB, q, tab), binv)
                 add_arm(src, src_inv, (0, 0), [0], N)
 
     graphs = []
@@ -908,18 +915,14 @@ def build_pointed_graphs(
         tc = classes[key]
         if not tc.arms:
             continue
-        by_line: dict[tuple, GraphArm] = {}
-        for arm in tc.arms:
-            by_line.setdefault(arm.dual_line, arm)
-        arms = tuple(by_line[w] for w in sorted(by_line))
         graphs.append(
             PointedGraph(
                 q=q,
                 ell=ell,
                 target=tc.rep,
                 target_order=tc.order,
-                arms=arms,
-                arm_multiplicity=len(tc.arms),
+                arms=tuple(tc.arms[w] for w in sorted(tc.arms)),
+                arm_multiplicity=tc.n_arms,
                 pointed_lines=tuple(sorted(w for w, _, _ in tc.lines)),
             )
         )
@@ -980,7 +983,8 @@ def _soundness_checks(
 
     p1 is the sum of kappa's roots, cod_short the short form (A, B) of the
     codomain and src_inv the source's (short_class_key, (b2, b4, b6)).  The
-    x-map is evaluated at each check point by velu_x_map_at."""
+    kernel check is kappa(x) = 0 at the kernel's x-coordinates; the x-map
+    is evaluated at the sampled points by velu_x_map_at."""
     stats.isogenies += 1
     src_key, binv = src_inv
     a1, _, a3, _, _ = src
@@ -999,10 +1003,12 @@ def _soundness_checks(
         Y = (Xp * (2 * y + a1 * x + a3) - a1 * X - a3) * inv2 % q
         return (X, Y)
 
-    # kernel points map to infinity
-    if ev(kernel_pt) is not None or any(intpoly.peval(kappa, x, q) != 0 for x in kernel_xs):
-        stats.record("kernel_failures", "kernel", src)
-        return
+    # kernel points map to infinity: the x-map's denominator is a power of
+    # kappa, so phi(K) = O exactly when kappa(x(K)) = 0
+    for x in kernel_xs:
+        if intpoly.peval(kappa, x, q):
+            stats.record("kernel_failures", "kernel", src)
+            return
     # homomorphism on deterministic samples
     pts = _sample_points(src, q, tab, want=2, salt=kernel_pt[0])
     if len(pts) == 2:

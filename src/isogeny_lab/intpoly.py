@@ -133,9 +133,10 @@ def pderiv(f: list[int], q: int) -> list[int]:
 
 
 def pfrom_roots(roots: list[int], q: int) -> list[int]:
+    """The monic prod (X - r) over the roots, one linear factor at a time."""
     out = [1]
     for r in roots:
-        out = pmul(out, [(-r) % q, 1], q)
+        out = [(a - r * b) % q for a, b in zip([0, *out], [*out, 0])]
     return out
 
 

@@ -26,7 +26,9 @@ from .curves import (
     torsion_field_degree,
     weil_pairing,
 )
-from .errors import CapabilityError, InternalError, NotSemisimpleError, TheoremViolationError
+from .errors import (
+    CapabilityError, InternalError, NotPointedError, NotSemisimpleError, TheoremViolationError,
+)
 from .fields import Polynomial, PrimeField, QQ, poly_roots, rational_roots, rational_sqrt
 from .galois_modules import (
     GaloisModule,
@@ -271,14 +273,16 @@ def _check_theorem2_config(mod: GaloisModule, hyps: tuple) -> tuple[dict | None,
     the one semisimplicity decision.  Returns (violation, semisimple): the
     violation's kind (and error) or None, and whether the module is
     semisimple, None when the construction did not run."""
-    if not all(pointedness_check(mod, h) for h in hyps):
+    try:
+        cfg = PointedConfiguration(module=mod, hyperplanes=hyps)
+    except NotPointedError:
         return {"kind": "product-not-pointed"}, None
     if graph_order(hyps) != len(hyps):
         return {"kind": "product-order"}, None
     if fixed_subspace(mod).dim < len(hyps):
         return {"kind": "fixed-dim"}, None
     try:
-        theorem2_construct(PointedConfiguration(module=mod, hyperplanes=hyps))
+        theorem2_construct(cfg)
     except NotSemisimpleError:
         return None, False
     except TheoremViolationError as exc:

@@ -21,6 +21,7 @@ from isogeny_lab.graphs import (
     rational_order_ell_subgroups,
     short_class_key,
     short_reduce_int,
+    solve_twist_scale,
     velu_codomain_int,
     xmul_table,
 )
@@ -60,6 +61,51 @@ def test_integer_point_ops_match_object_layer():
     obj = 5 * E.point(*P)
     expect = None if obj.is_infinity() else (obj.x.rep, obj.y.rep)
     assert pt_mul(5, P, coeffs, q) == expect
+
+
+def _affine_points(coeffs, q):
+    """Every affine point of the long Weierstrass curve, by brute force."""
+    a1, a2, a3, a4, a6 = coeffs
+    return [(x, y) for x in range(q) for y in range(q)
+            if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % q == 0]
+
+
+@pytest.mark.parametrize("q, coeffs", [
+    (11, (0, 0, 0, 1, 3)),
+    (13, (0, 0, 0, 2, 0)),  # j = 1728
+    (13, (0, 0, 0, 0, 5)),  # j = 0
+    (13, (1, 0, 2, 0, 0)),  # family curves y^2 + w xy + v y = x^3
+    (11, (3, 0, 5, 0, 0)),
+])
+def test_pt_mul_is_repeated_addition(q, coeffs):
+    pts = _affine_points(coeffs, q)
+    order = len(pts) + 1
+    for P in pts:
+        acc = None  # [n]P
+        for n in range(3 * order + 1):
+            assert pt_mul(n, P, coeffs, q) == acc
+            acc = pt_add(acc, P, coeffs, q)
+
+
+@pytest.mark.parametrize("q", [13, 23, 101])
+def test_solve_twist_scale_maps_same_key_curves(q):
+    """(A1/u^4, B1/u^6) = (A2, B2) for random pairs of curves with one key,
+    j = 0 and j = 1728 included."""
+    tab = fq_tables(q)
+    by_key = {}
+    for A in range(q):
+        for B in range(q):
+            if (4 * A**3 + 27 * B * B) % q:
+                by_key.setdefault(short_class_key(A, B, q, tab), []).append((A, B))
+    assert {key[0] for key in by_key} == {0, 1, 2}
+    rng = random.Random(q)
+    for key in sorted(by_key):
+        for _ in range(3):
+            (A1, B1), (A2, B2) = rng.choice(by_key[key]), rng.choice(by_key[key])
+            u = solve_twist_scale(A1, B1, A2, B2, q, tab)
+            assert u % q
+            assert (A1 - pow(u, 4, q) * A2) % q == 0
+            assert (B1 - pow(u, 6, q) * B2) % q == 0
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 31, 61])
@@ -432,7 +478,7 @@ def _wrap_checks(monkeypatch, change):
 
 
 # positions of the arguments of graphs._soundness_checks
-_W_LINE, _TC, _N = 8, 9, 10
+_KAPPA, _W_LINE, _TC, _N = 2, 8, 9, 10
 
 
 def test_soundness_corrupted_x_map_fails_homomorphism(monkeypatch):
@@ -487,6 +533,21 @@ def test_soundness_wrong_order_fails_order_check(monkeypatch):
     assert {f["kind"] for f in stats.failures} == {"order-mismatch"}
 
 
+@pytest.mark.parametrize("q, ell", [(11, 3), (13, 2), (11, 5)])
+def test_soundness_shifted_kernel_polynomial_fails_kernel_check(q, ell, monkeypatch):
+    """kappa + 1 vanishes at no kernel x-coordinate, so every arm fails the
+    kernel check."""
+    def shifted(a):
+        a[_KAPPA] = [a[_KAPPA][0] + 1, *a[_KAPPA][1:]]
+        return a
+
+    _wrap_checks(monkeypatch, shifted)
+    stats = SoundnessStats()
+    build_pointed_graphs(PrimeField(q), ell, soundness=stats)
+    assert stats.kernel_failures == stats.isogenies > 0
+    assert {f["kind"] for f in stats.failures} == {"kernel"}
+
+
 def test_soundness_witnesses_capped_counters_exact(monkeypatch):
     _corrupt_x_maps(monkeypatch)
     capped = SoundnessStats()
@@ -511,7 +572,8 @@ _DIFF_SWEEPS = [(q, ell) for ell in (2, 3, 5, 7) for q in (5, 7, 11, 13, 17, 19,
 def check_point_calls():
     """(source, b-invariants, kappa, p1, ell, x, q) of every velu_x_map_at
     call that the soundness checks make on every arm of the sweeps with
-    q <= 31: the kernel point and the sampled points of each arm."""
+    q <= 31: the sampled points of each arm and their sums with each other
+    and with the kernel point."""
     calls = []
     src = []
     orig_checks = graphs_mod._soundness_checks

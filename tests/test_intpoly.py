@@ -37,6 +37,19 @@ def test_factor_squarefree_against_brute_force(q):
         assert sorted((-g[0]) % q for g in factors if len(g) == 2) == brute_roots
 
 
+@pytest.mark.parametrize("q", [5, 13, 101])
+def test_pfrom_roots_is_the_product_of_linear_factors(q):
+    rng = random.Random(q)
+    lists = [[], [0], [0, 0, 0], [q - 1, 1, q - 1]]
+    lists += [[rng.randrange(q) for _ in range(rng.randrange(1, 9))] for _ in range(30)]
+    lists += [rng.choices([0, 1, q - 1], k=rng.randrange(1, 7)) for _ in range(10)]
+    for roots in lists:
+        want = [1]
+        for r in roots:
+            want = intpoly.pmul(want, [(-r) % q, 1], q)
+        assert intpoly.pfrom_roots(roots, q) == want
+
+
 def test_power_sums_over_fq_ints_and_elements():
     rng = random.Random(1)
     for q in (5, 7, 13, 101):

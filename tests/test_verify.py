@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -88,6 +90,42 @@ def test_semisimplicity_decided_once_per_configuration(monkeypatch):
     calls.clear()
     rep = verify_theorem2_products(7, 3, max_pairs=3)
     assert len(calls) == rep.counts["pairs_checked"] > 0
+
+
+def test_product_configuration_checked_once(monkeypatch):
+    """The product sweep runs pointedness once per hyperplane: the
+    configuration's own validation is the pointedness step."""
+    calls = Counter()
+    for name in ("pointedness_check", "is_invariant"):
+        orig = getattr(GM, name)
+        wrapped = (lambda *a, _o=orig, _n=name: calls.update([_n]) or _o(*a))
+        for mod in (GM, V):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    rep = verify_theorem2_products(11, 3)
+    assert rep.counts["pairs_checked"] == 6
+    assert calls["pointedness_check"] == 12
+    # one per pointedness check, and three in each of the two complement
+    # solves of each of the six semisimple configurations
+    assert calls["is_invariant"] == 48
+
+
+# reports of run_sweep([ell], q_min=5, q_max=32) without "timing", as
+# sha256 of their sorted-key JSON; a report change must show up here
+_SWEEP_DIGESTS = {
+    2: "348b45138f5ce29e7aeb5e95b6799562d67b38ca68df01668f02c75923cd8cfc",
+    3: "501fdf491ac79c869d62c8131d469521b4a4f75aa1572e4824081ca08a6b60c9",
+    5: "b331dbc41136a41c9d03d24bba08f7dedc260b580a85c2951a67f279ce25a232",
+    7: "4f34e903c54b1fcab3742910b69ab4ed7ec59b34dcf48985e0a5282b6a5fe854",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(_SWEEP_DIGESTS))
+def test_sweep_report_digest_pinned(ell):
+    data = json.loads(run_sweep([ell], q_min=5, q_max=32).to_json())
+    del data["timing"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == _SWEEP_DIGESTS[ell]
 
 
 def test_counterexample_report():
