@@ -11,6 +11,7 @@ invariants (positive denominator, coprime parts).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Iterator
 
 from . import intpoly
@@ -475,6 +476,9 @@ class Polynomial:
         return Polynomial(self.field, [c * inv for c in self.coeffs])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
+        if isinstance(self.field, PrimeField):  # the same Euclid, on the int kernel
+            g = intpoly.pgcd(self.int_coeffs(), other.int_coeffs(), self.field.p)
+            return Polynomial(self.field, g)
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -495,6 +499,11 @@ class Polynomial:
         return acc
 
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
+        if e < 0:
+            raise ValueError("pow_mod needs a nonnegative exponent")
+        if isinstance(self.field, PrimeField):  # square and multiply on the int kernel
+            r = intpoly.ppowmod(self.int_coeffs(), e, modulus.int_coeffs(), self.field.p)
+            return Polynomial(self.field, r)
         result = Polynomial(self.field, [self.field.one()])
         base = self % modulus
         while e:
@@ -680,9 +689,7 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
         raise ValueError("zero polynomial has every rational as a root")
     if f.degree == 0:
         return set()
-    denom_lcm = 1
-    for c in f.coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * denom_lcm) for c in f.coeffs]
     low = 0
     while ints[low] == 0:
@@ -702,19 +709,11 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None if irrational/negative."""
     if x < 0:
         return None
-    from math import isqrt
-
     n, d = x.numerator, x.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

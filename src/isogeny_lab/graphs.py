@@ -781,12 +781,12 @@ class SoundnessStats:
 
 class _TargetClass:
     """One target class: its pointed lines, the first arm on each dual line
-    (the one a report shows) and how many arms there were in all."""
+    (the one a report shows), how many arms there were in all, and, when it
+    has several lines, one F_q root of each for _match_dual_line."""
 
-    __slots__ = ("key", "rep", "order", "lines", "arms", "n_arms", "line_index", "dual_j")
+    __slots__ = ("rep", "order", "lines", "arms", "n_arms", "line_index", "dual_j", "roots")
 
-    def __init__(self, key, rep, order, lines):
-        self.key = key
+    def __init__(self, rep, order, lines, q):
         self.rep = rep  # (A, B)
         self.order = order
         self.lines = lines  # [(w, quotient_key, quotient_coeffs)]
@@ -797,6 +797,15 @@ class _TargetClass:
             self.line_index.setdefault(qkey, []).append(w)
         # j of the representative's quotient by each line
         self.dual_j = {w: qkey[1] for w, qkey, _ in lines}
+        # several lines occur only at ell = 2 (each X - r) or when psi_ell
+        # splits over F_q, so every line then has an F_q root
+        self.roots = {}
+        if len(lines) > 1:
+            for w, _, _ in lines:
+                xs = intpoly.roots_in_fq(list(w), q)
+                if not xs:
+                    raise InternalError("a pointed line of a multi-line class has no F_q root")
+                self.roots[w] = xs[0]
 
 
 def build_pointed_graphs(
@@ -835,7 +844,7 @@ def build_pointed_graphs(
         tc = classes.get(key)
         if tc is None:
             lines = enumerate_pointed_lines(cod_short_A, cod_short_B, N, ell, q, tab)
-            tc = _TargetClass(key, (cod_short_A, cod_short_B), N, lines)
+            tc = _TargetClass((cod_short_A, cod_short_B), N, lines, q)
             classes[key] = tc
         return tc
 
@@ -869,7 +878,7 @@ def build_pointed_graphs(
         if len(cands) == 1:
             w = cands[0]
         else:
-            w = _match_dual_line(src, kappa, ell, q, cands, iso)
+            w = _match_dual_line(src, kappa, ell, q, {c: cod_tc.roots[c] for c in cands}, iso)
         cod_tc.n_arms += 1
         if w not in cod_tc.arms:
             cod_tc.arms[w] = GraphArm(
@@ -930,42 +939,29 @@ def build_pointed_graphs(
 
 
 def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
-    """Select the arm's dual line among candidate target lines.
+    """The arm's dual line among the candidates {w: an F_q root x_w of w},
+    in target-representative coordinates, by one fiber division each.
 
-    w (in target-representative coordinates) is the dual line iff
-    w(rep-image of z) vanishes identically modulo g(z), where g carries the
-    non-kernel torsion x-coordinates: the image of the torsion is exactly
-    the line, so exactly one monic candidate of the right degree survives.
+    Let phi: E -> C be the arm with x-map num/den and x_cod = u^2 x_rep + r
+    its isomorphism to the representative.  With X = u^2 x_w + r, the roots
+    of f = num - X den (degree ell) are the x-coordinates of one coset P + K,
+    the points phi maps to +-R for R on the line with x(R) = x_w (J. Velu,
+    C. R. Acad. Sci. Paris 273, 1971).  If w is the dual line, R is in
+    phi(E[ell]), so the roots are x-coordinates of E[ell] minus K and f
+    divides psi = torsion_x_poly_ints (the cubic F at ell = 2); otherwise no
+    point of the coset is ell-torsion and gcd(f, psi) = 1.  So psi mod f = 0
+    decides each candidate exactly, as psi_ell gives kernels in the Elkies
+    step of SEA (R. Schoof, J. Theor. Nombres Bordeaux 7, 1995).
     """
     psi = torsion_x_poly_ints(src_coeffs, q, ell)
-    g, rem = intpoly.pdivmod(psi, kappa, q)
-    if rem:
+    if intpoly.pmod(psi, kappa, q):
         raise InternalError("kernel polynomial does not divide the torsion polynomial")
     num, den = velu_x_maps_int(src_coeffs, kappa, ell, q)
-    # the arm iso maps codomain -> rep: x_rep = (x_cod - r) / u^2
     u, r, _, _ = iso_to_target
-    u2inv = pow(u * u % q, -1, q)
-    num_rep = intpoly.pscale(intpoly.psub(num, intpoly.pscale(den, r, q), q), u2inv, q)
-    n_mod = intpoly.pmod(num_rep, g, q)
-    d_mod = intpoly.pmod(den, g, q)
-    deg_w = 1 if ell == 2 else (ell - 1) // 2
-    n_pows = [[1]]
-    d_pows = [[1]]
-    for _ in range(deg_w):
-        n_pows.append(intpoly.pmod(intpoly.pmul(n_pows[-1], n_mod, q), g, q))
-        d_pows.append(intpoly.pmod(intpoly.pmul(d_pows[-1], d_mod, q), g, q))
     matched = None
-    for w in candidates:
-        acc: list[int] = []
-        for i, wi in enumerate(w):
-            if wi:
-                term = intpoly.pscale(
-                    intpoly.pmod(intpoly.pmul(n_pows[i], d_pows[deg_w - i], q), g, q),
-                    wi,
-                    q,
-                )
-                acc = intpoly.padd(acc, term, q)
-        if not acc:
+    for w, x_w in candidates.items():
+        fiber = intpoly.psub(num, intpoly.pscale(den, u * u * x_w + r, q), q)
+        if not intpoly.pmod(psi, fiber, q):
             if matched is not None:
                 raise InternalError("two candidate dual lines both match the arm")
             matched = w

@@ -147,6 +147,8 @@ def ppowmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
     (Harvey, J. Symbolic Comput. 44, 2009); otherwise a step is
     pmod(pmul(.)).
     """
+    if e < 0:
+        raise ValueError("ppowmod needs a nonnegative exponent")
     b = pmod(base, m, q)
     if e == 0:
         return [1]

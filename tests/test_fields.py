@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isogeny_lab import intpoly
 from isogeny_lab.curves import WeierstrassCurve, division_polynomial
 from isogeny_lab.errors import CapabilityError, FieldMismatchError
 from isogeny_lab.fields import (
@@ -330,3 +331,62 @@ def test_poly_divmod_gcd(p, data):
     d = f.gcd(g)
     if not f.is_zero():
         assert (f % d).is_zero() and (g % d).is_zero()
+
+
+# --- prime-field pow_mod and gcd on intpoly against the object-layer loops -----
+
+
+def _pow_mod_by_objects(f, e, m):
+    """Square and multiply on Polynomial.__mul__ and __mod__."""
+    result = Polynomial(f.field, [1])
+    base = f % m
+    while e:
+        if e & 1:
+            result = (result * base) % m
+        base = (base * base) % m
+        e >>= 1
+    return result
+
+
+def _gcd_by_objects(f, g):
+    """Euclid on %, made monic."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic()
+
+
+@pytest.mark.parametrize("q", [5, 13, 101, 113])
+def test_prime_field_pow_mod_and_gcd_match_object_loops(q):
+    F = PrimeField(q)
+    rng = random.Random(q)
+
+    def rand(deg):
+        return Polynomial(F, [rng.randrange(q) for _ in range(deg + 1)])
+
+    zero = Polynomial.zero(F)
+    pairs = [(zero, rand(3)), (rand(4), Polynomial(F, [rng.randrange(1, q)]))]
+    pairs += [(rand(rng.randrange(12)), rand(rng.randrange(1, 10))) for _ in range(12)]
+    for f, m in pairs:
+        for e in (0, 1, 2, (q - 1) // 2, q, q * q):
+            assert f.pow_mod(e, m) == _pow_mod_by_objects(f, e, m)
+        for a, b in ((f, m), (m, f), (f, zero), (zero, zero), (f * m, m * rand(2))):
+            assert a.gcd(b) == _gcd_by_objects(a, b)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), ExtensionField(7, 2)], ids=["F7", "F49"])
+def test_pow_mod_rejects_a_negative_exponent(field):
+    x = Polynomial.x(field)
+    with pytest.raises(ValueError):
+        x.pow_mod(-1, x * x + Polynomial(field, [field.one()]))
+
+
+@pytest.mark.parametrize("q", [5, 13, 101, 113])
+def test_prime_field_poly_roots_equal_roots_in_fq(q):
+    F = PrimeField(q)
+    rng = random.Random(7 * q)
+    for _ in range(30):
+        roots = [rng.randrange(q) for _ in range(rng.randrange(0, 6))]
+        f = Polynomial(F, intpoly.pfrom_roots(roots, q)) * Polynomial(
+            F, [rng.randrange(q) for _ in range(rng.randrange(1, 5))] + [rng.randrange(1, q)])
+        got = sorted(r.rep for r in poly_roots(f))
+        assert got == intpoly.roots_in_fq(f.int_coeffs(), q)

@@ -707,3 +707,90 @@ def test_rational_ell_points_transport_equals_direct():
                 assert got == graphs_mod._rational_ell_points(a, b, ell, q, tab)
     assert set(transported) == {0, 1, 2}
     assert sum(transported.values()) < curves
+
+
+# --- the dual-line match: one fiber division against the composition oracle ---
+
+
+def match_by_composition(src_coeffs, kappa, ell, q, candidates, iso_to_target):
+    """Oracle for _match_dual_line: the candidates w (target-representative
+    coordinates) with w(x_rep(z)) = 0 modulo g = psi / kappa, which carries
+    the x-coordinates of the torsion outside the kernel; x_rep = (num/den -
+    r) / u^2, so w(x_rep) is taken as sum w_i num_rep^i den^(deg w - i)."""
+    psi = graphs_mod.torsion_x_poly_ints(src_coeffs, q, ell)
+    g, rem = intpoly.pdivmod(psi, kappa, q)
+    assert not rem
+    num, den = graphs_mod.velu_x_maps_int(src_coeffs, kappa, ell, q)
+    u, r, _, _ = iso_to_target
+    u2inv = pow(u * u % q, -1, q)
+    num_rep = intpoly.pscale(intpoly.psub(num, intpoly.pscale(den, r, q), q), u2inv, q)
+    deg_w = 1 if ell == 2 else (ell - 1) // 2
+    n_pows, d_pows = [[1]], [[1]]
+    for _ in range(deg_w):
+        n_pows.append(intpoly.pmod(intpoly.pmul(n_pows[-1], num_rep, q), g, q))
+        d_pows.append(intpoly.pmod(intpoly.pmul(d_pows[-1], den, q), g, q))
+    matches = []
+    for w in candidates:
+        acc = []
+        for i, wi in enumerate(w):
+            term = intpoly.pmod(intpoly.pmul(n_pows[i], d_pows[deg_w - i], q), g, q)
+            acc = intpoly.padd(acc, intpoly.pscale(term, wi, q), q)
+        if not acc:
+            matches.append(w)
+    return matches
+
+
+_MATCH_SWEEPS = [(13, 2), (31, 2), (13, 3), (37, 3), (61, 3), (31, 5), (41, 5), (43, 7)]
+
+
+@pytest.fixture(scope="module")
+def dual_line_matches():
+    """(arguments, answer) of every _match_dual_line call, i.e. of every
+    arm with more than one candidate line, in the sweeps of _MATCH_SWEEPS."""
+    calls = []
+    orig = graphs_mod._match_dual_line
+
+    def record(*args):
+        calls.append((args, orig(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs_mod, "_match_dual_line", record)
+        for q, ell in _MATCH_SWEEPS:
+            build_pointed_graphs(PrimeField(q), ell)
+    return calls
+
+
+def test_dual_line_fiber_division_equals_composition_oracle(dual_line_matches):
+    special = 0  # arms into targets with j = 0 or 1728
+    for args, got in dual_line_matches:
+        assert match_by_composition(*args) == [got]
+        src, kappa, ell, q = args[:4]
+        A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q)
+        special += short_class_key(A, B, q, fq_tables(q))[0] in (0, 1)
+    assert {args[2] for args, _ in dual_line_matches} == {2, 3, 5, 7}
+    assert len(dual_line_matches) == 1274
+    assert special == 686
+
+
+def test_dual_line_oracle_tells_the_first_candidate_apart(dual_line_matches):
+    """Self-check: a matcher that always answers its first candidate
+    disagrees with the oracle."""
+    assert any(match_by_composition(*args) != [next(iter(args[4]))]
+               for args, _ in dual_line_matches)
+
+
+@pytest.mark.parametrize("q, ell", [(13, 2), (13, 3), (31, 5), (43, 7)])
+def test_shifted_line_root_fails_the_match(q, ell, monkeypatch):
+    """x_w + 1 is no root of w: the arms whose dual line is w find no
+    matching candidate."""
+    orig = graphs_mod._TargetClass.__init__
+
+    def shifted(self, *args):
+        orig(self, *args)
+        for w in list(self.roots)[:1]:
+            self.roots[w] = (self.roots[w] + 1) % q
+
+    monkeypatch.setattr(graphs_mod._TargetClass, "__init__", shifted)
+    with pytest.raises(InternalError, match="candidate dual line"):
+        build_pointed_graphs(PrimeField(q), ell)

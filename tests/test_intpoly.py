@@ -320,3 +320,9 @@ def test_extension_power_is_repeated_multiplication(p, k):
             acc = acc * a
         assert a ** (size - 1) == (F.one() if not a.is_zero() else F.zero())
         assert a**size == a
+
+
+def test_ppowmod_rejects_a_negative_exponent():
+    # -1 >> 1 == -1, so square and multiply would never end
+    with pytest.raises(ValueError):
+        intpoly.ppowmod([0, 1], -1, [1, 0, 1], 7)
