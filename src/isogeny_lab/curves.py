@@ -429,7 +429,7 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
         disc = intpoly.padd(intpoly.emul(lin, lin, f, q), intpoly.pscale(rhs, 4, q), q)
         if not disc:
             raise InternalError("2-torsion x among odd-ell torsion roots")
-        sq = intpoly.epow(disc, (q**d - 1) // 2, f, q)
+        sq = intpoly.ppowmod(disc, (q**d - 1) // 2, f, q)
         y_deg = d if sq == [1] else 2 * d
         k = _lcm(k, y_deg)
     bound = TORSION_DEGREE_BOUND(ell)

@@ -11,6 +11,7 @@ invariants (positive denominator, coprime parts).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
 from typing import Iterable, Iterator
 
@@ -132,9 +133,7 @@ class ExtensionField:
         return FieldElement(self, tuple(rep))
 
     def gen(self) -> "FieldElement":
-        if self.k == 1:
-            return self.element(intpoly.pmod([0, 1], list(self.modulus), self.p))
-        return FieldElement(self, tuple([0, 1] + [0] * (self.k - 2)))
+        return self.element([0, 1])  # reduced mod the modulus, which matters for k = 1
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, (0,) * self.k)
@@ -149,14 +148,8 @@ class ExtensionField:
         return self.p**self.k
 
     def iter_elements(self) -> Iterator["FieldElement"]:
-        def rec(prefix):
-            if len(prefix) == self.k:
-                yield FieldElement(self, tuple(prefix))
-                return
-            for c in range(self.p):
-                yield from rec(prefix + [c])
-
-        yield from rec([])
+        for rep in product(range(self.p), repeat=self.k):
+            yield FieldElement(self, rep)
 
     def is_square(self, a: "FieldElement") -> bool:
         if a.is_zero():
@@ -485,12 +478,7 @@ class Polynomial:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Polynomial":
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i == 0:
-                continue
-            out.append(c * i)
-        return Polynomial(self.field, out)
+        return Polynomial(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
         acc = self.field.zero()
@@ -504,8 +492,13 @@ class Polynomial:
         if isinstance(self.field, PrimeField):  # square and multiply on the int kernel
             r = intpoly.ppowmod(self.int_coeffs(), e, modulus.int_coeffs(), self.field.p)
             return Polynomial(self.field, r)
+        base, f = self % modulus, self.field
+        if isinstance(f, ExtensionField):  # the packed kernel, where it is exact
+            r = intpoly.epowmod([list(c.rep) for c in base.coeffs], e,
+                                [list(c.rep) for c in modulus.coeffs], list(f.modulus), f.p)
+            if r is not None:
+                return Polynomial(f, [FieldElement(f, tuple(c)) for c in r])
         result = Polynomial(self.field, [self.field.one()])
-        base = self % modulus
         while e:
             if e & 1:
                 result = (result * base) % modulus
@@ -643,12 +636,9 @@ def _roots_large_field(f: Polynomial, field) -> list:
         half = (size - 1) // 2
         split = None
         for t in range(p, p + 512):
-            # shifts must range over the whole field, and the counter starts
-            # at p, past the constants of F_p: for t in F_p and a root a,
-            # chi(sigma(a) + t) = sigma(chi(a + t)) = chi(a + t), so such a
-            # shift never separates Frobenius-conjugate roots, which are all
-            # the roots of an F_p-irreducible g.  Over F_p itself the
-            # counter mod p runs through 0, 1, 2, ...
+            # the counter starts past F_p: for t in F_p, chi(sigma(a) + t) =
+            # chi(a + t), so such a shift never separates the Frobenius-conjugate
+            # roots of an F_p-irreducible g.  Over F_p it runs through 0, 1, ...
             h = _shift_element(field, t).pow_mod(half, g) - Polynomial(
                 field, [field.one()]
             )
@@ -667,16 +657,8 @@ def _shift_element(field, counter: int) -> Polynomial:
     """Deterministic trial linear polynomial x + t with t running through
     the field (digits of the counter in base p across the power basis)."""
     if isinstance(field, ExtensionField):
-        p = field.p
-        digits = []
-        c = counter
-        for _ in range(field.k):
-            digits.append(c % p)
-            c //= p
-        t = field.element(digits)
-    else:
-        t = field.element(counter)
-    return Polynomial(field, [t, field.one()])
+        counter = [counter // field.p**i % field.p for i in range(field.k)]
+    return Polynomial(field, [field.element(counter), field.one()])
 
 
 def rational_roots(f: Polynomial) -> set[Fraction]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import gcd
 from typing import ClassVar
 
@@ -50,6 +51,11 @@ class FqTables:
         if self._orders is None:
             self._orders = self._build_orders()
         return self._orders
+
+    @cached_property
+    def sixth_root(self) -> dict[int, int]:
+        """c -> sqrt[z] for the least nonzero square z with z^3 = c, so that u^6 = c."""
+        return {z * z * z % self.q: s for z, s in reversed(list(enumerate(self.sqrt))) if s > 0}
 
     def _build_orders(self) -> list[list[int]]:
         """N[a][b] = q + 1 + sum_v cnt_a[v] chi(v + b), cnt_a[v] = #{x : x^3 + ax = v}.
@@ -436,12 +442,9 @@ def solve_twist_scale(A1, B1, A2, B2, q, tab: FqTables):
             raise InternalError("same-key curves do not admit an isomorphism (generic j)")
         return u
     if A1 % q == 0:
-        c = B1 * pow(B2, -1, q) % q
-        # u^6 = c: cube roots of c, then square roots
-        for z in intpoly.roots_in_fq([(-c) % q, 0, 0, 1], q):
-            u = tab.sqrt[z]
-            if u >= 0 and u:
-                return u
+        u = tab.sixth_root.get(B1 * pow(B2, -1, q) % q)
+        if u:
+            return u
         raise InternalError("same-key curves do not admit an isomorphism (j = 0)")
     c = A1 * pow(A2, -1, q) % q
     s = tab.sqrt[c]

@@ -1,14 +1,16 @@
 """Dense univariate polynomial arithmetic over F_q with plain int coefficients.
 
 Polynomials are Python lists of ints in [0, q), ascending degree, with no
-trailing zeros (the zero polynomial is the empty list).  This module is the
-arithmetic workhorse for extension-field elements and for the curve sweeps,
-where object-per-coefficient arithmetic would be too slow.
+trailing zeros (the zero polynomial is the empty list); epowmod's coefficients
+lie in F_q[z]/(f) instead, each a list of ints.  This module is the
+arithmetic workhorse for extension-field elements, F_{q^k} polynomial powers
+and the curve sweeps, where object-per-coefficient arithmetic would be too slow.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import partial
 from operator import mul
 
 from .errors import InternalError
@@ -160,13 +162,18 @@ def ppowmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
             return pmod(pmul(u, v, q), m, q)
     else:
         pack, mulmod, unpack = _packed_mulmod(m, q)
-    bp, rp = pack(b), None
+    return unpack(_square_and_multiply(pack(b), e, mulmod))
+
+
+def _square_and_multiply(bp, e: int, mulmod):
+    """bp**e for e >= 1, on packed operands with the step mulmod."""
+    rp = None
     while True:
         if e & 1:
             rp = bp if rp is None else mulmod(rp, bp)
         e >>= 1
         if not e:
-            return unpack(rp)
+            return rp
         bp = mulmod(bp, bp)
 
 
@@ -356,8 +363,55 @@ def einv(a: list[int], f: list[int], q: int) -> list[int]:
     return pmod(u, f, q)
 
 
-def epow(a: list[int], e: int, f: list[int], q: int) -> list[int]:
-    return ppowmod(a, e, f, q)
+def epowmod(base: list, e: int, m: list, f: list[int], q: int) -> list | None:
+    """base**e mod m in (F_q[z]/(f))[x] by Kronecker-packed square and multiply;
+    a coefficient is a list of k = deg f ints in [0, q), and base is reduced mod m.
+
+    An operand is one int: n = deg m blocks of W = 2k - 1 slots of 64 bits, a
+    coefficient in the low k slots of its block.  A step is one big-int product
+    whose 2n - 1 blocks are reduced mod q, the top n - 1 also mod f, and folded
+    back by packed rows x^(n+i) mod m (m made monic by one einv): each fold is a
+    k-slot by n-block product of z-degree <= 2k - 2 < W, so no slot carries.
+    Every slot stays <= n k (q-1)^2 + (q-1): the packing is exact while that is
+    below 2^64, and beyond it epowmod returns None.
+    """
+    k, n = len(f) - 1, len(m) - 1
+    if n * k * (q - 1) ** 2 + q - 1 >= 1 << 64:
+        return None
+    if e == 0 or n == 0:
+        return [[1] + [0] * (k - 1)] if e == 0 else []
+    w, nw = 2 * k - 1, n * (2 * k - 1)
+    zrows = [pmod([0] * (k + j) + [1], f, q) for j in range(k - 1)]
+    cols = [[r[i] if i < len(r) else 0 for r in zrows] for i in range(k)]
+    block = struct.Struct("<" + (f"{k}Q" + "x" * (8 * k - 8)) * n)  # zero high slots
+    slots_n, unpack_2n = struct.Struct(f"<{nw}Q"), struct.Struct(f"<{2 * nw - w}Q").unpack
+    pack_k, to_int = struct.Struct(f"<{k}Q").pack, partial(int.from_bytes, byteorder="little")
+
+    def pack(cs) -> int:
+        return to_int(block.pack(*[c for x in cs for c in x + [0] * (k - len(x))],
+                                 *[0] * (k * (n - len(cs)))))
+
+    def red(s, i: int) -> list[int]:  # the block at slot i, reduced mod q and f
+        hi = s[i + k:i + w]
+        return [(a + sum(map(mul, hi, c))) % q for a, c in zip(s[i:i + k], cols)]
+
+    def mulmod(u: int, v: int) -> int:
+        s = unpack_2n((u * v).to_bytes(16 * nw - 8 * w, "little"))
+        acc = to_int(slots_n.pack(*[x % q for x in s[:nw]])) + sum(
+            to_int(pack_k(*red(s, i))) * r for i, r in zip(range(nw, len(s), w), rows))
+        s = slots_n.unpack(acc.to_bytes(8 * nw, "little"))
+        return to_int(block.pack(*[c for i in range(0, nw, w) for c in red(s, i)]))
+
+    lc = trim(m[-1][:])
+    neg_inv = [q - 1] if lc == [1] else pscale(einv(lc, f, q), -1, q)
+    rows = [pack([emul(c, neg_inv, f, q) for c in m[:-1]])]
+    for _ in range(n - 2):  # row i+1 = x * row i mod m
+        rows.append(mulmod(rows[-1], 1 << 64 * w))
+    s = slots_n.unpack(_square_and_multiply(pack(base), e, mulmod).to_bytes(8 * nw, "little"))
+    out = [list(s[i:i + k]) for i in range(0, nw, w)]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
 
 
 def eval_poly_ext(g: list[int], a: list[int], f: list[int], q: int) -> list[int]:

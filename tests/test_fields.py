@@ -373,6 +373,71 @@ def test_prime_field_pow_mod_and_gcd_match_object_loops(q):
             assert a.gcd(b) == _gcd_by_objects(a, b)
 
 
+def _kernel_calls(monkeypatch):
+    """Record whether each F_{p^k} pow_mod ran on the packed kernel."""
+    taken = []
+    orig = intpoly.epowmod
+    monkeypatch.setattr(intpoly, "epowmod",
+                        lambda *a: taken.append(r := orig(*a)) or r)
+    return lambda: [r is not None for r in taken]
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (3, 2), (5, 3), (7, 4), (11, 2), (41, 2)])
+def test_extension_pow_mod_matches_object_loop(pk, monkeypatch):
+    """The packed F_{p^k} pow_mod against square and multiply on objects:
+    monic and non-monic moduli of degree 0 to 4, bases of degree -1 (zero)
+    to deg m + 2, and e in {0, 1, 2, (p^k - 1)/2, p^k}."""
+    p, k = pk
+    K = ExtensionField(p, k)
+    rng = random.Random(p * 10 + k)
+    packed = _kernel_calls(monkeypatch)
+
+    def rand(deg, lead=None):
+        cs = [K.element([rng.randrange(p) for _ in range(k)]) for _ in range(deg + 1)]
+        if deg >= 0:
+            cs[-1] = lead or K.element([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k - 1)])
+        return Polynomial(K, cs)
+
+    for n in range(5):
+        for lead in (K.one(), None):  # monic, then (almost always) not
+            m = rand(n, lead)
+            for b in (rand(-1), rand(0), rand(1), rand(n), rand(n + 2)):
+                for e in (0, 1, 2, (p**k - 1) // 2, p**k):
+                    assert b.pow_mod(e, m) == _pow_mod_by_objects(b, e, m)
+    assert all(packed())
+
+
+@pytest.mark.parametrize("p, packs", [(2**31 - 1, True), (2**31 + 11, False)])
+def test_extension_pow_mod_on_each_side_of_the_packing_bound(p, packs, monkeypatch):
+    """n k (p-1)^2 + (p-1) < 2^64 at n = k = 2 holds up to p = 2^31 - 1; the
+    next prime takes the object loop.  All-(p-1) operands fill the slots."""
+    K = ExtensionField(p, 2)
+    packed = _kernel_calls(monkeypatch)
+    top = K.element([p - 1, p - 1])
+    m, b = Polynomial(K, [top] * 3), Polynomial(K, [top] * 2)
+    for e in (2, 3, 1000, p**2):
+        assert b.pow_mod(e, m) == _pow_mod_by_objects(b, e, m)
+    assert packed() == [packs] * 4
+
+
+@pytest.mark.parametrize("pk", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3), (3, 4)])
+def test_extension_poly_roots_match_brute_force(pk):
+    """poly_roots over F_{p^k} against evaluation at every element, for 40
+    random polynomials: half with planted roots, some with F_p coefficients."""
+    p, k = pk
+    K = ExtensionField(p, k)
+    elements = list(K.iter_elements())
+    rng = random.Random(p**k)
+    for i in range(40):
+        f = Polynomial(K, [K.one()])
+        for _ in range(rng.randrange(3) if i % 2 else 0):
+            f = f * Polynomial(K, [-rng.choice(elements), K.one()])
+        coeffs = [rng.choice(elements[:p] if i % 4 == 3 else elements)
+                  for _ in range(rng.randrange(1, 5))]
+        f = f * Polynomial(K, coeffs + [K.one()])
+        assert poly_roots(f) == {a for a in elements if f(a) == K.zero()}
+
+
 @pytest.mark.parametrize("field", [PrimeField(7), ExtensionField(7, 2)], ids=["F7", "F49"])
 def test_pow_mod_rejects_a_negative_exponent(field):
     x = Polynomial.x(field)

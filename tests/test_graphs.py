@@ -108,6 +108,18 @@ def test_solve_twist_scale_maps_same_key_curves(q):
             assert (B1 - pow(u, 6, q) * B2) % q == 0
 
 
+def test_sixth_root_table_matches_the_cube_root_search():
+    """The j = 0 twist scale: the table's u for c is the square root of the
+    least cube root z of c that is a nonzero square, as the old search over
+    roots_in_fq(X^3 - c) found it, for every c at every prime 5 <= q < 200."""
+    for q in primes_in_range(5, 200):
+        tab = fq_tables(q)
+        for c in range(1, q):
+            want = next((tab.sqrt[z] for z in intpoly.roots_in_fq([(-c) % q, 0, 0, 1], q)
+                         if tab.sqrt[z] > 0), None)
+            assert tab.sixth_root.get(c) == want
+
+
 @pytest.mark.parametrize("q", [5, 7, 13, 31, 61])
 def test_order_table_matches_curve_order(q):
     F = PrimeField(q)
@@ -224,7 +236,7 @@ def pointed_lines_by_factoring(A, B, N, ell, q, tab):
             # rational x: Frobenius fixes x, so x(aR) must equal x(R)
             pointed = a_star == 1
         else:
-            frob_xi = intpoly.epow(xi, q, f, q)
+            frob_xi = intpoly.ppowmod(xi, q, f, q)
             numa, dena = xmul[a_star]
             nv = intpoly.eval_poly_ext(numa, xi, f, q)
             dv = intpoly.eval_poly_ext(dena, xi, f, q)
