@@ -27,7 +27,6 @@ from .fields import (  # noqa: F401
     Polynomial,
     PrimeField,
     QQ,
-    find_irreducible,
     poly_roots,
     rational_roots,
 )
@@ -39,7 +38,6 @@ from .galois_modules import (  # noqa: F401
     fixed_subspace,
     graph_order,
     group_closure,
-    invariant_complement,
     is_invariant,
     is_semisimple,
     pointedness_check,
@@ -53,7 +51,6 @@ from .isogenies import (  # noqa: F401
     CurveIsomorphism,
     Isogeny,
     curves_isomorphic,
-    dual_kernel,
     dual_kernel_polynomial,
     family_e3,
     velu_quotient,

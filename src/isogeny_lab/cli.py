@@ -28,6 +28,7 @@ from .galois_modules import (
     is_semisimple,
     theorem2_construct,
 )
+from .graphs import DEFAULT_CURVE_LIMIT
 from .reports import VerificationReport
 from . import verify as V
 
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     t1 = sub.add_parser("theorem1", help="order-two graphs force full rational torsion")
     t1.add_argument("--q", type=int, required=True)
     t1.add_argument("--ell", type=int, required=True)
-    t1.add_argument("--max-curves", type=int, default=250_000)
+    t1.add_argument("--max-curves", type=int, default=DEFAULT_CURVE_LIMIT)
     t1.add_argument("--no-family", action="store_true")
     add_common(t1)
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     lm = sub.add_parser("lemmas", help="distinct dual kernels and exact lattice dimensions")
     lm.add_argument("--q", type=int, required=True)
     lm.add_argument("--ell", type=int, required=True)
-    lm.add_argument("--max-curves", type=int, default=250_000)
+    lm.add_argument("--max-curves", type=int, default=DEFAULT_CURVE_LIMIT)
     add_common(lm)
 
     md = sub.add_parser("module", help="evaluate a Galois-module query from JSON")
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--q-max", type=int, default=200)
     sw.add_argument("--q-min", type=int, default=5)
     sw.add_argument("--threads", type=int, default=None)
-    sw.add_argument("--max-curves", type=int, default=250_000)
+    sw.add_argument("--max-curves", type=int, default=DEFAULT_CURVE_LIMIT)
     add_common(sw)
 
     rp = sub.add_parser("replay", help="re-execute a serialized violation witness")

@@ -571,11 +571,6 @@ def find_irreducible_ints(p: int, k: int) -> list[int]:
     return out
 
 
-def find_irreducible(p: int, k: int) -> Polynomial:
-    field = PrimeField(p)
-    return Polynomial(field, [field.element(c) for c in find_irreducible_ints(p, k)])
-
-
 def poly_roots(f: Polynomial, field=None) -> set:
     """All roots of nonzero f in the given finite field (default: its own),
     by distinct-degree / equal-degree splitting; odd characteristic only.

@@ -441,16 +441,6 @@ def _complement(ell: int, gens, inner: Subspace, outer: Subspace) -> Subspace:
     return Subspace.from_vectors(ell, outer.ambient, w)
 
 
-def invariant_complement(module: GaloisModule, sub: Subspace) -> Subspace:
-    """An invariant W with sub + W = ambient (direct), by one linear solve
-    that holds whatever the group order is mod ell.  Raises
-    NotSemisimpleError when no complement exists."""
-    if not is_invariant(module, sub):
-        raise ValueError("subspace is not invariant")
-    full = Subspace.full(module.ell, module.dim)
-    return _complement(module.ell, module.generators, sub, full)
-
-
 def relative_invariant_complement(
     module: GaloisModule, inner: Subspace, outer: Subspace
 ) -> Subspace:

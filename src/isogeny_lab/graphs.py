@@ -541,71 +541,37 @@ def _line_pointwise_rational(w, A, B, q, tab: FqTables) -> bool:
 # --- arm discovery -----------------------------------------------------------------
 
 
-def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables, psi_roots=None, key=None):
+def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
     """All order-ell subgroups of y^2 = x^3 + Ax + B generated by rational
     points: list of (kernel_point, x_coords). Requires ell | N.
 
-    psi_roots and key (the curve's short_class_key) are handed to
-    _rational_ell_points."""
+    Each point of _rational_ell_points (class_xs and key, the curve's
+    short_class_key, are handed to it) whose x no earlier subgroup holds
+    starts one; a cyclic E(F_q)[ell] gives 1 subgroup and a full one ell + 1."""
     coeffs = (0, 0, 0, A % q, B % q)
-    if ell == 2:
-        out = []
-        for r in intpoly.roots_in_fq([B % q, A % q, 0, 1], q):
-            out.append(((r, 0), [r]))
-        return out
-    v = 0
-    m = N
-    while m % ell == 0:
-        m //= ell
-        v += 1
-    full_possible = v >= 2 and q % ell == 1
-    if not full_possible:
-        pt = _find_order_ell_point(A, B, N, m, ell, q, tab)
-        if pt is None:
-            raise InternalError("no rational order-ell point despite ell | N")
-        return [(pt, _subgroup_xs(pt, coeffs, ell, q))]
-    # possibly two-dimensional rational torsion: use division-polynomial roots
-    points = _rational_ell_points(A, B, ell, q, tab, psi_roots, key)
-    want_full = (ell * ell - 1) // 2
-    xs_with_y = sorted({p[0] for p in points})
-    if len(xs_with_y) < want_full:
-        # one-dimensional: all rational order-ell points share one subgroup
-        pt = points[0]
-        return [(pt, _subgroup_xs(pt, coeffs, ell, q))]
-    by_x = {}
-    for p in points:
-        by_x.setdefault(p[0], p)
-    p1 = by_x[xs_with_y[0]]
-    s1 = _subgroup_xs(p1, coeffs, ell, q)
-    rest = [x for x in xs_with_y if x not in set(s1)]
-    p2 = by_x[rest[0]]
-    gens = [p1, p2]
-    acc = p2
-    for _ in range(ell - 1):
-        acc = pt_add(acc, p1, coeffs, q)
-        gens.append(acc)
     out = []
-    seen = set()
-    for g in gens:
-        xs = _subgroup_xs(g, coeffs, ell, q)
-        key = tuple(sorted(xs))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((g, xs))
-    if len(out) != ell + 1:
-        raise InternalError(f"expected {ell + 1} subgroups, found {len(out)}")
+    covered = set()
+    for pt in _rational_ell_points(A, B, N, ell, q, tab, class_xs, key):
+        if pt[0] not in covered:
+            xs = _subgroup_xs(pt, coeffs, ell, q)
+            covered.update(xs)
+            out.append((pt, xs))
+    if len(out) not in (1, ell + 1):
+        raise InternalError(f"expected 1 or {ell + 1} subgroups, found {len(out)}")
     return out
 
 
-def _find_order_ell_point(A, B, N, m, ell, q, tab: FqTables):
-    """Deterministic scan for a rational point of exact order ell."""
+def _find_order_ell_point(A, B, N, ell, q, tab: FqTables):
+    """Deterministic scan for a rational point of exact order ell, by
+    multiplying out the prime-to-ell part of N."""
+    m = N
+    while m % ell == 0:
+        m //= ell
     coeffs = (0, 0, 0, A, B)
     start = (7 * A + 13 * B + 1) % q
     for i in range(q):
         x = (start + i) % q
-        rhs = (x * x * x + A * x + B) % q
-        y = tab.sqrt[rhs]
+        y = tab.sqrt[(x * x * x + A * x + B) % q]
         if y < 0:
             continue
         Q = pt_mul(m, (x, y), coeffs, q)
@@ -617,34 +583,41 @@ def _find_order_ell_point(A, B, N, m, ell, q, tab: FqTables):
                 break
             Q = R
         return Q
-    return None
+    raise InternalError("no rational order-ell point despite ell | N")
 
 
-def _rational_ell_points(A, B, ell, q, tab: FqTables, psi_roots=None, key=None):
-    """All rational points of order ell (up to y-sign pairing both kept).
+def _rational_ell_points(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
+    """One rational point of order ell per x, ascending in x; together they
+    generate every rational order-ell subgroup.  Requires ell | N.
 
-    psi_roots, when given, maps the key of each isomorphism class met so far
-    to (A0, B0, roots of psi_ell in F_q for y^2 = x^3 + A0 x + B0).  A curve
+    The x's come from the curve's isomorphism class.  Its first curve finds
+    them: as the F_q roots of psi_ell when E[ell] can be rational (ell = 2,
+    or ell^2 | N and q = 1 mod ell), else as the subgroup of the one point
+    _find_order_ell_point gives.  class_xs, when given, maps the key of each
+    class met so far to (A0, B0, its x's on y^2 = x^3 + A0 x + B0).  A curve
     of a known class is (A, B) = (u^4 A0, u^6 B0), and (x, y) -> (u^2 x, u^3 y)
-    maps the one onto the other, so its roots are u^2 times the stored ones.
+    maps the one onto the other, so its x's are u^2 times the stored ones.
+    Each x keeps the y of tab.sqrt, when it has one.
     """
-    hit = psi_roots.get(key) if psi_roots is not None else None
+    hit = class_xs.get(key) if class_xs is not None else None
     if hit is None:
-        roots = intpoly.roots_in_fq(torsion_x_poly_ints((0, 0, 0, A, B), q, ell), q)
-        if psi_roots is not None:
-            psi_roots[key] = (A, B, roots)
+        if ell == 2 or (N % (ell * ell) == 0 and q % ell == 1):
+            xs = intpoly.roots_in_fq(torsion_x_poly_ints((0, 0, 0, A, B), q, ell), q)
+        else:
+            pt = _find_order_ell_point(A, B, N, ell, q, tab)
+            xs = sorted(_subgroup_xs(pt, (0, 0, 0, A, B), ell, q))
+        if class_xs is not None:
+            class_xs[key] = (A, B, xs)
     else:
-        A0, B0, roots0 = hit
+        A0, B0, xs0 = hit
         u = solve_twist_scale(A, B, A0, B0, q, tab)
         u2 = u * u % q
-        roots = sorted(u2 * r % q for r in roots0)
+        xs = sorted(u2 * x % q for x in xs0)
     pts = []
-    for x in roots:
-        rhs = (x * x * x + A * x + B) % q
-        y = tab.sqrt[rhs]
-        if y < 0:
-            continue
-        pts.append((x, y))
+    for x in xs:
+        y = tab.sqrt[(x * x * x + A * x + B) % q]
+        if y >= 0:
+            pts.append((x, y))
     return pts
 
 
@@ -891,8 +864,8 @@ def build_pointed_graphs(
             _soundness_checks(soundness, src, kappa, sums[0], kernel_pt, kernel_xs,
                               cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders, src_inv)
 
-    # short-form sources; psi_roots holds the rational ell-torsion x's per class
-    psi_roots: dict[tuple, tuple] = {}
+    # short-form sources; class_xs holds each source class's rational ell-torsion x's
+    class_xs: dict[tuple, tuple] = {}
     for a in range(q):
         row = orders[a]
         for b in range(q):
@@ -902,7 +875,7 @@ def build_pointed_graphs(
             src = (0, 0, 0, a, b)
             key = short_class_key(a, b, q, tab)
             src_inv = (key, (0, 2 * a % q, 4 * b % q))
-            for pt, xs in rational_order_ell_subgroups(a, b, N, ell, q, tab, psi_roots, key):
+            for pt, xs in rational_order_ell_subgroups(a, b, N, ell, q, tab, class_xs, key):
                 add_arm(src, src_inv, pt, xs, N)
 
     # the universal 3-isogeny family contributes its canonical arm

@@ -342,26 +342,3 @@ def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
         raise InternalError("dual kernel line is not Galois-stable")
     return Polynomial(field, [field.element(c) for c in w_ints])
 
-
-def dual_kernel(phi: Isogeny, target_basis) -> "object":
-    """The line phi(E_domain[ell]) as a 1-dim subspace in torsion-basis
-    coordinates; checked to be Frobenius-invariant."""
-    from .curves import frobenius_matrix
-    from .verify import _line_subspace
-
-    ell = phi.degree
-    if target_basis.ell != ell:
-        raise ValueError("basis torsion level differs from the isogeny degree")
-    sub = _line_subspace(target_basis, dual_kernel_polynomial(phi).int_coeffs())
-    mat = frobenius_matrix(
-        target_basis.curve if target_basis.k == 1 else phi.codomain,
-        target_basis,
-    )
-    a, b = sub.rows[0]
-    img = (
-        (mat.entries[0][0] * a + mat.entries[0][1] * b) % ell,
-        (mat.entries[1][0] * a + mat.entries[1][1] * b) % ell,
-    )
-    if not sub.contains_vector(list(img)):
-        raise InternalError("dual kernel line is not Frobenius-invariant")
-    return sub

@@ -14,7 +14,6 @@ from isogeny_lab.galois_modules import (
     fixed_subspace,
     graph_order,
     group_closure,
-    invariant_complement,
     is_invariant,
     is_semisimple,
     mat_rank,
@@ -92,20 +91,20 @@ def test_semisimple_exhaustive_oracle_agrees():
 
 
 def test_invariant_complement_diag():
-    w = invariant_complement(M_DIAG, E1_LINE)
+    w = relative_invariant_complement(M_DIAG, E1_LINE, Subspace.full(M_DIAG.ell, M_DIAG.dim))
     assert w.rows == ((0, 1),)
 
 
 def test_invariant_complement_trivial_module():
     ident = GaloisModule.from_matrices(3, [[[1, 0], [0, 1]]])
     v = Subspace.from_vectors(3, 2, [(1, 2)])
-    w = invariant_complement(ident, v)
+    w = relative_invariant_complement(ident, v, Subspace.full(ident.ell, ident.dim))
     assert v.intersect(w).dim == 0 and v.add(w).dim == 2
 
 
 def test_invariant_complement_not_semisimple():
     with pytest.raises(NotSemisimpleError):
-        invariant_complement(M_UNIP, E1_LINE)
+        relative_invariant_complement(M_UNIP, E1_LINE, Subspace.full(M_UNIP.ell, M_UNIP.dim))
 
 
 def test_maschke_projector_identities():
@@ -113,7 +112,7 @@ def test_maschke_projector_identities():
     # the solver returns one that is invariant and direct
     m = GaloisModule.from_matrices(5, [[[2, 0], [0, 1]], [[4, 0], [0, 1]]])
     v = Subspace.from_vectors(5, 2, [(1, 0)])
-    w = invariant_complement(m, v)
+    w = relative_invariant_complement(m, v, Subspace.full(m.ell, m.dim))
     assert is_invariant(m, w)
     assert v.intersect(w).dim == 0
     assert v.add(w).dim == 2
@@ -169,10 +168,10 @@ def test_complement_solver_agrees_with_exhaustive_search():
             if expected is None:
                 missing += 1
                 with pytest.raises(NotSemisimpleError):
-                    invariant_complement(module, sub)
+                    relative_invariant_complement(module, sub, full)
             else:
                 assert_direct_invariant_complement(
-                    module, sub, full, invariant_complement(module, sub)
+                    module, sub, full, relative_invariant_complement(module, sub, full)
                 )
     # both outcomes are exercised
     assert missing > 0 and checked - missing > missing
@@ -191,15 +190,10 @@ def test_complement_beyond_closure_and_enumeration():
     e1 = Subspace.from_vectors(7, 4, [(1, 0, 0, 0)])
     # complements of e34 are not unique, so check properties, not rows
     assert_direct_invariant_complement(
-        M_JORDAN_I2, e34, full, invariant_complement(M_JORDAN_I2, e34)
-    )
-    with pytest.raises(NotSemisimpleError):
-        invariant_complement(M_JORDAN_I2, e1)  # g e2 - e2 = e1
-    assert_direct_invariant_complement(
         M_JORDAN_I2, e34, full, relative_invariant_complement(M_JORDAN_I2, e34, full)
     )
     with pytest.raises(NotSemisimpleError):
-        relative_invariant_complement(M_JORDAN_I2, e1, full)
+        relative_invariant_complement(M_JORDAN_I2, e1, full)  # g e2 - e2 = e1
     e134 = e1.add(e34)
     assert_direct_invariant_complement(
         M_JORDAN_I2, e1, e134, relative_invariant_complement(M_JORDAN_I2, e1, e134)

@@ -160,6 +160,48 @@ def test_class_keys_separate_exactly_isomorphism_classes():
             assert (k1 == k2) == (iso is not None)
 
 
+def object_layer_subgroups(E, ell):
+    """The x-sets of the rational order-ell subgroups of E, by enumerating
+    its points and adding each point of order ell to itself."""
+    subgroups = set()
+    for x in E.field.iter_elements():
+        for y in E.y_candidates(x):
+            P = E.point(x, y)
+            if P.has_order(ell):
+                xs, acc = {P.x.rep}, P
+                for _ in range(2, (ell - 1) // 2 + 1):
+                    acc = acc + P
+                    xs.add(acc.x.rep)
+                subgroups.add(frozenset(xs))
+    return subgroups
+
+
+@pytest.mark.parametrize("q, ell", [(7, 3), (13, 3), (19, 3), (13, 2), (11, 5), (31, 5),
+                                    (29, 7), (43, 7)])
+def test_rational_subgroups_match_object_layer_enumeration(q, ell):
+    """Arm discovery in sweep order with one class cache, so both finders
+    and the transport run, against the object layer on every short curve
+    with ell | N."""
+    F = PrimeField(q)
+    tab = fq_tables(q)
+    orders = tab.orders()
+    class_xs = {}
+    for a in range(q):
+        for b in range(q):
+            N = orders[a][b]
+            if not N or N % ell:
+                continue
+            E = WeierstrassCurve(F, 0, 0, 0, a, b)
+            got = rational_order_ell_subgroups(
+                a, b, N, ell, q, tab, class_xs, short_class_key(a, b, q, tab)
+            )
+            assert len({frozenset(xs) for _, xs in got}) == len(got)
+            assert {frozenset(xs) for _, xs in got} == object_layer_subgroups(E, ell)
+            for pt, xs in got:
+                assert pt[0] in xs
+                assert E.point(*pt).has_order(ell)
+
+
 def test_rational_subgroups_structure():
     q = 7
     tab = fq_tables(q)
@@ -697,27 +739,30 @@ def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch
 
 
 def test_rational_ell_points_transport_equals_direct():
-    """Transported roots against the direct psi_ell computation on every
-    short curve with ell^2 | N; transport covers j = 0, j = 1728 and
-    generic classes."""
+    """Transported x's against the class's own finder on every short curve
+    with ell | N: psi_ell's roots at ell = 2 and when ell^2 | N with
+    q = 1 mod ell, else the subgroup of the scanned point; transport covers
+    j = 0, j = 1728 and generic classes under both finders."""
     transported = Counter()
     curves = 0
-    for q, ell in [(13, 3), (31, 3), (37, 3), (31, 5), (41, 5), (29, 7), (43, 7)]:
+    for q, ell in [(13, 2), (31, 2), (11, 3), (13, 3), (31, 3), (37, 3), (13, 5), (31, 5),
+                   (41, 5), (29, 7), (43, 7)]:
         tab = fq_tables(q)
         orders = tab.orders()
-        psi_roots = {}
+        class_xs = {}
         for a in range(q):
             for b in range(q):
                 N = orders[a][b]
-                if not N or N % (ell * ell):
+                if not N or N % ell:
                     continue
                 curves += 1
                 key = short_class_key(a, b, q, tab)
-                if key in psi_roots:
-                    transported[key[0]] += 1
-                got = graphs_mod._rational_ell_points(a, b, ell, q, tab, psi_roots, key)
-                assert got == graphs_mod._rational_ell_points(a, b, ell, q, tab)
-    assert set(transported) == {0, 1, 2}
+                if key in class_xs:
+                    psi_finder = ell == 2 or (N % (ell * ell) == 0 and q % ell == 1)
+                    transported[key[0], psi_finder] += 1
+                got = graphs_mod._rational_ell_points(a, b, N, ell, q, tab, class_xs, key)
+                assert got == graphs_mod._rational_ell_points(a, b, N, ell, q, tab)
+    assert set(transported) == {(kind, finder) for kind in (0, 1, 2) for finder in (True, False)}
     assert sum(transported.values()) < curves
 
 

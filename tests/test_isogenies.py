@@ -16,7 +16,6 @@ from isogeny_lab.fields import Polynomial, PrimeField, QQ, poly_roots
 from isogeny_lab.isogenies import (
     CurveIsomorphism,
     curves_isomorphic,
-    dual_kernel,
     dual_kernel_polynomial,
     family_e3,
     kernel_polynomial_from_point,
@@ -228,23 +227,6 @@ def test_dual_kernel_polynomial_divides_and_quotients_back():
     assert (psi3_cod % w).is_zero()
     back = quotient_by_kernel_polynomial(phi.codomain, w, 3)
     assert back.codomain.j_invariant() == e3.j_invariant()
-
-
-def test_dual_kernel_coordinates_and_invariance():
-    F13 = PrimeField(13)
-    e3, p, _ = family_e3(F13, 2, 1)
-    phi = velu_quotient(e3, p)
-    basis = torsion_basis(phi.codomain, 3)
-    sub = dual_kernel(phi, basis)
-    assert sub.dim == 1  # the image of the domain torsion is a line
-    # quotient by an actual generator point of the line, over the splitting
-    # field: the result has the domain's j-invariant
-    a, b = sub.rows[0]
-    R = a * basis.P + b * basis.Q
-    assert R.has_order(3)
-    back = velu_quotient(basis.curve, R, 3)
-    K = basis.curve.field
-    assert back.codomain.j_invariant() == K.element(e3.j_invariant())
 
 
 def test_isomorphism_identity_and_transform_consistency():

@@ -117,6 +117,8 @@ _SWEEP_DIGESTS = {
     3: "501fdf491ac79c869d62c8131d469521b4a4f75aa1572e4824081ca08a6b60c9",
     5: "b331dbc41136a41c9d03d24bba08f7dedc260b580a85c2951a67f279ce25a232",
     7: "4f34e903c54b1fcab3742910b69ab4ed7ec59b34dcf48985e0a5282b6a5fe854",
+    11: "d03c852f8e6986fb30b7fd13f0907365862e915126bc48f1d907396a463b5f1d",
+    13: "056c6bef6599ee776f9c6d6701e53ff58e968d7cd7a22c9bf06e303f5195b41e",
 }
 
 
@@ -326,8 +328,9 @@ _CLAIMS_NONE = {CLAIM_THM1: NOT_APPLICABLE, CLAIM_LEM32: NOT_APPLICABLE,
 ])
 def test_sweep_task_counts_and_claims_are_fixed(q, ell, counts, claims, monkeypatch):
     """Fixed reports of three sweep tasks: ell = 7 with q = 1 mod 7 (psi_7
-    splits and _rational_ell_points runs) and with q != 1 mod 7, and ell = 3.
-    A kernel change that moves a verdict fails here."""
+    splits) and with q != 1 mod 7, and ell = 3.  A kernel change that moves
+    a verdict fails here.  Every task finds its arms through
+    _rational_ell_points."""
     calls = []
     orig = G._rational_ell_points
     monkeypatch.setattr(G, "_rational_ell_points",
@@ -337,4 +340,4 @@ def test_sweep_task_counts_and_claims_are_fixed(q, ell, counts, claims, monkeypa
     assert rep.counts == {**counts, "soundness": {**_SOUND, "isogenies": arms}}
     assert rep.paper_claims == claims
     assert rep.violations == []
-    assert bool(calls) == (q % ell == 1)
+    assert calls
