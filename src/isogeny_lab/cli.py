@@ -105,16 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(report: VerificationReport, args) -> int:
-    if args.format == "json":
-        payload = report.to_json(indent=2)
-    else:
-        payload = report.text_summary()
+def _write(payload: str, args) -> None:
+    """The payload, newline-terminated, to --output when given, else stdout."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
+
+
+def _emit(report: VerificationReport, args) -> int:
+    _write(report.to_json(indent=2) if args.format == "json" else report.text_summary(), args)
     return 0 if report.clean else 2
 
 
@@ -136,12 +137,7 @@ def _module_command(args) -> int:
     else:
         cfg = PointedConfiguration(module=module, hyperplanes=tuple(hyps))
         out["vectors"] = [list(qv) for qv in theorem2_construct(cfg)]
-    payload = json.dumps(out, sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write(json.dumps(out, sort_keys=True, indent=2), args)
     return 0
 
 
@@ -150,12 +146,7 @@ def _replay_command(args) -> int:
         witness = json.load(fh)
     ok = V.replay_witness(witness)
     result = {"witness": witness, "passes_now": ok}
-    payload = json.dumps(result, sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write(json.dumps(result, sort_keys=True, indent=2), args)
     return 0 if ok else 2
 
 

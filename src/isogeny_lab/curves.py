@@ -12,6 +12,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import graphs, intpoly
 from .errors import CapabilityError, FieldMismatchError, InternalError
@@ -420,7 +421,7 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     for f in factors:
         d = intpoly.deg(f)
         if ell == 2:
-            k = _lcm(k, d)
+            k = lcm(k, d)
             continue
         # disc(alpha) = (a1*alpha + a3)^2 + 4*rhs(alpha) in F_q[z]/(f)
         alpha = [(-f[0]) % q] if d == 1 else [0, 1]
@@ -431,7 +432,7 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
             raise InternalError("2-torsion x among odd-ell torsion roots")
         sq = intpoly.ppowmod(disc, (q**d - 1) // 2, f, q)
         y_deg = d if sq == [1] else 2 * d
-        k = _lcm(k, y_deg)
+        k = lcm(k, y_deg)
     bound = TORSION_DEGREE_BOUND(ell)
     if k > bound:
         raise InternalError(f"torsion degree {k} exceeds the bound {bound}")
@@ -485,12 +486,6 @@ def torsion_basis(curve: WeierstrassCurve, ell: int) -> TorsionBasis:
     if basis.zeta == one or not _val_is_zero(basis.zeta**ell - one):
         raise InternalError("basis pairing is not a primitive ell-th root of unity")
     return basis
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # --- Weil pairing (Miller's normalized functions) ------------------------------

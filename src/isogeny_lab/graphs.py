@@ -475,25 +475,29 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
     """All Galois-stable lines of E[ell] with trivial quotient action, for
     the short curve y^2 = x^3 + Ax + B with #E = N (ell | N required).
 
-    Returns a list of (w, quotient_key, quotient_coeffs) with w the monic
-    kernel x-polynomial of the line (int coefficients), sorted by w.
+    Returns a list of (w, x_w, quotient_key, quotient_coeffs), sorted by w,
+    with w the monic kernel x-polynomial of the line (int coefficients) and
+    x_w one of its F_q roots, or None when the line is found without one.
 
     Frobenius has eigenvalues 1 and q on E[ell], so a pointed line is a
-    q-eigenline.  Its points P satisfy x(P)^q = x([a]P) with
+    q-eigenline.  When q = 1 mod ell (every ell = 2 case) the trace
+    q + 1 - N is 2 mod ell and the characteristic polynomial is
+    X^2 - 2X + 1 = (X - 1)^2: the q-eigenlines are the lines of rational
+    points, the subgroups of rational_order_ell_subgroups.  Otherwise the
+    one q-eigenline has points P with x(P)^q = x([a]P) for
     a = min(q mod ell, ell - q mod ell), i.e. Frob(P) = +-[q]P, so one gcd
-    of psi_ell with X^q den_a - num_a (x([a]P) = num_a / den_a) holds its
+    of psi_ell with X^q den_a - num_a (x([a]P) = num_a / den_a) is its
     kernel polynomial, as in the Elkies step of SEA (R. Schoof, J. Theor.
     Nombres Bordeaux 7, 1995).  When q = -1 mod ell the gcd holds both
     eigenlines, and the q-eigenline is the one whose y-coordinates are not
-    rational.  When q = 1 mod ell and Frobenius is the identity it holds
-    all of E[ell], and every line is pointed.
+    rational.
     """
     if N % ell:
         raise InternalError("pointed lines require ell | #E")
     coeffs = (0, 0, 0, A % q, B % q)
-    cubic = [B % q, A % q, 0, 1]
-    if ell == 2:
-        lines = [((-r) % q, 1) for r in intpoly.roots_in_fq(cubic, q)]
+    if q % ell == 1:
+        subgroups = rational_order_ell_subgroups(A, B, N, ell, q, tab)
+        lines = sorted((tuple(intpoly.pfrom_roots(xs, q)), xs[0]) for _, xs in subgroups)
     else:
         psi, F = psi_tilde_ints(coeffs, q, ell)
         psi_x = psi[ell]
@@ -504,24 +508,18 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
         g = intpoly.pgcd(intpoly.psub(intpoly.pmul(xq, den, q), num, q), psi_x, q)
         if qmod == ell - 1:
             # keep the roots x at which the cubic is a non-square
-            s = intpoly.ppowmod(cubic, (q - 1) // 2, g, q)
+            s = intpoly.ppowmod([B % q, A % q, 0, 1], (q - 1) // 2, g, q)
             g = intpoly.pgcd(intpoly.padd(s, [1], q), g, q)
-        half = (ell - 1) // 2
-        if intpoly.deg(g) == half:
-            lines = [tuple(g)]
-        elif qmod == 1 and intpoly.deg(g) == half * (ell + 1):
-            xmul = xmul_table(psi, F, ell, q)
-            roots = intpoly.equal_degree_split(g, 1, q)
-            lines = sorted({tuple(line_poly_int(xmul, [(-r[0]) % q], r, q)) for r in roots})
-        else:
+        if intpoly.deg(g) != (ell - 1) // 2:
             raise InternalError(f"q-eigenline gcd has degree {intpoly.deg(g)}")
+        lines = [(tuple(g), None)]
     out = []
-    for w_key in lines:
+    for w_key, x_w in lines:
         cod = velu_codomain_int(coeffs, list(w_key), ell, q)  # short, like its source
         if (4 * cod[3] ** 3 + 27 * cod[4] ** 2) % q == 0:
             raise InternalError("line quotient is singular")
         key = short_class_key(cod[3], cod[4], q, tab)
-        out.append((w_key, key, cod))
+        out.append((w_key, x_w, key, cod))
     return out
 
 
@@ -757,31 +755,23 @@ class SoundnessStats:
 
 class _TargetClass:
     """One target class: its pointed lines, the first arm on each dual line
-    (the one a report shows), how many arms there were in all, and, when it
-    has several lines, one F_q root of each for _match_dual_line."""
+    (the one a report shows) and how many arms there were in all."""
 
-    __slots__ = ("rep", "order", "lines", "arms", "n_arms", "line_index", "dual_j", "roots")
+    __slots__ = ("rep", "order", "lines", "arms", "n_arms", "line_index", "dual_j")
 
-    def __init__(self, rep, order, lines, q):
+    def __init__(self, rep, order, lines):
         self.rep = rep  # (A, B)
         self.order = order
-        self.lines = lines  # [(w, quotient_key, quotient_coeffs)]
+        self.lines = lines  # [(w, x_w, quotient_key, quotient_coeffs)], sorted by w
         self.arms = {}  # dual line -> the first GraphArm on it
         self.n_arms = 0
+        # quotient key -> [(w, x_w)]; a key has several lines only at
+        # q = 1 mod ell, where each x_w is the F_q root _match_dual_line needs
         self.line_index = {}
-        for w, qkey, _ in lines:
-            self.line_index.setdefault(qkey, []).append(w)
+        for w, x_w, qkey, _ in lines:
+            self.line_index.setdefault(qkey, []).append((w, x_w))
         # j of the representative's quotient by each line
-        self.dual_j = {w: qkey[1] for w, qkey, _ in lines}
-        # several lines occur only at ell = 2 (each X - r) or when psi_ell
-        # splits over F_q, so every line then has an F_q root
-        self.roots = {}
-        if len(lines) > 1:
-            for w, _, _ in lines:
-                xs = intpoly.roots_in_fq(list(w), q)
-                if not xs:
-                    raise InternalError("a pointed line of a multi-line class has no F_q root")
-                self.roots[w] = xs[0]
+        self.dual_j = {w: qkey[1] for w, _, qkey, _ in lines}
 
 
 def build_pointed_graphs(
@@ -813,14 +803,13 @@ def build_pointed_graphs(
     tab = fq_tables(q)
     orders = tab.orders()
     classes: dict[tuple, _TargetClass] = {}
-    ambiguous: list[tuple] = []
 
     def target_class_for(cod_short_A, cod_short_B, N) -> _TargetClass:
         key = short_class_key(cod_short_A, cod_short_B, q, tab)
         tc = classes.get(key)
         if tc is None:
             lines = enumerate_pointed_lines(cod_short_A, cod_short_B, N, ell, q, tab)
-            tc = _TargetClass((cod_short_A, cod_short_B), N, lines, q)
+            tc = _TargetClass((cod_short_A, cod_short_B), N, lines)
             classes[key] = tc
         return tc
 
@@ -852,9 +841,9 @@ def build_pointed_graphs(
                 "no pointed line of the target matches the arm's source class"
             )
         if len(cands) == 1:
-            w = cands[0]
+            w = cands[0][0]
         else:
-            w = _match_dual_line(src, kappa, ell, q, {c: cod_tc.roots[c] for c in cands}, iso)
+            w = _match_dual_line(src, kappa, ell, q, dict(cands), iso)
         cod_tc.n_arms += 1
         if w not in cod_tc.arms:
             cod_tc.arms[w] = GraphArm(
@@ -908,7 +897,7 @@ def build_pointed_graphs(
                 target_order=tc.order,
                 arms=tuple(tc.arms[w] for w in sorted(tc.arms)),
                 arm_multiplicity=tc.n_arms,
-                pointed_lines=tuple(sorted(w for w, _, _ in tc.lines)),
+                pointed_lines=tuple(w for w, _, _, _ in tc.lines),
             )
         )
     return graphs

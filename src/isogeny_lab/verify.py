@@ -484,11 +484,9 @@ def lemma42_trial(rng: random.Random, brute_cap: int = 3**6):
             return {"ell": ell, "g": g, "functionals": [list(r) for r in rows],
                     "J": sorted(key), "dim": sub.dim}
     if ell**dim <= brute_cap:
-        import itertools as it
-
         for key, sub in lattice.items():
             count = 0
-            for vec in it.product(range(ell), repeat=dim):
+            for vec in itertools.product(range(ell), repeat=dim):
                 if all(
                     sum(a * b for a, b in zip(rows[j], vec)) % ell == 0 for j in key
                 ):

@@ -131,6 +131,29 @@ def test_output_file_and_text_format(capsys, tmp_path):
     assert "verified" in out
 
 
+@pytest.mark.parametrize("command", ["module", "replay"])
+def test_output_file_holds_the_stdout_bytes(command, capsys, tmp_path):
+    """module and replay write to --output exactly what they print, with the
+    same exit code."""
+    path = tmp_path / "in.json"
+    if command == "module":
+        path.write_text(json.dumps({
+            "ell": 3, "dim": 2,
+            "generators": [[[1, 0], [0, 1]]],
+            "hyperplanes": [[[1, 0]]],
+        }))
+        argv = ["module", "--input", str(path), "--op", "construct"]
+    else:
+        path.write_text(json.dumps({"claim": "counterexample-v2-w1"}))
+        argv = ["replay", str(path)]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out_path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == printed.encode()
+
+
 def test_sweep_command_small(capsys):
     code, out = run_cli(
         ["sweep", "--ell-list", "2,3", "--q-min", "5", "--q-max", "12",

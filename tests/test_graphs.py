@@ -238,7 +238,7 @@ def test_pointed_lines_divide_division_polynomial():
             lines = enumerate_pointed_lines(a, b, N, 3, q, tab)
             E = WeierstrassCurve(F, 0, 0, 0, a, b)
             psi = division_polynomial(E, 3)
-            for w, _, quot in lines:
+            for w, _, _, quot in lines:
                 wpoly = Polynomial(F, list(w))
                 assert (psi % wpoly).is_zero()
                 count += 1
@@ -319,13 +319,18 @@ def pointed_line_cases():
     return cases
 
 
+def _without_roots(lines):
+    """enumerate_pointed_lines' (w, x_w, key, coeffs) in the oracle's shape."""
+    return [(w, key, cod) for w, _, key, cod in lines]
+
+
 def _oracle_mismatches(enumerate_lines, cases):
     """How many cases enumerate_lines answers differently from the oracle;
     a call that finds no consistent eigenline counts as a mismatch."""
     bad = 0
     for (a, b, N), ell, q, tab, want in cases:
         try:
-            bad += enumerate_lines(a, b, N, ell, q, tab) != want
+            bad += _without_roots(enumerate_lines(a, b, N, ell, q, tab)) != want
         except InternalError:
             bad += 1
     return bad
@@ -334,7 +339,7 @@ def _oracle_mismatches(enumerate_lines, cases):
 def test_pointed_lines_equal_factoring_oracle(pointed_line_cases):
     branches = Counter()
     for (a, b, N), ell, q, tab, want in pointed_line_cases:
-        assert enumerate_pointed_lines(a, b, N, ell, q, tab) == want
+        assert _without_roots(enumerate_pointed_lines(a, b, N, ell, q, tab)) == want
         qmod = q % ell
         if qmod == 1:
             assert len(want) in (1, ell + 1)
@@ -345,12 +350,46 @@ def test_pointed_lines_equal_factoring_oracle(pointed_line_cases):
     assert set(branches) == {"q = 1, all lines", "q = 1, one line", "q = -1", "a* > 1"}
 
 
+def test_pointed_lines_at_ell_2_are_the_rational_roots_of_the_cubic():
+    """ell = 2 oracle: on every short curve with 2 | N at q < 60 the pointed
+    lines are X - r, one for each r in F_q with r^3 + Ar + B = 0 (found by a
+    scan), with x_w = r."""
+    sizes = Counter()
+    for q in primes_in_range(5, 60):
+        tab = fq_tables(q)
+        orders = tab.orders()
+        cubes = [r * r * r % q for r in range(q)]
+        for a in range(q):
+            for b in range(q):
+                N = orders[a][b]
+                if not N or N % 2:
+                    continue
+                roots = [r for r in range(q) if (cubes[r] + a * r + b) % q == 0]
+                got = enumerate_pointed_lines(a, b, N, 2, q, tab)
+                assert [(w, x_w) for w, x_w, _, _ in got] == sorted(
+                    (((-r) % q, 1), r) for r in roots)
+                sizes[len(roots)] += 1
+    assert set(sizes) == {1, 3}
+
+
+def test_line_root_given_exactly_at_q_1(pointed_line_cases):
+    """x_w is an F_q root of w when q = 1 mod ell, and None otherwise."""
+    for (a, b, N), ell, q, tab, _ in pointed_line_cases:
+        for w, x_w, _, _ in enumerate_pointed_lines(a, b, N, ell, q, tab):
+            if q % ell == 1:
+                assert intpoly.peval(list(w), x_w, q) == 0
+            else:
+                assert x_w is None
+
+
 # (old, new) source edits of enumerate_pointed_lines; the oracle must tell
-# each mutant apart.  Skipping the split hands g on as one linear factor.
+# each mutant apart.  Keeping the first subgroup alone drops all but one
+# line of a full-torsion target.
 _LINE_MUTATIONS = {
     "a* off by one": ("a_star = min(qmod, ell - qmod)", "a_star = min(qmod, ell - qmod) + 1"),
     "y-test sign flipped": ("intpoly.padd(s, [1], q)", "intpoly.psub(s, [1], q)"),
-    "full-torsion split skipped": ("intpoly.equal_degree_split(g, 1, q)", "[g]"),
+    "first subgroup only": ("rational_order_ell_subgroups(A, B, N, ell, q, tab)",
+                            "rational_order_ell_subgroups(A, B, N, ell, q, tab)[:1]"),
 }
 
 
@@ -557,8 +596,8 @@ def test_soundness_wrong_dual_line_fails_every_arm_on_it(monkeypatch):
     rep, w1, w2 = next(
         (tc.rep, w1, w2)
         for tc in sorted({tc for tc, _ in seen}, key=lambda tc: tc.rep)
-        for w1, _, _ in tc.lines if per_line[tc.rep, w1] >= 2
-        for w2, _, _ in tc.lines
+        for w1, _, _, _ in tc.lines if per_line[tc.rep, w1] >= 2
+        for w2, _, _, _ in tc.lines
         if tc.dual_j[w2] != tc.dual_j[w1]
     )
 
@@ -845,8 +884,10 @@ def test_shifted_line_root_fails_the_match(q, ell, monkeypatch):
 
     def shifted(self, *args):
         orig(self, *args)
-        for w in list(self.roots)[:1]:
-            self.roots[w] = (self.roots[w] + 1) % q
+        if len(self.lines) > 1:
+            w0 = self.lines[0][0]
+            for pairs in self.line_index.values():
+                pairs[:] = [(w, (x_w + 1) % q if w == w0 else x_w) for w, x_w in pairs]
 
     monkeypatch.setattr(graphs_mod._TargetClass, "__init__", shifted)
     with pytest.raises(InternalError, match="candidate dual line"):

@@ -122,12 +122,24 @@ _SWEEP_DIGESTS = {
 }
 
 
+# run_sweep([7], q_min=29, q_max=50): its q = 43 = 1 mod 7 task has a target
+# with full rational 7-torsion, so ell + 1 pointed lines
+_SWEEP_DIGEST_7_FULL_TORSION = "ecaf46de8cd71dbea5742f9553e73c94f4db1d0dbe7e92eadfb9b490b1ff46bd"
+
+
+def _sweep_digest(ells, q_min, q_max):
+    data = json.loads(run_sweep(ells, q_min=q_min, q_max=q_max).to_json())
+    del data["timing"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("ell", sorted(_SWEEP_DIGESTS))
 def test_sweep_report_digest_pinned(ell):
-    data = json.loads(run_sweep([ell], q_min=5, q_max=32).to_json())
-    del data["timing"]
-    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-    assert digest == _SWEEP_DIGESTS[ell]
+    assert _sweep_digest([ell], 5, 32) == _SWEEP_DIGESTS[ell]
+
+
+def test_sweep_report_digest_pinned_full_7_torsion():
+    assert _sweep_digest([7], 29, 50) == _SWEEP_DIGEST_7_FULL_TORSION
 
 
 def test_counterexample_report():
