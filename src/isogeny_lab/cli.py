@@ -48,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--format", choices=["json", "text"], default="json")
+    def add_common(sp, report=True):
+        if report:  # module and replay print a JSON payload, not a report
+            sp.add_argument("--format", choices=["json", "text"], default="json")
         sp.add_argument("--output", help="write the report to this path instead of stdout")
 
     t1 = sub.add_parser("theorem1", help="order-two graphs force full rational torsion")
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     md.add_argument("--input", required=True)
     md.add_argument("--op", choices=["fixed", "semisimple", "order", "construct"],
                     required=True)
-    add_common(md)
+    add_common(md, report=False)
 
     sw = sub.add_parser("sweep", help="theorem-1 + lemma sweeps over prime ranges")
     sw.add_argument("--ell-list", default="2,3,5,7")
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("replay", help="re-execute a serialized violation witness")
     rp.add_argument("witness_file")
-    add_common(rp)
+    add_common(rp, report=False)
 
     su = sub.add_parser("suites", help="random property suites on the Galois-module layer")
     su.add_argument("--trials", type=int, default=1000)

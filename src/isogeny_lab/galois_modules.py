@@ -269,11 +269,7 @@ def fixed_subspace(module: GaloisModule) -> Subspace:
 def is_invariant(module: GaloisModule, sub: Subspace) -> bool:
     if sub.ambient != module.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    return _is_invariant(module.generators, sub)
-
-
-def _is_invariant(gens, sub: Subspace) -> bool:
-    return all(sub.contains(sub.apply(g)) for g in gens)
+    return all(sub.contains(sub.apply(g)) for g in module.generators)
 
 
 def pointedness_check(module: GaloisModule, hyperplane: Subspace) -> bool:
@@ -488,11 +484,12 @@ def graph_order(hyperplanes) -> int:
     return mat_rank(funcs, ell)
 
 
-def theorem2_construct(cfg: PointedConfiguration) -> list[Vector]:
+def theorem2_construct(cfg: PointedConfiguration, order=None, fixed=None) -> list[Vector]:
     """The constructive procedure: W_i with H_I + W_i = H_{I minus i}
     (direct), Q_i the canonical generator of W_i.  Asserts the guaranteed
     postconditions: every Q_i fixed, the Q_i independent, span inside the
-    fixed subspace.
+    fixed subspace.  `order` and `fixed` are the configuration's
+    `graph_order` and `fixed_subspace` when the caller has them.
 
     This is the one semisimplicity decision of its callers:
     NotSemisimpleError means only that the module is not semisimple, and
@@ -500,7 +497,7 @@ def theorem2_construct(cfg: PointedConfiguration) -> list[Vector]:
     module = cfg.module
     hyps = list(cfg.hyperplanes)
     n = len(hyps)
-    if graph_order(hyps) != n:
+    if (graph_order(hyps) if order is None else order) != n:
         raise ValueError(f"configuration order is not {n}")
     if not is_semisimple(module):
         raise NotSemisimpleError("module is not semisimple")
@@ -524,7 +521,7 @@ def theorem2_construct(cfg: PointedConfiguration) -> list[Vector]:
                 f"complement W_{i} has dimension {w.dim}, expected 1"
             )
         qs.append(w.rows[0])
-    fixed = fixed_subspace(module)
+    fixed = fixed_subspace(module) if fixed is None else fixed
     for i, q in enumerate(qs):
         for g in module.generators:
             if mat_vec(g, q, module.ell) != q:
@@ -564,7 +561,7 @@ def enumerate_invariant_subspaces(module: GaloisModule, cap: int = ENUM_CAP):
     ell, n = module.ell, module.dim
     if ell**n > cap:
         raise CapabilityError(f"subspace enumeration cap {cap} exceeded (ell^dim = {ell**n})")
-    return [sub for sub in _all_subspaces(ell, n) if _is_invariant(module.generators, sub)]
+    return [sub for sub in _all_subspaces(ell, n) if is_invariant(module, sub)]
 
 
 # --- random configuration generators (for property suites) ----------------------

@@ -39,6 +39,7 @@ from .galois_modules import (
     is_semisimple,
     mat_rank,
     necessity_witness_config,
+    nullspace,
     pointedness_check,
     product_module,
     random_cyclic_pointed_config,
@@ -269,20 +270,21 @@ def _line_subspace(basis, w_ints: list[int]) -> Subspace:
 
 def _check_theorem2_config(mod: GaloisModule, hyps: tuple) -> tuple[dict | None, bool | None]:
     """The product sweep's check of one configuration, in order:
-    pointedness, order, fixed dimension, then the construction, which is
-    the one semisimplicity decision.  Returns (violation, semisimple): the
-    violation's kind (and error) or None, and whether the module is
-    semisimple, None when the construction did not run."""
+    pointedness, order, fixed dimension, then the construction (handed that
+    order and fixed space), the one semisimplicity decision.  Returns
+    (violation, semisimple): the violation's kind (and error) or None, and
+    whether the module is semisimple, None when the construction did not
+    run."""
     try:
         cfg = PointedConfiguration(module=mod, hyperplanes=hyps)
     except NotPointedError:
         return {"kind": "product-not-pointed"}, None
-    if graph_order(hyps) != len(hyps):
+    if (order := graph_order(hyps)) != len(hyps):
         return {"kind": "product-order"}, None
-    if fixed_subspace(mod).dim < len(hyps):
+    if (fixed := fixed_subspace(mod)).dim < len(hyps):
         return {"kind": "fixed-dim"}, None
     try:
-        theorem2_construct(cfg)
+        theorem2_construct(cfg, order=order, fixed=fixed)
     except NotSemisimpleError:
         return None, False
     except TheoremViolationError as exc:
@@ -475,9 +477,7 @@ def lemma42_trial(rng: random.Random, brute_cap: int = 3**6):
         rows = [tuple(rng.randrange(ell) for _ in range(dim)) for _ in range(n)]
         if mat_rank(rows, ell) == n:
             break
-    hyps = [
-        Subspace.from_vectors(ell, dim, nullspace_rows(row, ell, dim)) for row in rows
-    ]
+    hyps = [Subspace.from_vectors(ell, dim, nullspace([row], ell, dim)) for row in rows]
     lattice = subspace_lattice(hyps)
     for key, sub in lattice.items():
         if sub.dim != dim - len(key):
@@ -485,22 +485,11 @@ def lemma42_trial(rng: random.Random, brute_cap: int = 3**6):
                     "J": sorted(key), "dim": sub.dim}
     if ell**dim <= brute_cap:
         for key, sub in lattice.items():
-            count = 0
-            for vec in itertools.product(range(ell), repeat=dim):
-                if all(
-                    sum(a * b for a, b in zip(rows[j], vec)) % ell == 0 for j in key
-                ):
-                    count += 1
+            count = len(_brute_solutions([rows[j] for j in key], ell, dim))
             if count != ell ** (dim - len(key)):
                 return {"ell": ell, "g": g, "functionals": [list(r) for r in rows],
                         "J": sorted(key), "count": count}
     return None
-
-
-def nullspace_rows(functional, ell, dim):
-    from .galois_modules import nullspace
-
-    return nullspace([tuple(functional)], ell, dim)
 
 
 def theorem2_trial(rng: random.Random):
@@ -530,13 +519,23 @@ def theorem2_trial(rng: random.Random):
 
 
 def _brute_fixed_vectors(module: GaloisModule) -> set:
-    from .galois_modules import mat_vec
+    ell = module.ell
+    g_minus_1 = [tuple((x - (i == j)) % ell for j, x in enumerate(row))
+                 for gm in module.generators for i, row in enumerate(gm)]
+    return set(_brute_solutions(g_minus_1, ell, module.dim))
 
-    out = set()
-    for vec in itertools.product(range(module.ell), repeat=module.dim):
-        if all(mat_vec(gm, vec, module.ell) == vec for gm in module.generators):
-            out.add(vec)
-    return out
+
+def _brute_solutions(rows, ell: int, dim: int) -> list[tuple]:
+    """Every v in F_ell^dim with r . v = 0 mod ell for all rows r, by a walk
+    over all ell^dim vectors v = a + b (a on the first dim // 2 coordinates,
+    b on the rest) that keeps a pair iff the tabulated tuples (r . a) and
+    (-r . b) mod ell are equal.  Uses none of `galois_modules`' algebra."""
+    k = dim // 2
+    heads = list(itertools.product(range(ell), repeat=k))
+    tails = list(itertools.product(range(ell), repeat=dim - k))
+    h_img = [tuple(sum(x * y for x, y in zip(r, a)) % ell for r in rows) for a in heads]
+    t_img = [tuple(-sum(x * y for x, y in zip(r[k:], b)) % ell for r in rows) for b in tails]
+    return [a + b for a, ha in zip(heads, h_img) for b, hb in zip(tails, t_img) if ha == hb]
 
 
 def cyclic_law_trial(rng: random.Random):

@@ -154,6 +154,32 @@ def test_output_file_holds_the_stdout_bytes(command, capsys, tmp_path):
     assert out_path.read_bytes() == printed.encode()
 
 
+@pytest.mark.parametrize("command", ["module", "replay"])
+def test_format_is_a_usage_error_where_no_report_is_printed(command, capsys, tmp_path):
+    """module and replay print a JSON payload, not a report: --format is not
+    an option of theirs, so passing it is a usage error (exit 1), and their
+    output without it is the sorted-key JSON payload."""
+    path = tmp_path / "in.json"
+    if command == "module":
+        path.write_text(json.dumps({
+            "ell": 3, "dim": 2,
+            "generators": [[[1, 0], [0, 1]]],
+            "hyperplanes": [[[1, 0]]],
+        }))
+        argv = ["module", "--input", str(path), "--op", "construct"]
+        payload = {"dim": 2, "ell": 3, "op": "construct", "vectors": [[0, 1]]}
+    else:
+        path.write_text(json.dumps({"claim": "counterexample-v2-w1"}))
+        argv = ["replay", str(path)]
+        payload = {"passes_now": True, "witness": {"claim": "counterexample-v2-w1"}}
+    for fmt in ("text", "json"):
+        assert main([*argv, "--format", fmt]) == 1
+        assert capsys.readouterr().out == ""
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_sweep_command_small(capsys):
     code, out = run_cli(
         ["sweep", "--ell-list", "2,3", "--q-min", "5", "--q-max", "12",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -108,6 +109,29 @@ def test_product_configuration_checked_once(monkeypatch):
     # one per pointedness check, and three in each of the two complement
     # solves of each of the six semisimple configurations
     assert calls["is_invariant"] == 48
+
+
+def test_product_configuration_order_and_fixed_space_computed_once(monkeypatch):
+    """The product sweep hands its order and fixed space to the
+    construction, so each is computed once per configuration; a caller
+    that hands in nothing (the trials, the CLI) still gets both computed."""
+    calls = Counter()
+    for name in ("graph_order", "fixed_subspace"):
+        orig = getattr(GM, name)
+        wrapped = (lambda *a, _o=orig, _n=name: calls.update([_n]) or _o(*a))
+        for mod in (GM, V):
+            monkeypatch.setattr(mod, name, wrapped)
+    rep = verify_theorem2_products(11, 3)
+    assert rep.counts["pairs_checked"] == rep.counts["semisimple_instances"] == 6
+    assert calls == {"graph_order": 6, "fixed_subspace": 6}
+    calls.clear()
+    cfg = GM.PointedConfiguration.from_json({
+        "ell": 3, "generators": [[[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]],
+        "hyperplanes": [[[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]],
+    })
+    assert GM.theorem2_construct(cfg) == [(0, 1, 0, 0), (0, 0, 0, 1)]
+    assert calls == {"graph_order": 1, "fixed_subspace": 1}
 
 
 # reports of run_sweep([ell], q_min=5, q_max=32) without "timing", as
@@ -353,3 +377,63 @@ def test_sweep_task_counts_and_claims_are_fixed(q, ell, counts, claims, monkeypa
     assert rep.paper_claims == claims
     assert rep.violations == []
     assert calls
+
+
+# --- the module suites' exhaustive oracle ---------------------------------------
+
+
+def _plain_solutions(rows, ell, dim):
+    """The reference: every vector, tested against every row's dot
+    product."""
+    out = []
+    for vec in itertools.product(range(ell), repeat=dim):
+        if all(sum(a * b for a, b in zip(row, vec)) % ell == 0 for row in rows):
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+@pytest.mark.parametrize("dim", range(7))
+def test_brute_solutions_match_the_plain_loop(ell, dim):
+    """Every dim from 0 to 6 (odd dims split unevenly), no rows (every
+    vector is a solution), 1 to dim + 1 random rows, and a repeated row of
+    unreduced entries."""
+    rng = random.Random(ell * 10 + dim)
+    cases = [[]]
+    for n in range(1, dim + 2):
+        cases.append([tuple(rng.randrange(ell) for _ in range(dim)) for _ in range(n)])
+    if dim:
+        cases.append([tuple(rng.randrange(-2 * ell, 2 * ell) for _ in range(dim))] * 2)
+    for rows in cases:
+        assert V._brute_solutions(rows, ell, dim) == _plain_solutions(rows, ell, dim), rows
+    assert len(V._brute_solutions([], ell, dim)) == ell**dim
+
+
+def _mat_vec_fixed(module):
+    """Fixed vectors by applying every generator to every vector."""
+    out = set()
+    for vec in itertools.product(range(module.ell), repeat=module.dim):
+        if all(GM.mat_vec(g, vec, module.ell) == vec for g in module.generators):
+            out.add(vec)
+    return out
+
+
+def test_brute_fixed_vectors_match_mat_vec_on_the_suites_draws():
+    """The modules that theorem2_trial and cyclic_law_trial draw at the
+    acceptance seeds 42-44 (1000 trials each, with run_trials' per-trial
+    seeds), wherever ell^dim <= 3^6; ell = 5, dim 6 is covered row by row
+    above."""
+    checked = 0
+    for seed in (42, 43, 44):
+        for draw in (GM.random_semisimple_pointed_config, GM.random_cyclic_pointed_config):
+            for i in range(1000):
+                rng = random.Random((seed * 1_000_003 + i) & 0x7FFFFFFF)
+                ell = rng.choice([2, 3, 5])
+                g = rng.choice([1, 2, 3])
+                n = rng.randrange(1, min(4, 2 * g) + 1)
+                if ell ** (2 * g) > 3**6:
+                    continue
+                module = draw(rng, ell, g, n).module
+                assert V._brute_fixed_vectors(module) == _mat_vec_fixed(module), module
+                checked += 1
+    assert checked > 5000
