@@ -381,37 +381,21 @@ def velu_x_maps_int(coeffs, kappa, ell, q):
     )
 
 
-def velu_x_map_at(binv, kappa, p1, ell, x, q):
-    """(num(x), num'(x), den(x), den'(x)) of the velu_x_map polynomials at
-    x in F_q, without building them.
-
-    binv = (b2, b4, b6) of the source curve and p1 the sum of kappa's roots;
-    one Horner pass gives h, h', h'' and h''' at x for h = kappa.
-    """
-    b2, b4, b6 = binv
-    t0 = t1 = t2 = t3 = 0  # t_k = h^(k)(x) / k!
-    for c in reversed(kappa):
-        t3 = t3 * x + t2
-        t2 = t2 * x + t1
-        t1 = t1 * x + t0
-        t0 = t0 * x + c
-    h, hp = t0 % q, t1 % q
-    if ell == 2:
-        t = velu_t_w(binv, 2, 1, (p1,), (q + 1) // 2)[0]
-        return (x * h + t) % q, (h + x * hp) % q, h, hp
-    hpp, hppp = 2 * t2 % q, 6 * t3 % q
-    v = (6 * x + b2) * x + b4
-    u = ((4 * x + b2) * x + 2 * b4) * x + b6
-    lin = ell * x - 2 * p1
-    w = hpp * h - hp * hp  # its derivative is h''' h - h' h''
-    num = (lin * h - v * hp) * h - u * w
-    nump = (
-        (ell * h + 2 * lin * hp - (12 * x + b2) * hp) * h
-        - v * (hpp * h + hp * hp)
-        - ((12 * x + 2 * b2) * x + 2 * b4) * w
-        - u * (hppp * h - hp * hpp)
-    )
-    return num % q, nump % q, h * h % q, 2 * h * hp % q
+def velu_x_map_at(terms, x, q):
+    """(X, X') of the quotient x-map num/den of velu_x_map and its derivative
+    at x in F_q, or None at a kernel x.  In Velu's sum form over one term
+    (x_Q, v_Q, u_Q) per kernel x, v_Q = 6 x_Q^2 + b2 x_Q + b4 and u_Q =
+    4 x_Q^3 + b2 x_Q^2 + 2 b4 x_Q + b6 ((x_Q, v_Q / 2, 0) at ell = 2), and
+    d = 1 / (x - x_Q): X = x + sum (v_Q + u_Q d) d and X' = 1 - sum (v_Q +
+    2 u_Q d) d^2 (J. Velu, C. R. Acad. Sci. Paris 273, 1971)."""
+    X, Xp = x, 1
+    for xq, v, u in terms:
+        if x == xq:
+            return None
+        d = pow(x - xq, -1, q)
+        X += (v + u * d) * d
+        Xp -= (v + 2 * u * d) * d * d
+    return X % q, Xp % q
 
 
 # --- canonical isomorphism-class keys ----------------------------------------------
@@ -592,22 +576,25 @@ def _rational_ell_points(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None
     them: as the F_q roots of psi_ell when E[ell] can be rational (ell = 2,
     or ell^2 | N and q = 1 mod ell), else as the subgroup of the one point
     _find_order_ell_point gives.  class_xs, when given, maps the key of each
-    class met so far to (A0, B0, its x's on y^2 = x^3 + A0 x + B0).  A curve
+    class met so far to (A0, B0, its x's on y^2 = x^3 + A0 x + B0, and the
+    psi_ell they are roots of, or None after the scan).  A curve
     of a known class is (A, B) = (u^4 A0, u^6 B0), and (x, y) -> (u^2 x, u^3 y)
     maps the one onto the other, so its x's are u^2 times the stored ones.
     Each x keeps the y of tab.sqrt, when it has one.
     """
     hit = class_xs.get(key) if class_xs is not None else None
     if hit is None:
+        psi = None
         if ell == 2 or (N % (ell * ell) == 0 and q % ell == 1):
-            xs = intpoly.roots_in_fq(torsion_x_poly_ints((0, 0, 0, A, B), q, ell), q)
+            psi = torsion_x_poly_ints((0, 0, 0, A, B), q, ell)
+            xs = intpoly.roots_in_fq(psi, q)
         else:
             pt = _find_order_ell_point(A, B, N, ell, q, tab)
             xs = sorted(_subgroup_xs(pt, (0, 0, 0, A, B), ell, q))
         if class_xs is not None:
-            class_xs[key] = (A, B, xs)
+            class_xs[key] = (A, B, xs, psi)
     else:
-        A0, B0, xs0 = hit
+        A0, B0, xs0, _ = hit
         u = solve_twist_scale(A, B, A0, B0, q, tab)
         u2 = u * u % q
         xs = sorted(u2 * x % q for x in xs0)
@@ -617,6 +604,23 @@ def _rational_ell_points(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None
         if y >= 0:
             pts.append((x, y))
     return pts
+
+
+def _class_psi(A, B, q, tab: FqTables, entry):
+    """psi_ell of y^2 = x^3 + Ax + B (torsion_x_poly_ints) from its class's
+    class_xs entry (A0, B0, xs, psi0): x -> u^2 x maps the roots of psi0 onto
+    its roots, with the same leading coefficient, so x^i has psi0_i u^(2(d - i)).
+
+    _match_dual_line needs it only for a target with several pointed lines:
+    then q = 1 mod ell and the target's E[ell] is rational, so ell^2 divides
+    its order, which is the source's, and the class's first curve took the
+    psi_ell finder of _rational_ell_points, which stored psi0."""
+    A0, B0, _, psi0 = entry
+    if psi0 is None:
+        raise InternalError("the source class has no stored psi_ell")
+    u2 = solve_twist_scale(A, B, A0, B0, q, tab) ** 2 % q
+    d = len(psi0) - 1
+    return [c * pow(u2, d - i, q) % q for i, c in enumerate(psi0)]
 
 
 def _subgroup_xs(pt, coeffs, ell, q):
@@ -803,6 +807,8 @@ def build_pointed_graphs(
     tab = fq_tables(q)
     orders = tab.orders()
     classes: dict[tuple, _TargetClass] = {}
+    # each source class's rational ell-torsion x's and, when it was built, psi_ell
+    class_xs: dict[tuple, tuple] = {}
 
     def target_class_for(cod_short_A, cod_short_B, N) -> _TargetClass:
         key = short_class_key(cod_short_A, cod_short_B, q, tab)
@@ -843,18 +849,19 @@ def build_pointed_graphs(
         if len(cands) == 1:
             w = cands[0][0]
         else:
-            w = _match_dual_line(src, kappa, ell, q, dict(cands), iso)
+            psi = (torsion_x_poly_ints(src, q, ell) if src[0] or src[2]  # family: long form
+                   else _class_psi(src[3], src[4], q, tab, class_xs[src_key]))
+            w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
         cod_tc.n_arms += 1
         if w not in cod_tc.arms:
             cod_tc.arms[w] = GraphArm(
                 source=src, kernel_point=kernel_pt, codomain=cod, iso_to_target=iso, dual_line=w
             )
         if soundness is not None:
-            _soundness_checks(soundness, src, kappa, sums[0], kernel_pt, kernel_xs,
+            _soundness_checks(soundness, src, kappa, kernel_pt, kernel_xs,
                               cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders, src_inv)
 
-    # short-form sources; class_xs holds each source class's rational ell-torsion x's
-    class_xs: dict[tuple, tuple] = {}
+    # short-form sources
     for a in range(q):
         row = orders[a]
         for b in range(q):
@@ -903,9 +910,10 @@ def build_pointed_graphs(
     return graphs
 
 
-def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
+def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target, psi):
     """The arm's dual line among the candidates {w: an F_q root x_w of w},
-    in target-representative coordinates, by one fiber division each.
+    in target-representative coordinates, by one fiber division each of
+    psi, the source's torsion_x_poly_ints.
 
     Let phi: E -> C be the arm with x-map num/den and x_cod = u^2 x_rep + r
     its isomorphism to the representative.  With X = u^2 x_w + r, the roots
@@ -918,7 +926,6 @@ def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
     decides each candidate exactly, as psi_ell gives kernels in the Elkies
     step of SEA (R. Schoof, J. Theor. Nombres Bordeaux 7, 1995).
     """
-    psi = torsion_x_poly_ints(src_coeffs, q, ell)
     if intpoly.pmod(psi, kappa, q):
         raise InternalError("kernel polynomial does not divide the torsion polynomial")
     num, den = velu_x_maps_int(src_coeffs, kappa, ell, q)
@@ -936,18 +943,20 @@ def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target):
 
 
 def _soundness_checks(
-    stats: SoundnessStats, src, kappa, p1, kernel_pt, kernel_xs, cod, cod_short, w_line,
+    stats: SoundnessStats, src, kappa, kernel_pt, kernel_xs, cod, cod_short, w_line,
     tc, N, ell, q, tab: FqTables, orders, src_inv,
 ):
     """Per-isogeny engine checks: homomorphism sampling, kernel collapse,
     nonsingular codomain, dual-line quotient j, isogenous order equality.
 
-    p1 is the sum of kappa's roots, cod_short the short form (A, B) of the
-    codomain and src_inv the source's (short_class_key, (b2, b4, b6)).  The
-    kernel check is kappa(x) = 0 at the kernel's x-coordinates; the x-map
-    is evaluated at the sampled points by velu_x_map_at."""
+    cod_short is the short form (A, B) of the codomain and src_inv the
+    source's (short_class_key, (b2, b4, b6)).  The kernel check is
+    kappa(x) = 0 at the kernel's x-coordinates.  At the sampled points the
+    x-map is velu_x_map_at, Velu's sum over one term per kernel x, while cod
+    came from the power sums (velu_codomain_int), so the homomorphism check
+    holds the two statements of Velu against each other."""
     stats.isogenies += 1
-    src_key, binv = src_inv
+    src_key, (b2, b4, b6) = src_inv
     a1, _, a3, _, _ = src
     inv2 = (q + 1) // 2
 
@@ -955,12 +964,10 @@ def _soundness_checks(
         if P is None:
             return None
         x, y = P
-        nv, nd, dv, dd = velu_x_map_at(binv, kappa, p1, ell, x, q)
-        if dv == 0:  # den is a power of kappa: P is in the kernel
+        m = velu_x_map_at(terms, x, q)
+        if m is None:  # P is in the kernel
             return None
-        dinv = pow(dv, -1, q)
-        X = nv * dinv % q
-        Xp = (nd * dv - nv * dd) * dinv % q * dinv % q
+        X, Xp = m
         Y = (Xp * (2 * y + a1 * x + a3) - a1 * X - a3) * inv2 % q
         return (X, Y)
 
@@ -970,6 +977,13 @@ def _soundness_checks(
         if intpoly.peval(kappa, x, q):
             stats.record("kernel_failures", "kernel", src)
             return
+    terms = []
+    for x in kernel_xs:
+        v = (6 * x + b2) * x + b4
+        if ell == 2:  # Q is 2-torsion: its term is v_Q / 2 and u_Q = 0
+            terms.append((x, v * inv2 % q, 0))
+        else:
+            terms.append((x, v % q, (((4 * x + b2) * x + 2 * b4) * x + b6) % q))
     # homomorphism on deterministic samples
     pts = _sample_points(src, q, tab, want=2, salt=kernel_pt[0])
     if len(pts) == 2:

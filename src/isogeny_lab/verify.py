@@ -466,8 +466,9 @@ def abstract_necessity_witness() -> VerificationReport:
 
 def lemma42_trial(rng: random.Random, brute_cap: int = 3**6):
     """One random independent-hyperplane family; returns None or a failure
-    witness.  Checks dim H_J = 2g - |J| for every nonempty J, against brute
-    vector enumeration when ell^(2g) is small enough."""
+    witness.  Checks dim H_J = 2g - |J| for every nonempty J and, when
+    ell^(2g) is small enough, that H_J is the common solution space of the
+    functionals in J that brute vector enumeration finds."""
     ell = rng.choice([2, 3, 5])
     g = rng.choice([1, 2, 3])
     dim = 2 * g
@@ -485,10 +486,10 @@ def lemma42_trial(rng: random.Random, brute_cap: int = 3**6):
                     "J": sorted(key), "dim": sub.dim}
     if ell**dim <= brute_cap:
         for key, sub in lattice.items():
-            count = len(_brute_solutions([rows[j] for j in key], ell, dim))
-            if count != ell ** (dim - len(key)):
+            sols = set(_brute_solutions([rows[j] for j in key], ell, dim))
+            if len(sols) != ell ** (dim - len(key)) or not sols.issuperset(sub.rows):
                 return {"ell": ell, "g": g, "functionals": [list(r) for r in rows],
-                        "J": sorted(key), "count": count}
+                        "J": sorted(key), "count": len(sols)}
     return None
 
 

@@ -555,10 +555,9 @@ def _corrupt_x_maps(monkeypatch):
     no homomorphism."""
     orig = graphs_mod.velu_x_map_at
 
-    def shifted(*args):
-        nv, nd, dv, dd = orig(*args)
-        q = args[-1]
-        return (nv + dv) % q, (nd + dd) % q, dv, dd
+    def shifted(terms, x, q):
+        m = orig(terms, x, q)
+        return m if m is None else ((m[0] + 1) % q, m[1])
 
     monkeypatch.setattr(graphs_mod, "velu_x_map_at", shifted)
 
@@ -571,7 +570,7 @@ def _wrap_checks(monkeypatch, change):
 
 
 # positions of the arguments of graphs._soundness_checks
-_KAPPA, _W_LINE, _TC, _N = 2, 8, 9, 10
+_KAPPA, _W_LINE, _TC, _N, _ELL, _Q = 2, 7, 8, 9, 10, 11
 
 
 def test_soundness_corrupted_x_map_fails_homomorphism(monkeypatch):
@@ -655,30 +654,31 @@ def test_soundness_witnesses_capped_counters_exact(monkeypatch):
     assert capped.failures == uncapped.failures[:cap]
 
 
-# --- the x-map at the check points against the x-map polynomial -----------------
+# --- the x-map in Velu's sum form against the x-map polynomial ------------------
 
 _DIFF_SWEEPS = [(q, ell) for ell in (2, 3, 5, 7) for q in (5, 7, 11, 13, 17, 19, 23, 29, 31)
-                if q != ell]
+                if q != ell] + [(23, 11), (43, 11), (29, 13), (53, 13)]
 
 
 @pytest.fixture(scope="module")
 def check_point_calls():
-    """(source, b-invariants, kappa, p1, ell, x, q) of every velu_x_map_at
-    call that the soundness checks make on every arm of the sweeps with
-    q <= 31: the sampled points of each arm and their sums with each other
-    and with the kernel point."""
-    calls = []
-    src = []
+    """[source, kappa, ell, q, kernel point, terms, xs] of every arm that
+    the soundness checks see in the sweeps of _DIFF_SWEEPS: the Velu terms
+    handed to velu_x_map_at (None if it is not called) and the x of each of
+    its calls, i.e. of the sampled points of the arm and of their sums with
+    each other and with the kernel point."""
+    arms = []
     orig_checks = graphs_mod._soundness_checks
     orig_at = graphs_mod.velu_x_map_at
 
     def checks(*args):
-        src[:] = [args[1]]
+        arms.append([args[1], tuple(args[_KAPPA]), args[_ELL], args[_Q], args[3], None, []])
         return orig_checks(*args)
 
-    def at(binv, kappa, p1, ell, x, q):
-        calls.append((src[0], binv, tuple(kappa), p1, ell, x, q))
-        return orig_at(binv, kappa, p1, ell, x, q)
+    def at(terms, x, q):
+        arms[-1][5] = tuple(terms)
+        arms[-1][6].append(x)
+        return orig_at(terms, x, q)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs_mod, "_soundness_checks", checks)
@@ -687,7 +687,7 @@ def check_point_calls():
             stats = SoundnessStats()
             build_pointed_graphs(PrimeField(q), ell, soundness=stats)
             assert stats.ok()
-    return calls
+    return arms
 
 
 def peval_deriv(f, x, q):
@@ -710,20 +710,47 @@ def test_peval_deriv_matches_pderiv_and_peval():
                 assert peval_deriv(f, x, q) == want
 
 
-def _x_map_mismatches(calls):
-    """How many calls velu_x_map_at answers differently from peval_deriv of
-    the velu_x_maps_int polynomials at the same point."""
+def _x_map_mismatches(arms, every_x=False):
+    """How many points x velu_x_map_at answers differently from num/den of
+    the velu_x_maps_int polynomials and its derivative, None where den(x) = 0:
+    at each arm's check points, or at every x in F_q."""
     bad = 0
-    for src, binv, kappa, p1, ell, x, q in calls:
+    for src, kappa, ell, q, _, terms, xs in arms:
+        if terms is None:
+            continue
         num, den = graphs_mod.velu_x_maps_int(src, list(kappa), ell, q)
-        want = (*peval_deriv(num, x, q), *peval_deriv(den, x, q))
-        bad += graphs_mod.velu_x_map_at(binv, list(kappa), p1, ell, x, q) != want
+        for x in (range(q) if every_x else xs):
+            nv, nd = peval_deriv(num, x, q)
+            dv, dd = peval_deriv(den, x, q)
+            dinv = pow(dv, -1, q) if dv else 0
+            want = (nv * dinv % q, (nd * dv - nv * dd) * dinv * dinv % q) if dv else None
+            bad += graphs_mod.velu_x_map_at(terms, x, q) != want
     return bad
 
 
 def test_x_map_at_check_points_equals_polynomial(check_point_calls):
-    assert {c[4] for c in check_point_calls} == {2, 3, 5, 7}
+    assert {arm[2] for arm in check_point_calls} == {2, 3, 5, 7, 11, 13}
+    # an arm evaluates no x-map only when it has fewer than two sample points
+    for src, _, _, q, kernel_pt, terms, _ in check_point_calls:
+        if terms is None:
+            assert len(graphs_mod._sample_points(src, q, fq_tables(q), 2, kernel_pt[0])) < 2
     assert _x_map_mismatches(check_point_calls) == 0
+
+
+def test_x_map_at_every_x_equals_polynomial(check_point_calls):
+    """Not only the check points: every x in F_q, kernel x's (None) included."""
+    assert sum(arm[5] is not None for arm in check_point_calls) == 9244
+    assert _x_map_mismatches(check_point_calls, every_x=True) == 0
+
+
+def _mutate_terms(terms, where, q):
+    """One wrong statement of the sum form: x_Q, v_Q or u_Q off by one, the
+    ell = 2 halving left out (only 2-torsion Q have u_Q = 0), or a term lost."""
+    if where == 3:
+        return [(xq, 2 * v if u == 0 else v, u) for xq, v, u in terms]
+    if where == 4:
+        return terms[:-1]
+    return [tuple((c + (i == where)) % q for i, c in enumerate(t)) for t in terms]
 
 
 _POLY, _POINT = "velu_x_maps_int", "velu_x_map_at"
@@ -733,11 +760,11 @@ _POLY, _POINT = "velu_x_maps_int", "velu_x_map_at"
     (_POLY, (0, 0)),  # constant coefficient of num
     (_POLY, (0, -1)),  # leading coefficient of num
     (_POLY, (1, 0)),  # constant coefficient of den
-    (_POINT, 0),  # b2
-    (_POINT, 1),  # b4
-    (_POINT, 2),  # b6
-    (_POINT, 3),  # p1
-    (_POINT, 4),  # ell
+    (_POINT, 0),  # x_Q
+    (_POINT, 1),  # v_Q
+    (_POINT, 2),  # u_Q
+    (_POINT, 3),  # the ell = 2 halving of v_Q
+    (_POINT, 4),  # one kernel x's term
 ])
 def test_x_map_differential_catches_a_wrong_coefficient(attr, where, check_point_calls,
                                                         monkeypatch):
@@ -748,12 +775,13 @@ def test_x_map_differential_catches_a_wrong_coefficient(attr, where, check_point
             maps[where[0]][where[1]] += 1
             return tuple(maps)
     else:
-        def mutated(binv, kappa, p1, ell, x, q):
-            v = [*binv, p1, ell]
-            v[where] += 2  # keeps an odd ell odd
-            return orig(tuple(v[:3]), kappa, v[3], v[4], x, q)
+        def mutated(terms, x, q):
+            return orig(_mutate_terms(list(terms), where, q), x, q)
     monkeypatch.setattr(graphs_mod, attr, mutated)
-    assert _x_map_mismatches([c for c in check_point_calls if c[6] <= 13]) > 0
+    small = [arm for arm in check_point_calls if arm[3] <= 13]
+    assert _x_map_mismatches(small) > 0
+    if where == 3:
+        assert _x_map_mismatches([arm for arm in small if arm[2] != 2]) == 0
 
 
 @pytest.mark.parametrize("q, ell", [(11, 3), (13, 3), (13, 2), (31, 5)])
@@ -808,11 +836,12 @@ def test_rational_ell_points_transport_equals_direct():
 # --- the dual-line match: one fiber division against the composition oracle ---
 
 
-def match_by_composition(src_coeffs, kappa, ell, q, candidates, iso_to_target):
+def match_by_composition(src_coeffs, kappa, ell, q, candidates, iso_to_target, _psi=None):
     """Oracle for _match_dual_line: the candidates w (target-representative
     coordinates) with w(x_rep(z)) = 0 modulo g = psi / kappa, which carries
     the x-coordinates of the torsion outside the kernel; x_rep = (num/den -
-    r) / u^2, so w(x_rep) is taken as sum w_i num_rep^i den^(deg w - i)."""
+    r) / u^2, so w(x_rep) is taken as sum w_i num_rep^i den^(deg w - i).
+    It builds psi itself and ignores the matcher's."""
     psi = graphs_mod.torsion_x_poly_ints(src_coeffs, q, ell)
     g, rem = intpoly.pdivmod(psi, kappa, q)
     assert not rem
@@ -862,6 +891,7 @@ def test_dual_line_fiber_division_equals_composition_oracle(dual_line_matches):
     for args, got in dual_line_matches:
         assert match_by_composition(*args) == [got]
         src, kappa, ell, q = args[:4]
+        assert args[6] == graphs_mod.torsion_x_poly_ints(src, q, ell)
         A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q)
         special += short_class_key(A, B, q, fq_tables(q))[0] in (0, 1)
     assert {args[2] for args, _ in dual_line_matches} == {2, 3, 5, 7}
@@ -892,3 +922,51 @@ def test_shifted_line_root_fails_the_match(q, ell, monkeypatch):
     monkeypatch.setattr(graphs_mod._TargetClass, "__init__", shifted)
     with pytest.raises(InternalError, match="candidate dual line"):
         build_pointed_graphs(PrimeField(q), ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11])
+def test_class_psi_scales_the_stored_psi_by_u_squared(ell):
+    """psi_ell of (u^4 A0, u^6 B0) is c_i u^(2(d - i)) for psi_ell(A0, B0) =
+    sum c_i x^i, the same as building it."""
+    rng = random.Random(ell)
+    for q in (13, 61, 101):
+        tab = fq_tables(q)
+        for _ in range(8):
+            A0, B0 = rng.randrange(q), rng.randrange(q)
+            if (4 * A0**3 + 27 * B0**2) % q == 0:
+                continue
+            psi0 = graphs_mod.torsion_x_poly_ints((0, 0, 0, A0, B0), q, ell)
+            u = rng.randrange(1, q)
+            A, B = u**4 * A0 % q, u**6 * B0 % q
+            got = graphs_mod._class_psi(A, B, q, tab, (A0, B0, [], psi0))
+            assert got == graphs_mod.torsion_x_poly_ints((0, 0, 0, A, B), q, ell)
+    with pytest.raises(InternalError, match="no stored psi"):
+        graphs_mod._class_psi(1, 1, 13, fq_tables(13), (1, 1, [], None))
+
+
+def test_dual_line_match_builds_no_psi(monkeypatch):
+    """Every psi_ell build of the (113, 7) sweep is a class's first curve in
+    _rational_ell_points; its 224 multi-candidate arms build none."""
+    q, ell = 113, 7
+    finding = [False]
+    built, matched = Counter(), []  # psi builds by "inside the finder"
+    orig_psi = graphs_mod.torsion_x_poly_ints
+    orig_find, orig_match = graphs_mod._rational_ell_points, graphs_mod._match_dual_line
+
+    def find(*args, **kwargs):
+        finding[0] = True
+        try:
+            return orig_find(*args, **kwargs)
+        finally:
+            finding[0] = False
+
+    monkeypatch.setattr(graphs_mod, "torsion_x_poly_ints",
+                        lambda *a: built.update([finding[0]]) or orig_psi(*a))
+    monkeypatch.setattr(graphs_mod, "_rational_ell_points", find)
+    monkeypatch.setattr(graphs_mod, "_match_dual_line",
+                        lambda *a: matched.append(a[0]) or orig_match(*a))
+    build_pointed_graphs(PrimeField(q), ell)
+    tab = fq_tables(q)
+    assert len(matched) == len(set(matched)) == 224
+    assert len({short_class_key(s[3], s[4], q, tab) for s in matched}) == 4
+    assert built[True] > 0 and built[False] == 0

@@ -221,6 +221,23 @@ def test_random_trial_suites_small():
     assert run_trials(cyclic_law_trial, 40, seed=3) == []
 
 
+def test_lemma42_brute_step_checks_the_subspaces_themselves(monkeypatch):
+    """Coordinate subspaces of the right dimensions are wrong subspaces: only
+    the rows of H_J against the brute solutions catch them."""
+    assert run_trials(lemma42_trial, 200, seed=42) == []
+
+    def coordinate_lattice(hyps):
+        ell, dim = hyps[0].ell, hyps[0].ambient
+        return {frozenset(J): GM.Subspace.from_vectors(
+                    ell, dim, [[int(i == j) for i in range(dim)] for j in range(len(J), dim)])
+                for size in range(1, len(hyps) + 1)
+                for J in itertools.combinations(range(len(hyps)), size)}
+
+    monkeypatch.setattr(V, "subspace_lattice", coordinate_lattice)
+    failures = run_trials(lemma42_trial, 200, seed=42)
+    assert failures and all("count" in w for w in failures)
+
+
 def test_replay_passing_witnesses():
     # a witness built from a passing configuration replays clean
     w = {"claim": CLAIM_COUNTEREXAMPLE}
