@@ -151,10 +151,23 @@ _SWEEP_DIGESTS = {
 _SWEEP_DIGEST_7_FULL_TORSION = "ecaf46de8cd71dbea5742f9553e73c94f4db1d0dbe7e92eadfb9b490b1ff46bd"
 
 
-def _sweep_digest(ells, q_min, q_max):
-    data = json.loads(run_sweep(ells, q_min=q_min, q_max=q_max).to_json())
+# reports of verify_theorem2_products(q, ell) without "timing", digested
+# like the sweeps: each builds graphs and takes torsion bases over F_{q^k}
+_PRODUCT_DIGESTS = {
+    (7, 5): "572a26cdd4d224657ef540c9c05ddf3cc781020f150fa0a5f844053e3b510ada",
+    (11, 3): "aac0e69eec794b45eea86f3ac33053330bbc984f94b1b0e652a320e8270e8d10",
+    (13, 3): "623a373cd8d61bf0a593262b3fd7c7e1114538c0c3e64826b6052ce68067cdd0",
+}
+
+
+def _report_digest(report):
+    data = json.loads(report.to_json())
     del data["timing"]
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _sweep_digest(ells, q_min, q_max):
+    return _report_digest(run_sweep(ells, q_min=q_min, q_max=q_max))
 
 
 @pytest.mark.parametrize("ell", sorted(_SWEEP_DIGESTS))
@@ -164,6 +177,11 @@ def test_sweep_report_digest_pinned(ell):
 
 def test_sweep_report_digest_pinned_full_7_torsion():
     assert _sweep_digest([7], 29, 50) == _SWEEP_DIGEST_7_FULL_TORSION
+
+
+@pytest.mark.parametrize("q, ell", sorted(_PRODUCT_DIGESTS))
+def test_product_check_report_digest_pinned(q, ell):
+    assert _report_digest(verify_theorem2_products(q, ell)) == _PRODUCT_DIGESTS[q, ell]
 
 
 def test_counterexample_report():
