@@ -455,7 +455,7 @@ def compose_iso_int(i1, i2, q):
 # --- stable pointed lines of a target ----------------------------------------------
 
 
-def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
+def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
     """All Galois-stable lines of E[ell] with trivial quotient action, for
     the short curve y^2 = x^3 + Ax + B with #E = N (ell | N required).
 
@@ -467,7 +467,8 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
     q-eigenline.  When q = 1 mod ell (every ell = 2 case) the trace
     q + 1 - N is 2 mod ell and the characteristic polynomial is
     X^2 - 2X + 1 = (X - 1)^2: the q-eigenlines are the lines of rational
-    points, the subgroups of rational_order_ell_subgroups.  Otherwise the
+    points, the subgroups of rational_order_ell_subgroups (class_xs and key,
+    the curve's short_class_key, are handed to class_record).  Otherwise the
     one q-eigenline has points P with x(P)^q = x([a]P) for
     a = min(q mod ell, ell - q mod ell), i.e. Frob(P) = +-[q]P, so one gcd
     of psi_ell with X^q den_a - num_a (x([a]P) = num_a / den_a) is its
@@ -480,7 +481,8 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables):
         raise InternalError("pointed lines require ell | #E")
     coeffs = (0, 0, 0, A % q, B % q)
     if q % ell == 1:
-        subgroups = rational_order_ell_subgroups(A, B, N, ell, q, tab)
+        subgroups = rational_order_ell_subgroups(
+            A, B, q, tab, *class_record(A, B, N, ell, q, tab, class_xs, key))
         lines = sorted((tuple(intpoly.pfrom_roots(xs, q)), xs[0]) for _, xs in subgroups)
     else:
         psi, F = psi_tilde_ints(coeffs, q, ell)
@@ -523,23 +525,36 @@ def _line_pointwise_rational(w, A, B, q, tab: FqTables) -> bool:
 # --- arm discovery -----------------------------------------------------------------
 
 
-def rational_order_ell_subgroups(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
-    """All order-ell subgroups of y^2 = x^3 + Ax + B generated by rational
-    points: list of (kernel_point, x_coords). Requires ell | N.
+def class_record(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
+    """(record, u2) of y^2 = x^3 + Ax + B, ell | N: its isomorphism class's
+    record (A0, B0, subgroups, psi) with _rational_ell_points' subgroups and
+    psi, and u2 = u^2 for (A, B) = (u^4 A0, u^6 B0), so that (x, y) ->
+    (u^2 x, u^3 y) maps the class's first curve onto this one.
 
-    Each point of _rational_ell_points (class_xs and key, the curve's
-    short_class_key, are handed to it) whose x no earlier subgroup holds
-    starts one; a cyclic E(F_q)[ell] gives 1 subgroup and a full one ell + 1."""
-    coeffs = (0, 0, 0, A % q, B % q)
+    class_xs, when given, holds the record of each class met so far, as a
+    source or a target, under its short_class_key; key is the curve's.  The
+    first curve of a class makes the record, every other one takes it with
+    one solve_twist_scale."""
+    class_xs = {} if class_xs is None else class_xs
+    record = class_xs.get(key)
+    if record is None:
+        class_xs[key] = record = (A, B, *_rational_ell_points(A, B, N, ell, q, tab))
+        return record, 1
+    return record, solve_twist_scale(A, B, record[0], record[1], q, tab) ** 2 % q
+
+
+def rational_order_ell_subgroups(A, B, q, tab: FqTables, record, u2):
+    """All order-ell subgroups of y^2 = x^3 + Ax + B generated by rational
+    points, from its class_record: list of (kernel_point, xs), ascending.
+
+    x -> u2 x maps the record's x-lists onto the curve's.  A subgroup's
+    kernel point is its point of least x, with the y of tab.sqrt."""
     out = []
-    covered = set()
-    for pt in _rational_ell_points(A, B, N, ell, q, tab, class_xs, key):
-        if pt[0] not in covered:
-            xs = _subgroup_xs(pt, coeffs, ell, q)
-            covered.update(xs)
-            out.append((pt, xs))
-    if len(out) not in (1, ell + 1):
-        raise InternalError(f"expected 1 or {ell + 1} subgroups, found {len(out)}")
+    for xs0 in record[2]:
+        xs = sorted(u2 * x % q for x in xs0)
+        x = xs[0]
+        out.append(((x, tab.sqrt[(x * x * x + A * x + B) % q]), xs))
+    out.sort()
     return out
 
 
@@ -568,68 +583,54 @@ def _find_order_ell_point(A, B, N, ell, q, tab: FqTables):
     raise InternalError("no rational order-ell point despite ell | N")
 
 
-def _rational_ell_points(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
-    """One rational point of order ell per x, ascending in x; together they
-    generate every rational order-ell subgroup.  Requires ell | N.
+def _rational_ell_points(A, B, N, ell, q, tab: FqTables):
+    """(subgroups, psi) of the first curve of a class (ell | N): the x-lists
+    of its rational order-ell subgroups and psi_ell (torsion_x_poly_ints)
+    when they come from its roots, else None.
 
-    The x's come from the curve's isomorphism class.  Its first curve finds
-    them: as the F_q roots of psi_ell when E[ell] can be rational (ell = 2,
-    or ell^2 | N and q = 1 mod ell), else as the subgroup of the one point
-    _find_order_ell_point gives.  class_xs, when given, maps the key of each
-    class met so far to (A0, B0, its x's on y^2 = x^3 + A0 x + B0, and the
-    psi_ell they are roots of, or None after the scan).  A curve
-    of a known class is (A, B) = (u^4 A0, u^6 B0), and (x, y) -> (u^2 x, u^3 y)
-    maps the one onto the other, so its x's are u^2 times the stored ones.
-    Each x keeps the y of tab.sqrt, when it has one.
-    """
-    hit = class_xs.get(key) if class_xs is not None else None
-    if hit is None:
-        psi = None
-        if ell == 2 or (N % (ell * ell) == 0 and q % ell == 1):
-            psi = torsion_x_poly_ints((0, 0, 0, A, B), q, ell)
-            xs = intpoly.roots_in_fq(psi, q)
-        else:
-            pt = _find_order_ell_point(A, B, N, ell, q, tab)
-            xs = sorted(_subgroup_xs(pt, (0, 0, 0, A, B), ell, q))
-        if class_xs is not None:
-            class_xs[key] = (A, B, xs, psi)
+    The points of order ell are the F_q roots of psi_ell with rational y when
+    E[ell] can be rational (ell = 2, or ell^2 | N and q = 1 mod ell), else
+    the one point _find_order_ell_point gives.  Each point whose x no earlier
+    subgroup holds starts one; a cyclic E(F_q)[ell] gives 1 subgroup and a
+    full one ell + 1."""
+    coeffs = (0, 0, 0, A, B)
+    psi = None
+    if ell == 2 or (N % (ell * ell) == 0 and q % ell == 1):
+        psi = torsion_x_poly_ints(coeffs, q, ell)
+        pts = [(x, tab.sqrt[(x * x * x + A * x + B) % q]) for x in intpoly.roots_in_fq(psi, q)]
     else:
-        A0, B0, xs0, _ = hit
-        u = solve_twist_scale(A, B, A0, B0, q, tab)
-        u2 = u * u % q
-        xs = sorted(u2 * x % q for x in xs0)
-    pts = []
-    for x in xs:
-        y = tab.sqrt[(x * x * x + A * x + B) % q]
-        if y >= 0:
-            pts.append((x, y))
-    return pts
+        pts = [_find_order_ell_point(A, B, N, ell, q, tab)]
+    subgroups = []
+    covered = set()
+    for pt in pts:
+        if pt[1] < 0 or pt[0] in covered:
+            continue
+        xs = [pt[0]]
+        acc = pt
+        for _ in range(2, (ell - 1) // 2 + 1):
+            acc = pt_add(acc, pt, coeffs, q)
+            xs.append(acc[0])
+        covered.update(xs)
+        subgroups.append(xs)
+    if len(subgroups) not in (1, ell + 1):
+        raise InternalError(f"expected 1 or {ell + 1} subgroups, found {len(subgroups)}")
+    return subgroups, psi
 
 
-def _class_psi(A, B, q, tab: FqTables, entry):
-    """psi_ell of y^2 = x^3 + Ax + B (torsion_x_poly_ints) from its class's
-    class_xs entry (A0, B0, xs, psi0): x -> u^2 x maps the roots of psi0 onto
-    its roots, with the same leading coefficient, so x^i has psi0_i u^(2(d - i)).
+def _class_psi(record, u2, q):
+    """psi_ell (torsion_x_poly_ints) of the curve that takes record with u2
+    (class_record): x -> u2 x maps the roots of the record's psi0 onto its
+    roots, with the same leading coefficient, so x^i has psi0_i u2^(d - i).
 
     _match_dual_line needs it only for a target with several pointed lines:
     then q = 1 mod ell and the target's E[ell] is rational, so ell^2 divides
-    its order, which is the source's, and the class's first curve took the
-    psi_ell finder of _rational_ell_points, which stored psi0."""
-    A0, B0, _, psi0 = entry
+    its order, which is the source's and that of its whole class, and the
+    class's first curve took the psi_ell finder of _rational_ell_points."""
+    psi0 = record[3]
     if psi0 is None:
         raise InternalError("the source class has no stored psi_ell")
-    u2 = solve_twist_scale(A, B, A0, B0, q, tab) ** 2 % q
     d = len(psi0) - 1
     return [c * pow(u2, d - i, q) % q for i, c in enumerate(psi0)]
-
-
-def _subgroup_xs(pt, coeffs, ell, q):
-    xs = [pt[0]]
-    acc = pt
-    for _ in range(2, (ell - 1) // 2 + 1):
-        acc = pt_add(acc, pt, coeffs, q)
-        xs.append(acc[0])
-    return xs
 
 
 # --- graph data model ----------------------------------------------------------------
@@ -807,20 +808,22 @@ def build_pointed_graphs(
     tab = fq_tables(q)
     orders = tab.orders()
     classes: dict[tuple, _TargetClass] = {}
-    # each source class's rational ell-torsion x's and, when it was built, psi_ell
+    # the class_record of each class met so far, as a source or as a target
     class_xs: dict[tuple, tuple] = {}
 
     def target_class_for(cod_short_A, cod_short_B, N) -> _TargetClass:
         key = short_class_key(cod_short_A, cod_short_B, q, tab)
         tc = classes.get(key)
         if tc is None:
-            lines = enumerate_pointed_lines(cod_short_A, cod_short_B, N, ell, q, tab)
+            lines = enumerate_pointed_lines(cod_short_A, cod_short_B, N, ell, q, tab,
+                                            class_xs, key)
             tc = _TargetClass((cod_short_A, cod_short_B), N, lines)
             classes[key] = tc
         return tc
 
-    def add_arm(src, src_inv, kernel_pt, kernel_xs, N):
-        """src_inv = (short_class_key, (b2, b4, b6)) of the source curve."""
+    def add_arm(src, src_inv, kernel_pt, kernel_xs, N, u2=None):
+        """src_inv = (short_class_key, (b2, b4, b6)) of the source curve; u2
+        is a short-form source's class_record scale, None for the family."""
         src_key, binv = src_inv
         kappa = intpoly.pfrom_roots(kernel_xs, q)
         p1 = p2 = p3 = 0
@@ -849,8 +852,8 @@ def build_pointed_graphs(
         if len(cands) == 1:
             w = cands[0][0]
         else:
-            psi = (torsion_x_poly_ints(src, q, ell) if src[0] or src[2]  # family: long form
-                   else _class_psi(src[3], src[4], q, tab, class_xs[src_key]))
+            psi = (torsion_x_poly_ints(src, q, ell) if u2 is None  # family: long form
+                   else _class_psi(class_xs[src_key], u2, q))
             w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
         cod_tc.n_arms += 1
         if w not in cod_tc.arms:
@@ -871,8 +874,9 @@ def build_pointed_graphs(
             src = (0, 0, 0, a, b)
             key = short_class_key(a, b, q, tab)
             src_inv = (key, (0, 2 * a % q, 4 * b % q))
-            for pt, xs in rational_order_ell_subgroups(a, b, N, ell, q, tab, class_xs, key):
-                add_arm(src, src_inv, pt, xs, N)
+            record, u2 = class_record(a, b, N, ell, q, tab, class_xs, key)
+            for pt, xs in rational_order_ell_subgroups(a, b, q, tab, record, u2):
+                add_arm(src, src_inv, pt, xs, N, u2)
 
     # the universal 3-isogeny family contributes its canonical arm
     if ell == 3 and include_family:

@@ -1,6 +1,7 @@
 import inspect
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from isogeny_lab.graphs import (
     FqTables,
     SoundnessStats,
     build_pointed_graphs,
+    class_record,
     enumerate_pointed_lines,
     fq_tables,
     line_poly_int,
@@ -176,6 +178,14 @@ def object_layer_subgroups(E, ell):
     return subgroups
 
 
+def subgroups_of(a, b, N, ell, q, tab, class_xs=None):
+    """rational_order_ell_subgroups of y^2 = x^3 + ax + b from its
+    class_record, taken from or made in class_xs when it is given."""
+    key = short_class_key(a, b, q, tab)
+    return rational_order_ell_subgroups(a, b, q, tab,
+                                        *class_record(a, b, N, ell, q, tab, class_xs, key))
+
+
 @pytest.mark.parametrize("q, ell", [(7, 3), (13, 3), (19, 3), (13, 2), (11, 5), (31, 5),
                                     (29, 7), (43, 7)])
 def test_rational_subgroups_match_object_layer_enumeration(q, ell):
@@ -192,9 +202,7 @@ def test_rational_subgroups_match_object_layer_enumeration(q, ell):
             if not N or N % ell:
                 continue
             E = WeierstrassCurve(F, 0, 0, 0, a, b)
-            got = rational_order_ell_subgroups(
-                a, b, N, ell, q, tab, class_xs, short_class_key(a, b, q, tab)
-            )
+            got = subgroups_of(a, b, N, ell, q, tab, class_xs)
             assert len({frozenset(xs) for _, xs in got}) == len(got)
             assert {frozenset(xs) for _, xs in got} == object_layer_subgroups(E, ell)
             for pt, xs in got:
@@ -208,7 +216,7 @@ def test_rational_subgroups_structure():
     orders = tab.orders()
     # y^2 = x^3 + 2 over F_7 has N = 9 and full 3-torsion: 4 subgroups
     assert orders[0][2] == 9
-    subs = rational_order_ell_subgroups(0, 2, 9, 3, q, tab)
+    subs = subgroups_of(0, 2, 9, 3, q, tab)
     assert len(subs) == 4
     for pt, xs in subs:
         assert pt_mul(3, pt, (0, 0, 0, 0, 2), q) is None
@@ -218,7 +226,7 @@ def test_rational_subgroups_structure():
         for b in range(q):
             N = orders[a][b]
             if N and N % 3 == 0 and not (N % 9 == 0 and q % 3 == 1):
-                subs = rational_order_ell_subgroups(a, b, N, 3, q, tab)
+                subs = subgroups_of(a, b, N, 3, q, tab)
                 assert len(subs) == 1
 
 
@@ -388,8 +396,8 @@ def test_line_root_given_exactly_at_q_1(pointed_line_cases):
 _LINE_MUTATIONS = {
     "a* off by one": ("a_star = min(qmod, ell - qmod)", "a_star = min(qmod, ell - qmod) + 1"),
     "y-test sign flipped": ("intpoly.padd(s, [1], q)", "intpoly.psub(s, [1], q)"),
-    "first subgroup only": ("rational_order_ell_subgroups(A, B, N, ell, q, tab)",
-                            "rational_order_ell_subgroups(A, B, N, ell, q, tab)[:1]"),
+    "first subgroup only": ("*class_record(A, B, N, ell, q, tab, class_xs, key))",
+                            "*class_record(A, B, N, ell, q, tab, class_xs, key))[:1]"),
 }
 
 
@@ -450,6 +458,44 @@ def test_no_order_two_when_q_not_1_mod_ell():
     for q, ell in [(11, 3), (13, 5), (13, 7)]:
         gs = build_pointed_graphs(PrimeField(q), ell)
         assert all(g.order <= 1 for g in gs)
+
+
+def hurwitz_class_number(D):
+    """H(D) for D > 0: the reduced forms (a, b, c) of discriminant -D,
+    primitive or not, with a(x^2 + y^2) counted 1/2 and a(x^2 + xy + y^2)
+    counted 1/3."""
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= D:
+        for b in range(-a + 1, a + 1):
+            c, rem = divmod(b * b + D, 4 * a)
+            if rem or c < a or (c == a and b < 0):
+                continue
+            total += Fraction(1, 2) if c == a and b == 0 else Fraction(1, 3) if c == a == b else 1
+        a += 1
+    return total
+
+
+@pytest.mark.parametrize("q, ell", [(61, 3), (109, 3), (101, 5), (71, 5), (43, 7), (97, 2),
+                                    (103, 2), (157, 13)])
+def test_order_two_targets_count_hurwitz_class_numbers(q, ell):
+    """The order-two targets are the classes with E[ell] rational, i.e. with
+    (pi - 1) / ell in End(E): weighted by 2 / #Aut, they number the sum of
+    H((4q - t^2) / ell^2) over the traces t with ell^2 | q + 1 - t and
+    ell^2 | 4q - t^2 (R. Schoof, J. Combin. Theory Ser. A 46, 1987;
+    H. W. Lenstra, Ann. of Math. 126, 1987), the supersingular t = 0
+    included (it counts at (103, 2)).  Each has an arm on every one of its
+    ell + 1 lines."""
+    weighted = Fraction(0)
+    for g in build_pointed_graphs(PrimeField(q), ell):
+        if g.order == 2:
+            A, B = g.target
+            n_aut = 6 if A == 0 and q % 3 == 1 else 4 if B == 0 and q % 4 == 1 else 2
+            weighted += Fraction(2, n_aut)
+            assert len(g.arms) == ell + 1
+    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t < 4 * q
+              and (q + 1 - t) % ell**2 == 0 and (4 * q - t * t) % ell**2 == 0]
+    assert weighted == sum(hurwitz_class_number((4 * q - t * t) // ell**2) for t in traces) > 0
 
 
 def test_order_two_targets_exist_with_ell_squared_order():
@@ -805,32 +851,91 @@ def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch
     assert bool(multi) == ((q, ell) != (11, 3))
 
 
+def scanned_subgroups(a, b, ell, q, tab):
+    """Oracle for rational_order_ell_subgroups, with no class record: scan
+    x = 0, 1, ..., q - 1; a point (x, tab.sqrt y) of order ell whose x no
+    earlier subgroup holds starts one, so its kernel point has the least x."""
+    coeffs = (0, 0, 0, a, b)
+    out, covered = [], set()
+    for x in range(q):
+        y = tab.sqrt[(x**3 + a * x + b) % q]
+        if y < 0 or x in covered or pt_mul(ell, (x, y), coeffs, q) is not None:
+            continue
+        xs, acc = {x}, (x, y)
+        for _ in range(2, (ell - 1) // 2 + 1):
+            acc = pt_add(acc, (x, y), coeffs, q)
+            xs.add(acc[0])
+        covered |= xs
+        out.append(((x, y), sorted(xs)))
+    return out
+
+
+_RECORD_SWEEPS = [(13, 2), (31, 2), (37, 2), (11, 3), (13, 3), (37, 3), (61, 3), (13, 5),
+                  (31, 5), (41, 5), (29, 7), (43, 7)]
+
+
 def test_rational_ell_points_transport_equals_direct():
-    """Transported x's against the class's own finder on every short curve
-    with ell | N: psi_ell's roots at ell = 2 and when ell^2 | N with
-    q = 1 mod ell, else the subgroup of the scanned point; transport covers
-    j = 0, j = 1728 and generic classes under both finders."""
-    transported = Counter()
-    curves = 0
-    for q, ell in [(13, 2), (31, 2), (11, 3), (13, 3), (31, 3), (37, 3), (13, 5), (31, 5),
-                   (41, 5), (29, 7), (43, 7)]:
+    """Every short curve with ell | N takes its subgroups from one class
+    cache, shared as build_pointed_graphs shares it, and they equal the
+    scan oracle and an uncached discovery, kernel points included.  At
+    q = 1 mod ell every other class is met first as a target: its last curve
+    goes through enumerate_pointed_lines before any source of its class.
+    Records taken from another curve cover j = 0, j = 1728 and generic
+    classes under both finders, made by a source and by a target."""
+    taken = Counter()  # (key kind, psi finder, record made by a target)
+    for q, ell in _RECORD_SWEEPS:
         tab = fq_tables(q)
         orders = tab.orders()
+        curves = [(a, b, orders[a][b], short_class_key(a, b, q, tab))
+                  for a in range(q) for b in range(q)
+                  if orders[a][b] and orders[a][b] % ell == 0]
         class_xs = {}
-        for a in range(q):
-            for b in range(q):
-                N = orders[a][b]
-                if not N or N % ell:
-                    continue
-                curves += 1
-                key = short_class_key(a, b, q, tab)
-                if key in class_xs:
-                    psi_finder = ell == 2 or (N % (ell * ell) == 0 and q % ell == 1)
-                    transported[key[0], psi_finder] += 1
-                got = graphs_mod._rational_ell_points(a, b, N, ell, q, tab, class_xs, key)
-                assert got == graphs_mod._rational_ell_points(a, b, N, ell, q, tab)
-    assert set(transported) == {(kind, finder) for kind in (0, 1, 2) for finder in (True, False)}
-    assert sum(transported.values()) < curves
+        target_made = set()
+        if q % ell == 1:
+            last = {key: (a, b, N) for a, b, N, key in curves}
+            for key in sorted(last)[::2]:
+                a, b, N = last[key]
+                lines = enumerate_pointed_lines(a, b, N, ell, q, tab, class_xs, key)
+                assert lines == enumerate_pointed_lines(a, b, N, ell, q, tab)
+                target_made.add(key)
+            assert set(class_xs) == target_made
+        for a, b, N, key in curves:
+            if key in class_xs:
+                psi_finder = ell == 2 or (N % (ell * ell) == 0 and q % ell == 1)
+                taken[key[0], psi_finder, key in target_made] += 1
+            got = subgroups_of(a, b, N, ell, q, tab, class_xs)
+            assert got == scanned_subgroups(a, b, ell, q, tab)
+            assert got == subgroups_of(a, b, N, ell, q, tab)
+    # targets are met first only at q = 1 mod ell, where ell | N forces
+    # ell^2 | N on j = 1728 (pi - 1 is divisible by ell in Z[i]), so a
+    # target-made j = 1728 record always comes from the psi_ell finder
+    assert set(taken) == {(kind, finder, by_target) for kind in (0, 1, 2)
+                          for finder in (True, False) for by_target in (True, False)
+                          } - {(1, False, True)}
+
+
+@pytest.mark.parametrize("q, ell, n_classes", [(113, 7, 33), (43, 7, 11)])
+def test_one_twist_solve_per_arm_and_per_curve_taking_a_record(q, ell, n_classes,
+                                                               monkeypatch):
+    """Each class key is discovered once per build_pointed_graphs, and
+    solve_twist_scale runs once per arm (its target isomorphism) and once per
+    curve, source or target, that takes a record another curve made; never
+    for psi_ell alone."""
+    calls = Counter()
+    found = []  # (A, B) of each first-curve discovery
+    tab = fq_tables(q)
+    for name in ("solve_twist_scale", "rational_order_ell_subgroups"):
+        orig = getattr(graphs_mod, name)
+        monkeypatch.setattr(graphs_mod, name,
+                            lambda *a, _o=orig, _n=name: calls.update([_n]) or _o(*a))
+    orig_find = graphs_mod._rational_ell_points
+    monkeypatch.setattr(graphs_mod, "_rational_ell_points",
+                        lambda *a: found.append(a[:2]) or orig_find(*a))
+    graphs = build_pointed_graphs(PrimeField(q), ell)
+    arms = sum(g.arm_multiplicity for g in graphs)
+    assert len({short_class_key(A, B, q, tab) for A, B in found}) == len(found) == n_classes
+    taking = calls["rational_order_ell_subgroups"] - len(found)
+    assert calls["solve_twist_scale"] == arms + taking
 
 
 # --- the dual-line match: one fiber division against the composition oracle ---
@@ -927,7 +1032,8 @@ def test_shifted_line_root_fails_the_match(q, ell, monkeypatch):
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11])
 def test_class_psi_scales_the_stored_psi_by_u_squared(ell):
     """psi_ell of (u^4 A0, u^6 B0) is c_i u^(2(d - i)) for psi_ell(A0, B0) =
-    sum c_i x^i, the same as building it."""
+    sum c_i x^i, the same as building it, with the u^2 that class_record
+    takes for the curve from the record of (A0, B0)."""
     rng = random.Random(ell)
     for q in (13, 61, 101):
         tab = fq_tables(q)
@@ -938,10 +1044,13 @@ def test_class_psi_scales_the_stored_psi_by_u_squared(ell):
             psi0 = graphs_mod.torsion_x_poly_ints((0, 0, 0, A0, B0), q, ell)
             u = rng.randrange(1, q)
             A, B = u**4 * A0 % q, u**6 * B0 % q
-            got = graphs_mod._class_psi(A, B, q, tab, (A0, B0, [], psi0))
+            key = short_class_key(A0, B0, q, tab)
+            class_xs = {key: (A0, B0, [], psi0)}
+            record, u2 = class_record(A, B, 0, ell, q, tab, class_xs, key)
+            got = graphs_mod._class_psi(record, u2, q)
             assert got == graphs_mod.torsion_x_poly_ints((0, 0, 0, A, B), q, ell)
     with pytest.raises(InternalError, match="no stored psi"):
-        graphs_mod._class_psi(1, 1, 13, fq_tables(13), (1, 1, [], None))
+        graphs_mod._class_psi((1, 1, [], None), 1, 13)
 
 
 def test_dual_line_match_builds_no_psi(monkeypatch):
