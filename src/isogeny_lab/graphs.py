@@ -558,48 +558,39 @@ def rational_order_ell_subgroups(A, B, q, tab: FqTables, record, u2):
     return out
 
 
-def _find_order_ell_point(A, B, N, ell, q, tab: FqTables):
-    """Deterministic scan for a rational point of exact order ell, by
-    multiplying out the prime-to-ell part of N."""
-    m = N
-    while m % ell == 0:
-        m //= ell
-    coeffs = (0, 0, 0, A, B)
-    start = (7 * A + 13 * B + 1) % q
-    for i in range(q):
-        x = (start + i) % q
-        y = tab.sqrt[(x * x * x + A * x + B) % q]
-        if y < 0:
-            continue
-        Q = pt_mul(m, (x, y), coeffs, q)
-        if Q is None:
-            continue
-        while True:
-            R = pt_mul(ell, Q, coeffs, q)
-            if R is None:
-                break
-            Q = R
-        return Q
-    raise InternalError("no rational order-ell point despite ell | N")
-
-
 def _rational_ell_points(A, B, N, ell, q, tab: FqTables):
     """(subgroups, psi) of the first curve of a class (ell | N): the x-lists
     of its rational order-ell subgroups and psi_ell (torsion_x_poly_ints)
     when they come from its roots, else None.
 
     The points of order ell are the F_q roots of psi_ell with rational y when
-    E[ell] can be rational (ell = 2, or ell^2 | N and q = 1 mod ell), else
-    the one point _find_order_ell_point gives.  Each point whose x no earlier
-    subgroup holds starts one; a cyclic E(F_q)[ell] gives 1 subgroup and a
-    full one ell + 1."""
+    E[ell] can be rational (ell = 2, or ell^2 | N and q = 1 mod ell).  Else
+    E(F_q)[ell] is cyclic, and a deterministic scan takes the first point
+    whose prime-to-ell multiple is not O and multiplies that by ell until
+    the next multiple is O.  Each point whose x no earlier subgroup holds
+    starts one; a cyclic E(F_q)[ell] gives 1 subgroup and a full one
+    ell + 1."""
     coeffs = (0, 0, 0, A, B)
     psi = None
     if ell == 2 or (N % (ell * ell) == 0 and q % ell == 1):
         psi = torsion_x_poly_ints(coeffs, q, ell)
         pts = [(x, tab.sqrt[(x * x * x + A * x + B) % q]) for x in intpoly.roots_in_fq(psi, q)]
     else:
-        pts = [_find_order_ell_point(A, B, N, ell, q, tab)]
+        m = N
+        while m % ell == 0:
+            m //= ell
+        start = (7 * A + 13 * B + 1) % q
+        pts = []
+        for i in range(q):
+            x = (start + i) % q
+            y = tab.sqrt[(x * x * x + A * x + B) % q]
+            P = pt_mul(m, (x, y), coeffs, q) if y >= 0 else None
+            if P is not None:
+                R = pt_mul(ell, P, coeffs, q)
+                while R is not None:
+                    P, R = R, pt_mul(ell, R, coeffs, q)
+                pts = [P]
+                break
     subgroups = []
     covered = set()
     for pt in pts:
