@@ -2,7 +2,7 @@
 
 Exact arithmetic over prime fields, small extensions and Q; long
 Weierstrass curves with division polynomials, torsion bases, Weil pairing
-and Frobenius matrices; prime-degree Velu isogenies with dual kernels;
+and Frobenius matrices; prime-degree Velu isogenies;
 matrix Galois modules with invariant complements and the hyperplane lattice;
 verification sweeps and the rational counterexample reproduction.
 """
@@ -17,7 +17,6 @@ from .curves import (  # noqa: F401
     curve_order,
     division_polynomial,
     frobenius_matrix,
-    rational_ell_torsion,
     torsion_basis,
     weil_pairing,
 )
@@ -50,8 +49,6 @@ from .graphs import PointedGraph, build_pointed_graphs  # noqa: F401
 from .isogenies import (  # noqa: F401
     CurveIsomorphism,
     Isogeny,
-    curves_isomorphic,
-    dual_kernel_polynomial,
     family_e3,
     velu_quotient,
 )

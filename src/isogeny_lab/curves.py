@@ -618,19 +618,6 @@ def frobenius_matrix(
     return mat
 
 
-def rational_ell_torsion(curve: WeierstrassCurve, ell: int) -> int:
-    """dim_{F_ell} E[ell](F_q) = dim ker(Frobenius - I)."""
-    basis = torsion_basis(curve, ell)
-    mat = frobenius_matrix(curve, basis)
-    (a, b), (c, d) = mat.entries
-    m = ((a - 1) % ell, b % ell, c % ell, (d - 1) % ell)
-    if all(v == 0 for v in m):
-        return 2
-    # rank of 2x2 over F_ell
-    det = (m[0] * m[3] - m[1] * m[2]) % ell
-    return 0 if det != 0 else 1
-
-
 # --- misc helpers --------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ The sweep enumerates short-form curves (plus the universal 3-isogeny family
 for ell = 3), finds rational order-ell subgroups through the group
 structure, computes Velu quotients, groups codomains into isomorphism
 classes by twist-aware canonical keys, and identifies each arm's dual
-kernel with one of the target's Galois-stable pointed lines.
+kernel with one of the target's Galois-stable pointed lines, or moves the
+arm from an isomorphic one met before when the target has j not in {0, 1728}.
 
 Everything here works on plain ints mod q for speed; the contract-level
 objects (WeierstrassCurve, Isogeny, CurveIsomorphism) are reconstructed
@@ -261,47 +262,6 @@ def xmul_fraction_ints(psi, F, j, q):
         num = intpoly.psub(intpoly.pmul([0, 1], intpoly.pmul(F, tm2, q), q), tprod, q)
         den = intpoly.pmul(F, tm2, q)
     return num, den
-
-
-def xmul_table(psi, F, ell, q):
-    """{j: (num, den)} with x([j]P) = num/den for j = 2..(ell - 1) // 2; the
-    maps depend only on the curve, so one table serves all its lines.
-
-    psi, F come from psi_tilde_ints up to index (ell + 1) // 2 or beyond.
-    """
-    return {j: xmul_fraction_ints(psi, F, j, q) for j in range(2, (ell - 1) // 2 + 1)}
-
-
-def line_poly_int(xmul, xi, f, q):
-    """Monic kernel x-polynomial (int coefficients) of the order-ell subgroup
-    through a point whose x-coordinate is xi in F_q[z]/(f), f irreducible.
-
-    xmul is the curve's xmul_table.  Returns None when the line is not
-    Galois-stable (a coefficient leaves F_q) or when some x([j]P) has a zero
-    denominator.
-    """
-    xs = [xi]
-    for numj, denj in xmul.values():
-        nv = intpoly.eval_poly_ext(numj, xi, f, q)
-        dv = intpoly.eval_poly_ext(denj, xi, f, q)
-        if not dv:
-            return None
-        xs.append(intpoly.emul(nv, intpoly.einv(dv, f, q), f, q))
-    # w = prod (X - x_j) with coefficients in F_q[z]/(f)
-    w_ext = [[1]]
-    for xj in xs:
-        new = [[] for _ in range(len(w_ext) + 1)]
-        for i, c in enumerate(w_ext):
-            new[i + 1] = intpoly.padd(new[i + 1], c, q)
-            new[i] = intpoly.psub(new[i], intpoly.emul(c, xj, f, q), q)
-        w_ext = new
-    w = []
-    for c in w_ext:
-        c = intpoly.trim(c)
-        if intpoly.deg(c) > 0:
-            return None
-        w.append(c[0] if c else 0)
-    return w
 
 
 # --- Velu's formulas -----------------------------------------------------------------
@@ -610,24 +570,42 @@ def _rational_ell_points(A, B, N, ell, q, tab: FqTables):
 
 def _class_psi(record, u2, q):
     """psi_ell (torsion_x_poly_ints) of the curve that takes record with u2
-    (class_record): x -> u2 x maps the roots of the record's psi0 onto its
-    roots, with the same leading coefficient, so x^i has psi0_i u2^(d - i).
+    (class_record): the record's psi_ell with its roots moved by x -> u2 x.
 
     _match_dual_line needs it only for a target with several pointed lines:
     then q = 1 mod ell and the target's E[ell] is rational, so ell^2 divides
     its order, which is the source's and that of its whole class, and the
     class's first curve took the psi_ell finder of _rational_ell_points."""
-    psi0 = record[3]
-    if psi0 is None:
+    if record[3] is None:
         raise InternalError("the source class has no stored psi_ell")
-    d = len(psi0) - 1
-    return [c * pow(u2, d - i, q) % q for i, c in enumerate(psi0)]
+    return _scaled_roots(record[3], u2, q)
+
+
+def _scaled_roots(f, u2, q):
+    """f with its roots moved by x -> u2 x and its leading coefficient kept:
+    x^i takes f_i u2^(d - i)."""
+    d = len(f) - 1
+    return [c * pow(u2, d - i, q) % q for i, c in enumerate(f)]
+
+
+def _moved_arm(arm, lam, q):
+    """arm = (a4, a6, A2, B2, r, s, t, *kappa), with the codomain's a4, a6 (it
+    keeps the source's a1, a2, a3), short form, short_reduce_int's r, s, t and
+    the kernel polynomial, moved along the isomorphism (x, y) -> (lam^2 x,
+    lam^3 y) of the source: each a_i goes to lam^i a_i on source and codomain
+    alike, A2, B2 as a4, a6, (r, s, t) to (lam^2 r, lam s, lam^3 t) and the
+    kernel x's to lam^2 x."""
+    a4, a6, A2, B2, r, s, t = arm[:7]
+    l2, l3 = lam * lam % q, pow(lam, 3, q)
+    l4, l6 = l2 * l2 % q, l3 * l3 % q
+    return (a4 * l4 % q, a6 * l6 % q, A2 * l4 % q, B2 * l6 % q, r * l2 % q, s * lam % q,
+            t * l3 % q, *_scaled_roots(arm[7:], l2, q))
 
 
 # --- graph data model ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphArm:
     """One arm of a pointed graph, in integer form."""
 
@@ -665,7 +643,7 @@ class GraphArm:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointedGraph:
     """All pointed arms into one target isomorphism class over F_q."""
 
@@ -753,19 +731,17 @@ class _TargetClass:
     """One target class: its pointed lines, the first arm on each dual line
     (the one a report shows) and how many arms there were in all."""
 
-    __slots__ = ("rep", "order", "lines", "arms", "n_arms", "line_index", "dual_j")
+    __slots__ = ("rep", "order", "lines", "arms", "n_arms", "dual_j", "aut_fixes_lines")
 
     def __init__(self, rep, order, lines):
         self.rep = rep  # (A, B)
+        # j not in {0, 1728}: Aut(rep) = {+-1} fixes every line, so isomorphic
+        # arms into the class have one dual line
+        self.aut_fixes_lines = bool(rep[0] and rep[1])
         self.order = order
         self.lines = lines  # [(w, x_w, quotient_key, quotient_coeffs)], sorted by w
         self.arms = {}  # dual line -> the first GraphArm on it
         self.n_arms = 0
-        # quotient key -> [(w, x_w)]; a key has several lines only at
-        # q = 1 mod ell, where each x_w is the F_q root _match_dual_line needs
-        self.line_index = {}
-        for w, x_w, qkey, _ in lines:
-            self.line_index.setdefault(qkey, []).append((w, x_w))
         # j of the representative's quotient by each line
         self.dual_j = {w: qkey[1] for w, _, qkey, _ in lines}
 
@@ -808,44 +784,57 @@ def build_pointed_graphs(
         if tc is None:
             lines = enumerate_pointed_lines(cod_short_A, cod_short_B, N, ell, q, tab,
                                             class_xs, key)
-            tc = _TargetClass((cod_short_A, cod_short_B), N, lines)
-            classes[key] = tc
+            classes[key] = tc = _TargetClass((cod_short_A, cod_short_B), N, lines)
         return tc
 
-    def add_arm(src, src_inv, kernel_pt, kernel_xs, N, u2=None):
+    # orbit -> (target class, dual line, source class key, *arm) of its first
+    # arm, the arm moved to lam = 1 (_moved_arm), for aut_fixes_lines targets
+    orbits: dict = {}
+
+    def add_arm(src, src_inv, kernel_pt, kernel_xs, N, orbit, lam, u2=None):
         """src_inv = (short_class_key, (b2, b4, b6)) of the source curve; u2
-        is a short-form source's class_record scale, None for the family."""
+        is a short-form source's class_record scale, None for the family.  The
+        source is (x, y) -> (lam^2 x, lam^3 y) of its orbit's lam = 1 curve;
+        the first arm of an orbit (None: no orbit) gives the later ones."""
         src_key, binv = src_inv
-        kappa = intpoly.pfrom_roots(kernel_xs, q)
-        p1 = p2 = p3 = 0
-        for x in kernel_xs:
-            p1, p2, p3 = p1 + x, p2 + x * x, p3 + x * x * x
-        sums = (p1 % q, p2 % q, p3 % q)
-        cod = velu_codomain_int(src, kappa, ell, q, binv, sums)
-        if cod[0] or cod[1] or cod[2]:
-            A2, B2, red_iso = short_reduce_int(cod, q)
+        base = orbits.get(orbit)
+        if base is None:
+            kappa = intpoly.pfrom_roots(kernel_xs, q)
+            p1 = p2 = p3 = 0
+            for x in kernel_xs:
+                p1, p2, p3 = p1 + x, p2 + x * x, p3 + x * x * x
+            sums = (p1 % q, p2 % q, p3 % q)
+            cod = velu_codomain_int(src, kappa, ell, q, binv, sums)
+            if cod[0] or cod[1] or cod[2]:
+                A2, B2, red_iso = short_reduce_int(cod, q)
+            else:
+                A2, B2, red_iso = cod[3], cod[4], (1, 0, 0, 0)
         else:
-            A2, B2, red_iso = cod[3], cod[4], (1, 0, 0, 0)
+            a4, a6, A2, B2, r, s, t, *kappa = _moved_arm(base[3:], lam, q)
+            cod, red_iso = (*src[:3], a4, a6), (1, r, s, t)
         # the short form is isomorphic with u = 1, so it keeps cod's discriminant
         if (4 * A2 * A2 * A2 + 27 * B2 * B2) % q == 0:
             if soundness is not None:
                 soundness.record("singular_codomains", "singular-codomain", src)
             raise InternalError("Velu codomain is singular")
-        cod_tc = target_class_for(A2, B2, N)
+        cod_tc, w = base[:2] if base else (target_class_for(A2, B2, N), None)
         u = solve_twist_scale(A2, B2, cod_tc.rep[0], cod_tc.rep[1], q, tab)
         iso = compose_iso_int(red_iso, (u, 0, 0, 0), q)
-        # source class: for matching arms to target lines
-        cands = cod_tc.line_index.get(src_key, [])
-        if not cands:
-            raise InternalError(
-                "no pointed line of the target matches the arm's source class"
-            )
-        if len(cands) == 1:
-            w = cands[0][0]
-        else:
-            psi = (torsion_x_poly_ints(src, q, ell) if u2 is None  # family: long form
-                   else _class_psi(class_xs[src_key], u2, q))
-            w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
+        if w is None:
+            # the lines whose quotient is the source's class, each with an F_q
+            # root x_w when q = 1 mod ell, where a class can have several
+            cands = [(line, x_w) for line, x_w, qkey, _ in cod_tc.lines if qkey == src_key]
+            if not cands:
+                raise InternalError("no pointed line of the target matches the source class")
+            if len(cands) == 1:
+                w = cands[0][0]
+            else:
+                psi = (torsion_x_poly_ints(src, q, ell) if u2 is None  # family: long form
+                       else _class_psi(class_xs[src_key], u2, q))
+                w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
+            if orbit is not None and cod_tc.aut_fixes_lines:
+                arm = (*cod[3:], A2, B2, *red_iso[1:], *kappa)
+                orbits[orbit] = (cod_tc, w, src_key, *_moved_arm(arm, pow(lam, -1, q), q))
         cod_tc.n_arms += 1
         if w not in cod_tc.arms:
             cod_tc.arms[w] = GraphArm(
@@ -855,7 +844,8 @@ def build_pointed_graphs(
             _soundness_checks(soundness, src, kappa, kernel_pt, kernel_xs,
                               cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders, src_inv)
 
-    # short-form sources
+    # short-form sources; the orbit of (source, subgroup) is its class key and
+    # an x of the subgroup in the class record, and lam^2 = u2
     for a in range(q):
         row = orders[a]
         for b in range(q):
@@ -866,25 +856,35 @@ def build_pointed_graphs(
             key = short_class_key(a, b, q, tab)
             src_inv = (key, (0, 2 * a % q, 4 * b % q))
             record, u2 = class_record(a, b, N, ell, q, tab, class_xs, key)
+            lam, inv_u2 = tab.sqrt[u2], pow(u2, -1, q)
             for pt, xs in rational_order_ell_subgroups(a, b, q, tab, record, u2):
-                add_arm(src, src_inv, pt, xs, N, u2)
+                add_arm(src, src_inv, pt, xs, N, (key, xs[0] * inv_u2 % q), lam, u2)
 
-    # the universal 3-isogeny family contributes its canonical arm
+    # the universal 3-isogeny family contributes its canonical arm; for w != 0,
+    # (w, v) is (x, y) -> (w^2 x, w^3 y) of (1, v / w^3), kernel (0, 0) kept,
+    # so its orbit is v / w^3 and lam = w.  It meets no short-form orbit.
+    orbits.clear()
     if ell == 3 and include_family:
         for w_par in range(q):
             w3 = w_par * w_par * w_par % q
+            inv_w3 = pow(w3, -1, q) if w_par else 0
             for v_par in range(1, q):
                 if (w3 - 27 * v_par) % q == 0:
                     continue
                 src = (w_par, 0, v_par, 0, 0)
-                sA, sB, _ = short_reduce_int(src, q)
-                N = orders[sA][sB]
-                if N == 0 or N % 3:
-                    raise InternalError("family curve with order not divisible by 3")
+                orbit = v_par * inv_w3 % q if w_par else None
+                base = orbits.get(orbit)
+                if base is None:
+                    sA, sB, _ = short_reduce_int(src, q)
+                    N = orders[sA][sB]
+                    if N == 0 or N % 3:
+                        raise InternalError("family curve with order not divisible by 3")
+                    src_key = short_class_key(sA, sB, q, tab)
+                else:  # isogenous curves have equal order
+                    src_key, N = base[2], base[0].order
                 # b2, b4, b6 of y^2 + w xy + v y = x^3
                 binv = (w_par * w_par % q, w_par * v_par % q, v_par * v_par % q)
-                src_inv = (short_class_key(sA, sB, q, tab), binv)
-                add_arm(src, src_inv, (0, 0), [0], N)
+                add_arm(src, (src_key, binv), (0, 0), [0], N, orbit, w_par)
 
     graphs = []
     for key in sorted(classes):

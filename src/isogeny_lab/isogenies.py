@@ -1,5 +1,5 @@
 """Separable prime-degree isogenies via Velu's formulas, explicit curve
-isomorphisms, the universal 3-isogeny family, and dual-kernel computation.
+isomorphisms and the universal 3-isogeny family.
 
 The quotient is computed from the kernel polynomial alone: the Velu sums
 are symmetric functions of the kernel x-coordinates, so power sums via
@@ -17,16 +17,8 @@ from dataclasses import dataclass, replace
 
 from . import graphs, intpoly
 from .curves import CurvePoint, WeierstrassCurve
-from .errors import CapabilityError, FieldMismatchError, InternalError
-from .fields import (
-    FieldElement,
-    Polynomial,
-    PrimeField,
-    RationalField,
-    _val_inverse,
-    _val_is_zero,
-    is_prime,
-)
+from .errors import CapabilityError, FieldMismatchError
+from .fields import FieldElement, Polynomial, _val_inverse, _val_is_zero, is_prime
 
 
 class CurveIsomorphism:
@@ -58,15 +50,6 @@ class CurveIsomorphism:
         na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u2 * u2)
         na6 = (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1) / (u3 * u3)
         return WeierstrassCurve(curve.field, na1, na2, na3, na4, na6)
-
-    def apply_to_point(self, point: CurvePoint, codomain: WeierstrassCurve) -> CurvePoint:
-        if point.infinity:
-            return codomain.infinity()
-        u, r, s, t = self.u, self.r, self.s, self.t
-        u2 = u * u
-        x1 = (point.x - r) / u2
-        y1 = (point.y - s * (point.x - r) - t) / (u2 * u)
-        return codomain.point(x1, y1)
 
     def compose(self, other: "CurveIsomorphism") -> "CurveIsomorphism":
         """self then other (self: E->E1, other: E1->E2)."""
@@ -236,109 +219,3 @@ def family_e3(field, v, w):
     except ValueError as exc:
         raise ValueError(f"singular quotient parameters (v={v!r}, w={w!r})") from exc
     return e3, p, e3p
-
-
-# --- isomorphism testing -------------------------------------------------------
-
-
-def curves_isomorphic(E: WeierstrassCurve, E2: WeierstrassCurve):
-    """An explicit isomorphism E -> E2 over their common finite base field,
-    or None.  Char > 3 only."""
-    if E.field != E2.field:
-        raise FieldMismatchError("curves over different fields")
-    field = E.field
-    if isinstance(field, RationalField):
-        raise CapabilityError("isomorphism testing is implemented for finite fields")
-    if E.j_invariant() != E2.j_invariant():
-        return None
-    S1, i1 = E.short_form()
-    S2, i2 = E2.short_form()
-    A1, B1 = S1.a4, S1.a6
-    A2, B2 = S2.a4, S2.a6
-    u = None
-    if not _val_is_zero(A1) and not _val_is_zero(B1):
-        u_sq = (B1 / B2) * (A2 / A1)
-        u = field.sqrt(u_sq)
-        if u is None:
-            return None
-    elif _val_is_zero(B1):
-        # j = 1728: u^4 = A1/A2
-        c = A1 / A2
-        for sgn_root in _all_sqrts(field, c):
-            u = field.sqrt(sgn_root)
-            if u is not None:
-                break
-            u = None
-        if u is None:
-            return None
-    else:
-        # j = 0: u^6 = B1/B2
-        c = B1 / B2
-        x = Polynomial.x(field)
-        cubic = x * x * x - Polynomial(field, [c])
-        from .fields import poly_roots
-
-        u = None
-        for root in sorted(poly_roots(cubic, field), key=lambda e: e.coeff_list()):
-            cand = field.sqrt(root)
-            if cand is not None:
-                u = cand
-                break
-        if u is None:
-            return None
-    scale = CurveIsomorphism(field, u, field.zero(), field.zero(), field.zero())
-    if scale.apply_to_curve(S1) != S2:
-        # try the other square root branch where applicable
-        scale = CurveIsomorphism(field, -u, field.zero(), field.zero(), field.zero())
-        if scale.apply_to_curve(S1) != S2:
-            return None
-    iso = i1.compose(scale).compose(i2.invert())
-    if iso.apply_to_curve(E) != E2:
-        raise InternalError("isomorphism verification failed")
-    return iso
-
-
-def _all_sqrts(field, c):
-    s = field.sqrt(c)
-    if s is None:
-        return []
-    return [s, -s] if not _val_is_zero(s) else [s]
-
-
-# --- dual kernels ---------------------------------------------------------------
-
-
-def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
-    """Kernel polynomial (over the base field) of the dual isogeny, i.e. the
-    x-coordinates of the line phi(E_domain[ell]) in the codomain.
-
-    Pushes one non-kernel torsion x-coordinate through the x-map inside the
-    smallest extension containing it, then generates the rest of the line
-    with the codomain's multiplication maps.
-    """
-    field = phi.domain.field
-    if not isinstance(field, PrimeField):
-        raise CapabilityError("dual kernels are computed over prime base fields")
-    q = field.p
-    ell = phi.degree
-    psi = graphs.torsion_x_poly_ints([c.to_int() for c in phi.domain.coefficients()], q, ell)
-    kappa = phi.kernel_poly.int_coeffs()
-    g, rem = intpoly.pdivmod(psi, kappa, q)
-    if rem:
-        raise InternalError("kernel polynomial does not divide the division polynomial")
-    num = phi.num.int_coeffs()
-    den = phi.den.int_coeffs()
-    f = intpoly.factor_squarefree(g, q)[0]
-    d = intpoly.deg(f)
-    alpha = [(-f[0]) % q] if d == 1 else [0, 1]
-    n_val = intpoly.eval_poly_ext(num, alpha, f, q)
-    d_val = intpoly.eval_poly_ext(den, alpha, f, q)
-    xi = intpoly.emul(n_val, intpoly.einv(d_val, f, q), f, q)
-    psi_cod, F_cod = graphs.psi_tilde_ints(
-        [c.to_int() for c in phi.codomain.coefficients()], q, (ell + 1) // 2
-    )
-    w_ints = graphs.line_poly_int(graphs.xmul_table(psi_cod, F_cod, ell, q), xi, f, q)
-    if w_ints is None:
-        raise InternalError("dual kernel line is not Galois-stable")
-    return Polynomial(field, [field.element(c) for c in w_ints])
-

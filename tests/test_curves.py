@@ -14,7 +14,6 @@ from isogeny_lab.curves import (
     curve_order,
     division_polynomial,
     frobenius_matrix,
-    rational_ell_torsion,
     torsion_basis,
     torsion_field_degree,
     weil_pairing,
@@ -22,6 +21,7 @@ from isogeny_lab.curves import (
 from isogeny_lab.errors import CapabilityError, InternalError
 from isogeny_lab.fields import ExtensionField, PrimeField, QQ, _val_is_zero
 from isogeny_lab.graphs import psi_tilde_ints, pt_mul, xmul_fraction_ints
+from oracles import rational_ell_torsion
 
 
 def hasse_interval(q: int) -> tuple[int, int]:

@@ -1,7 +1,9 @@
 import inspect
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -16,7 +18,6 @@ from isogeny_lab.graphs import (
     class_record,
     enumerate_pointed_lines,
     fq_tables,
-    line_poly_int,
     psi_tilde_ints,
     pt_add,
     pt_mul,
@@ -25,10 +26,15 @@ from isogeny_lab.graphs import (
     short_reduce_int,
     solve_twist_scale,
     velu_codomain_int,
+)
+from isogeny_lab.verify import primes_in_range
+from oracles import (
+    curves_isomorphic,
+    dual_kernel_polynomial,
+    line_poly_int,
+    rational_ell_torsion,
     xmul_table,
 )
-from isogeny_lab.isogenies import curves_isomorphic, dual_kernel_polynomial
-from isogeny_lab.verify import primes_in_range
 
 
 def transport_line_poly(w, iso, q):
@@ -498,6 +504,62 @@ def test_order_two_targets_count_hurwitz_class_numbers(q, ell):
     assert weighted == sum(hurwitz_class_number((4 * q - t * t) // ell**2) for t in traces) > 0
 
 
+def arm_census(q, ell):
+    """{N: the number of arms of the short-form sources of order N}, for each
+    N = q + 1 - t with ell | N.  (q - 1) / 2 * H(4q - t^2) curves y^2 = x^3 +
+    Ax + B have trace t (H. W. Lenstra, Ann. of Math. 126, 1987), each with
+    one rational order-ell subgroup, or ell + 1 when E[ell] is rational,
+    which (q - 1) / 2 * H((4q - t^2) / ell^2) of them are when ell^2 divides
+    both q + 1 - t and 4q - t^2 (R. Schoof, J. Combin. Theory Ser. A 46,
+    1987); an arm's target has its source's order."""
+    census = {}
+    for t in range(-isqrt(4 * q), isqrt(4 * q) + 1):
+        N, D = q + 1 - t, 4 * q - t * t
+        if N % ell:
+            continue
+        arms = hurwitz_class_number(D)
+        if N % ell**2 == 0 and D % ell**2 == 0:
+            arms += ell * hurwitz_class_number(D // ell**2)
+        census[N] = (q - 1) * arms / 2
+    return census
+
+
+_CENSUS_SWEEPS = [(61, 3), (43, 7), (101, 5), (97, 2), (13, 3), (109, 3), (31, 2), (73, 2),
+                  (157, 13)]
+
+
+def _arms_per_order(q, ell, include_family=False):
+    arms = Counter()
+    for g in build_pointed_graphs(PrimeField(q), ell, include_family=include_family):
+        arms[g.target_order] += g.arm_multiplicity
+    return arms
+
+
+@pytest.mark.parametrize("q, ell", _CENSUS_SWEEPS)
+def test_arms_per_target_order_count_hurwitz_class_numbers(q, ell):
+    """Every arm of every source, by target order; at ell = 3 the family
+    adds one arm for each of its (q - 1)^2 nonsingular (w, v)."""
+    census = arm_census(q, ell)
+    assert dict(_arms_per_order(q, ell)) == census
+    if ell == 3:
+        assert sum(_arms_per_order(q, ell, True).values()) == sum(census.values()) + (q - 1)**2
+
+
+@pytest.mark.parametrize("q, ell", _CENSUS_SWEEPS[:4])
+def test_arm_census_catches_a_dropped_subgroup(q, ell, monkeypatch):
+    """Self-check: sources that lose the last of their ell + 1 subgroups,
+    while the targets keep all their lines, break the census."""
+    orig = graphs_mod.rational_order_ell_subgroups
+
+    def drop_last(*args):
+        out = orig(*args)
+        by_source = sys._getframe(1).f_code.co_name == "build_pointed_graphs"
+        return out[:-1] if by_source and len(out) > 1 else out
+
+    monkeypatch.setattr(graphs_mod, "rational_order_ell_subgroups", drop_last)
+    assert dict(_arms_per_order(q, ell)) != arm_census(q, ell)
+
+
 def test_order_two_targets_exist_with_ell_squared_order():
     # q = 1 mod ell and some curve with ell^2 | N: order-2 graphs appear
     gs = build_pointed_graphs(PrimeField(31), 3)
@@ -505,8 +567,6 @@ def test_order_two_targets_exist_with_ell_squared_order():
     assert order2
     for g in order2:
         assert g.target_order % 9 == 0
-        from isogeny_lab.curves import WeierstrassCurve, rational_ell_torsion
-
         E = g.target_curve(PrimeField(31))
         assert rational_ell_torsion(E, 3) == 2
 
@@ -844,7 +904,8 @@ def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch
     for a in checked:
         src, kappa, tc = a[1], a[2], a[_TC]
         sA, sB, _ = short_reduce_int(src, q)
-        if len(tc.line_index[short_class_key(sA, sB, q, tab)]) > 1:
+        src_key = short_class_key(sA, sB, q, tab)
+        if sum(qkey == src_key for _, _, qkey, _ in tc.lines) > 1:
             multi.append((tuple(src), tuple(kappa)))
     assert sorted(built) == sorted(multi)
     # at (11, 3) every arm has a single candidate line
@@ -976,7 +1037,8 @@ _MATCH_SWEEPS = [(13, 2), (31, 2), (13, 3), (37, 3), (61, 3), (31, 5), (41, 5), 
 @pytest.fixture(scope="module")
 def dual_line_matches():
     """(arguments, answer) of every _match_dual_line call, i.e. of every
-    arm with more than one candidate line, in the sweeps of _MATCH_SWEEPS."""
+    arm with more than one candidate line that is not moved from the first
+    arm of its orbit, in the sweeps of _MATCH_SWEEPS."""
     calls = []
     orig = graphs_mod._match_dual_line
 
@@ -1000,7 +1062,9 @@ def test_dual_line_fiber_division_equals_composition_oracle(dual_line_matches):
         A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q)
         special += short_class_key(A, B, q, fq_tables(q))[0] in (0, 1)
     assert {args[2] for args, _ in dual_line_matches} == {2, 3, 5, 7}
-    assert len(dual_line_matches) == 1274
+    # arms into j = 0 and 1728 targets are never moved; of the others, only
+    # the first of each orbit is matched
+    assert len(dual_line_matches) == 706
     assert special == 686
 
 
@@ -1021,8 +1085,8 @@ def test_shifted_line_root_fails_the_match(q, ell, monkeypatch):
         orig(self, *args)
         if len(self.lines) > 1:
             w0 = self.lines[0][0]
-            for pairs in self.line_index.values():
-                pairs[:] = [(w, (x_w + 1) % q if w == w0 else x_w) for w, x_w in pairs]
+            self.lines = [(w, (x_w + 1) % q if w == w0 else x_w, *rest)
+                          for w, x_w, *rest in self.lines]
 
     monkeypatch.setattr(graphs_mod._TargetClass, "__init__", shifted)
     with pytest.raises(InternalError, match="candidate dual line"):
@@ -1079,3 +1143,112 @@ def test_dual_line_match_builds_no_psi(monkeypatch):
     assert len(matched) == len(set(matched)) == 224
     assert len({short_class_key(s[3], s[4], q, tab) for s in matched}) == 4
     assert built[True] > 0 and built[False] == 0
+
+
+# --- every arm against its recomputation from scratch ---------------------------
+
+_ARM_ORACLE_SWEEPS = [(q, ell) for ell in (2, 3, 5, 7) for q in primes_in_range(5, 60)
+                      if q != ell]
+
+
+def arm_oracle_mismatches(sweeps):
+    """Build each (q, ell) of sweeps, the 3-isogeny family included, with a
+    spy on _soundness_checks, which sees every arm, moved from the first arm
+    of its orbit or not, and recompute the arm from scratch: kappa from its
+    kernel x's, the codomain by velu_codomain_int, its short form and class
+    key, the isomorphism to the target's representative and the dual line
+    by match_by_composition among all the target's lines.  The arm's own
+    isomorphism is the compose_iso_int result just before its checks.  Each
+    target's arms are counted against its arm_multiplicity, and the soundness
+    checks must pass.  Returns (q, ell, what) for each disagreement."""
+    bad = []
+    orig_checks, orig_compose = graphs_mod._soundness_checks, graphs_mod.compose_iso_int
+    last_iso = [None]
+    arms = Counter()
+
+    def compose(*args):
+        last_iso[0] = orig_compose(*args)
+        return last_iso[0]
+
+    def checks(*args):
+        src, kappa, _, kernel_xs, cod, cod_short, w_line, tc, N, ell, q, tab, orders, src_inv \
+            = args[1:]
+        want_kappa = intpoly.pfrom_roots(kernel_xs, q)
+        want_cod = velu_codomain_int(src, want_kappa, ell, q)
+        A, B, red = short_reduce_int(want_cod, q)
+        u = solve_twist_scale(A, B, *tc.rep, q, tab)
+        want_iso = orig_compose(red, (u, 0, 0, 0), q)
+        lines = [w for w, _, _, _ in tc.lines]
+        want_w = lines if len(lines) == 1 else match_by_composition(
+            src, want_kappa, ell, q, lines, want_iso)
+        sA, sB, _ = short_reduce_int(src, q)
+        for what, got, want in [
+            ("kernel polynomial", list(kappa), want_kappa),
+            ("codomain", cod, want_cod),
+            ("short codomain", cod_short, (A, B)),
+            ("target class", short_class_key(*tc.rep, q, tab), short_class_key(A, B, q, tab)),
+            ("isomorphism", last_iso[0], want_iso),
+            ("dual line", [w_line], want_w),
+            ("source", (src_inv[0], N), (short_class_key(sA, sB, q, tab), orders[sA][sB])),
+        ]:
+            if got != want:
+                bad.append((q, ell, what))
+        arms[tc.rep] += 1
+        return orig_checks(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs_mod, "_soundness_checks", checks)
+        mp.setattr(graphs_mod, "compose_iso_int", compose)
+        for q, ell in sweeps:
+            arms.clear()
+            stats = SoundnessStats()
+            graphs = build_pointed_graphs(PrimeField(q), ell, soundness=stats)
+            if not stats.ok():
+                bad.append((q, ell, "soundness checks"))
+            if {g.target: g.arm_multiplicity for g in graphs} != dict(arms):
+                bad.append((q, ell, "arm multiplicity"))
+    return bad
+
+
+def test_every_arm_equals_its_recomputation():
+    assert arm_oracle_mismatches(_ARM_ORACLE_SWEEPS) == []
+
+
+_moved_arm, _target_init = graphs_mod._moved_arm, graphs_mod._TargetClass.__init__
+
+
+def _moved_a2_by_lam6(arm, lam, q):
+    """u2^3 in place of u2^2 (lam^6 in place of lam^4) on A2 and a4."""
+    a4, a6, A2, B2, *rest = _moved_arm(arm, lam, q)
+    l2 = lam * lam % q
+    return (a4 * l2 % q, a6, A2 * l2 % q, B2, *rest)
+
+
+def _moved_kappa_by_lam(arm, lam, q):
+    """kappa's roots moved by u (lam) in place of u^2."""
+    return (*_moved_arm(arm, lam, q)[:7], *graphs_mod._scaled_roots(arm[7:], lam, q))
+
+
+def _moved_s_by_lam2(arm, lam, q):
+    """short_reduce_int's s moved by lam^2 in place of lam."""
+    moved = _moved_arm(arm, lam, q)
+    return (*moved[:5], arm[5] * lam * lam % q, *moved[6:])
+
+
+def _init_moving_into_j1728(self, *args):
+    """Arms into j = 1728 targets take their orbit's first dual line."""
+    _target_init(self, *args)
+    self.aut_fixes_lines = self.aut_fixes_lines or self.rep[1] == 0
+
+
+@pytest.mark.parametrize("owner, name, mutant, sweeps, caught_as", [
+    (graphs_mod, "_moved_arm", _moved_a2_by_lam6, [(7, 2), (7, 3)], "codomain"),
+    (graphs_mod, "_moved_arm", _moved_kappa_by_lam, [(7, 2), (7, 3)], "kernel polynomial"),
+    # only the family's arms have s != 0
+    (graphs_mod, "_moved_arm", _moved_s_by_lam2, [(7, 3)], "isomorphism"),
+    (graphs_mod._TargetClass, "__init__", _init_moving_into_j1728, [(13, 2), (13, 3)],
+     "dual line"),
+])
+def test_arm_oracle_catches_a_wrong_move(owner, name, mutant, sweeps, caught_as, monkeypatch):
+    monkeypatch.setattr(owner, name, mutant)
+    assert caught_as in {what for _, _, what in arm_oracle_mismatches(sweeps)}
