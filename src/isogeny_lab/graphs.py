@@ -3,9 +3,10 @@
 The sweep enumerates short-form curves (plus the universal 3-isogeny family
 for ell = 3), finds rational order-ell subgroups through the group
 structure, computes Velu quotients, groups codomains into isomorphism
-classes by twist-aware canonical keys, and identifies each arm's dual
-kernel with one of the target's Galois-stable pointed lines, or moves the
-arm from an isomorphic one met before when the target has j not in {0, 1728}.
+classes by twist-aware canonical keys, one record per class, and identifies
+each arm's dual kernel with one of the target's Galois-stable pointed lines.
+Every arm after the first of its orbit of isomorphic arms is moved from
+that one, its dual line by the target's automorphism that relates them.
 
 Everything here works on plain ints mod q for speed; the contract-level
 objects (WeierstrassCurve, Isogeny, CurveIsomorphism) are reconstructed
@@ -15,7 +16,7 @@ lazily from the stored integer data.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from functools import cached_property
 from math import gcd
 from typing import ClassVar
@@ -49,7 +50,11 @@ class FqTables:
         self._orders: list[list[int]] | None = None
 
     def orders(self) -> list[list[int]]:
+        """N[a][b]; building it drops every other q's table, so that one q x q
+        table is alive at a time."""
         if self._orders is None:
+            for tab in _TABLE_CACHE.values():
+                tab._orders = None
             self._orders = self._build_orders()
         return self._orders
 
@@ -92,18 +97,12 @@ class FqTables:
 
 
 _TABLE_CACHE: dict[int, FqTables] = {}
-_ORDER_CACHE_KEEP = 3
 
 
 def fq_tables(q: int) -> FqTables:
     tab = _TABLE_CACHE.get(q)
     if tab is None:
-        tab = FqTables(q)
-        _TABLE_CACHE[q] = tab
-        # keep order tables bounded: drop the oldest heavy tables
-        heavy = [k for k, v in _TABLE_CACHE.items() if v._orders is not None]
-        for k in heavy[:-_ORDER_CACHE_KEEP]:
-            _TABLE_CACHE[k]._orders = None
+        tab = _TABLE_CACHE[q] = FqTables(q)
     return tab
 
 
@@ -415,7 +414,7 @@ def compose_iso_int(i1, i2, q):
 # --- stable pointed lines of a target ----------------------------------------------
 
 
-def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
+def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, records=None, key=None):
     """All Galois-stable lines of E[ell] with trivial quotient action, for
     the short curve y^2 = x^3 + Ax + B with #E = N (ell | N required).
 
@@ -427,7 +426,7 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, class_xs=None, key=N
     q-eigenline.  When q = 1 mod ell (every ell = 2 case) the trace
     q + 1 - N is 2 mod ell and the characteristic polynomial is
     X^2 - 2X + 1 = (X - 1)^2: the q-eigenlines are the lines of rational
-    points, the subgroups of rational_order_ell_subgroups (class_xs and key,
+    points, the subgroups of rational_order_ell_subgroups (records and key,
     the curve's short_class_key, are handed to class_record).  Otherwise the
     one q-eigenline has points P with x(P)^q = x([a]P) for
     a = min(q mod ell, ell - q mod ell), i.e. Frob(P) = +-[q]P, so one gcd
@@ -442,8 +441,8 @@ def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, class_xs=None, key=N
     coeffs = (0, 0, 0, A % q, B % q)
     if q % ell == 1:
         subgroups = rational_order_ell_subgroups(
-            A, B, q, tab, *class_record(A, B, N, ell, q, tab, class_xs, key))
-        lines = sorted((tuple(intpoly.pfrom_roots(xs, q)), xs[0]) for _, xs in subgroups)
+            A, B, q, tab, *class_record(A, B, N, ell, q, tab, records, key))
+        lines = sorted((tuple(intpoly.pfrom_roots(xs, q)), xs[0]) for _, xs, _ in subgroups)
     else:
         psi, F = psi_tilde_ints(coeffs, q, ell)
         psi_x = psi[ell]
@@ -485,35 +484,65 @@ def _line_pointwise_rational(w, A, B, q, tab: FqTables) -> bool:
 # --- arm discovery -----------------------------------------------------------------
 
 
-def class_record(A, B, N, ell, q, tab: FqTables, class_xs=None, key=None):
-    """(record, u2) of y^2 = x^3 + Ax + B, ell | N: its isomorphism class's
-    record (A0, B0, subgroups, psi) with _rational_ell_points' subgroups and
-    psi, and u2 = u^2 for (A, B) = (u^4 A0, u^6 B0), so that (x, y) ->
-    (u^2 x, u^3 y) maps the class's first curve onto this one.
+class _ClassRecord:
+    """What a sweep keeps of one F_q-isomorphism class, under its
+    short_class_key: anchor = (A0, B0), the first curve of the class to ask
+    class_record (None until one does), with its subgroups and psi
+    (_rational_ell_points); bases, the first arm of the orbit of each record
+    subgroup, moved to the anchor; and the target data, once an arm lands in
+    the class (lines is None until then)."""
 
-    class_xs, when given, holds the record of each class met so far, as a
+    __slots__ = ("anchor", "subgroups", "psi", "bases", "rep", "order", "lines", "arms",
+                 "n_arms", "dual_j")
+
+    def __init__(self, anchor=None, subgroups=(), psi=None):
+        self.anchor, self.subgroups, self.psi = anchor, subgroups, psi
+        self.bases = [None] * len(subgroups)
+        self.lines = None
+
+    def land(self, rep, order, lines):
+        """rep = (A, B), the short codomain of the first arm to land, its order
+        and pointed lines [(w, x_w, quotient_key, quotient_coeffs)] by w; the
+        j of rep's quotient by each line (dual_j), the first GraphArm on each
+        dual line, the one a report shows (arms), and the count of all arms."""
+        self.rep, self.order, self.lines = rep, order, lines
+        self.dual_j = {w: qkey[1] for w, _, qkey, _ in lines}
+        self.arms, self.n_arms = {}, 0
+
+
+def class_record(A, B, N, ell, q, tab: FqTables, records=None, key=None):
+    """(record, u2) of y^2 = x^3 + Ax + B, ell | N: its isomorphism class's
+    _ClassRecord, anchored with _rational_ell_points' subgroups and psi, and
+    u2 = u^2 for (A, B) = (u^4 A0, u^6 B0), so that (x, y) -> (u^2 x, u^3 y)
+    maps the anchor (A0, B0) onto this curve.
+
+    records, when given, holds the record of each class met so far, as a
     source or a target, under its short_class_key; key is the curve's.  The
-    first curve of a class makes the record, every other one takes it with
-    one solve_twist_scale."""
-    class_xs = {} if class_xs is None else class_xs
-    record = class_xs.get(key)
+    first curve of a class to ask anchors the record, every other one takes
+    it with one solve_twist_scale."""
+    records = {} if records is None else records
+    record = records.get(key)
     if record is None:
-        class_xs[key] = record = (A, B, *_rational_ell_points(A, B, N, ell, q, tab))
+        record = records[key] = _ClassRecord()
+    if record.anchor is None:
+        record.subgroups, record.psi = _rational_ell_points(A, B, N, ell, q, tab)
+        record.anchor, record.bases = (A, B), [None] * len(record.subgroups)
         return record, 1
-    return record, solve_twist_scale(A, B, record[0], record[1], q, tab) ** 2 % q
+    return record, solve_twist_scale(A, B, *record.anchor, q, tab) ** 2 % q
 
 
 def rational_order_ell_subgroups(A, B, q, tab: FqTables, record, u2):
     """All order-ell subgroups of y^2 = x^3 + Ax + B generated by rational
-    points, from its class_record: list of (kernel_point, xs), ascending.
+    points, from its class_record: list of (kernel_point, xs, i), ascending,
+    with i the index of the subgroup in the record.
 
     x -> u2 x maps the record's x-lists onto the curve's.  A subgroup's
     kernel point is its point of least x, with the y of tab.sqrt."""
     out = []
-    for xs0 in record[2]:
+    for i, xs0 in enumerate(record.subgroups):
         xs = sorted(u2 * x % q for x in xs0)
         x = xs[0]
-        out.append(((x, tab.sqrt[(x * x * x + A * x + B) % q]), xs))
+        out.append(((x, tab.sqrt[(x * x * x + A * x + B) % q]), xs, i))
     out.sort()
     return out
 
@@ -576,9 +605,9 @@ def _class_psi(record, u2, q):
     then q = 1 mod ell and the target's E[ell] is rational, so ell^2 divides
     its order, which is the source's and that of its whole class, and the
     class's first curve took the psi_ell finder of _rational_ell_points."""
-    if record[3] is None:
+    if record.psi is None:
         raise InternalError("the source class has no stored psi_ell")
-    return _scaled_roots(record[3], u2, q)
+    return _scaled_roots(record.psi, u2, q)
 
 
 def _scaled_roots(f, u2, q):
@@ -600,6 +629,12 @@ def _moved_arm(arm, lam, q):
     l4, l6 = l2 * l2 % q, l3 * l3 % q
     return (a4 * l4 % q, a6 * l6 % q, A2 * l4 % q, B2 * l6 % q, r * l2 % q, s * lam % q,
             t * l3 % q, *_scaled_roots(arm[7:], l2, q))
+
+
+def _moved_line(w, z, q):
+    """The line w of a target's representative moved by its automorphism
+    (x, y) -> (z^2 x, z^3 y): its roots scaled by z^2."""
+    return tuple(_scaled_roots(w, z * z % q, q))
 
 
 # --- graph data model ----------------------------------------------------------------
@@ -708,42 +743,11 @@ class SoundnessStats:
             self.failures.append({"kind": kind, "source": list(source)})
 
     def ok(self) -> bool:
-        return (
-            self.homomorphism_failures == 0
-            and self.kernel_failures == 0
-            and self.singular_codomains == 0
-            and self.dual_j_failures == 0
-            and self.order_mismatches == 0
-        )
+        return not any(n for name, n in self.to_json().items() if name != "isogenies")
 
     def to_json(self):
-        return {
-            "isogenies": self.isogenies,
-            "homomorphism_failures": self.homomorphism_failures,
-            "kernel_failures": self.kernel_failures,
-            "singular_codomains": self.singular_codomains,
-            "dual_j_failures": self.dual_j_failures,
-            "order_mismatches": self.order_mismatches,
-        }
-
-
-class _TargetClass:
-    """One target class: its pointed lines, the first arm on each dual line
-    (the one a report shows) and how many arms there were in all."""
-
-    __slots__ = ("rep", "order", "lines", "arms", "n_arms", "dual_j", "aut_fixes_lines")
-
-    def __init__(self, rep, order, lines):
-        self.rep = rep  # (A, B)
-        # j not in {0, 1728}: Aut(rep) = {+-1} fixes every line, so isomorphic
-        # arms into the class have one dual line
-        self.aut_fixes_lines = bool(rep[0] and rep[1])
-        self.order = order
-        self.lines = lines  # [(w, x_w, quotient_key, quotient_coeffs)], sorted by w
-        self.arms = {}  # dual line -> the first GraphArm on it
-        self.n_arms = 0
-        # j of the representative's quotient by each line
-        self.dual_j = {w: qkey[1] for w, _, qkey, _ in lines}
+        """The counters, in field order."""
+        return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "failures"}
 
 
 def build_pointed_graphs(
@@ -774,30 +778,17 @@ def build_pointed_graphs(
         )
     tab = fq_tables(q)
     orders = tab.orders()
-    classes: dict[tuple, _TargetClass] = {}
-    # the class_record of each class met so far, as a source or as a target
-    class_xs: dict[tuple, tuple] = {}
+    # the _ClassRecord of each class met so far, as a source or as a target
+    records: dict[tuple, _ClassRecord] = {}
 
-    def target_class_for(cod_short_A, cod_short_B, N) -> _TargetClass:
-        key = short_class_key(cod_short_A, cod_short_B, q, tab)
-        tc = classes.get(key)
-        if tc is None:
-            lines = enumerate_pointed_lines(cod_short_A, cod_short_B, N, ell, q, tab,
-                                            class_xs, key)
-            classes[key] = tc = _TargetClass((cod_short_A, cod_short_B), N, lines)
-        return tc
-
-    # orbit -> (target class, dual line, source class key, *arm) of its first
-    # arm, the arm moved to lam = 1 (_moved_arm), for aut_fixes_lines targets
-    orbits: dict = {}
-
-    def add_arm(src, src_inv, kernel_pt, kernel_xs, N, orbit, lam, u2=None):
+    def add_arm(src, src_inv, kernel_pt, kernel_xs, N, base, lam, u2=None):
         """src_inv = (short_class_key, (b2, b4, b6)) of the source curve; u2
         is a short-form source's class_record scale, None for the family.  The
-        source is (x, y) -> (lam^2 x, lam^3 y) of its orbit's lam = 1 curve;
-        the first arm of an orbit (None: no orbit) gives the later ones."""
+        source is (x, y) -> (lam^2 x, lam^3 y) of its orbit's lam = 1 curve,
+        and base is None or the orbit's first arm moved there, (target key,
+        dual line, u / lam, *arm), from which later arms are moved.  Returns
+        base, or this arm's when base is None and lam != 0 (lam = 0: no orbit)."""
         src_key, binv = src_inv
-        base = orbits.get(orbit)
         if base is None:
             kappa = intpoly.pfrom_roots(kernel_xs, q)
             p1 = p2 = p3 = 0
@@ -810,42 +801,61 @@ def build_pointed_graphs(
             else:
                 A2, B2, red_iso = cod[3], cod[4], (1, 0, 0, 0)
         else:
-            a4, a6, A2, B2, r, s, t, *kappa = _moved_arm(base[3:], lam, q)
+            tkey, w, u1, *arm = base
+            a4, a6, A2, B2, r, s, t, *kappa = _moved_arm(arm, lam, q)
             cod, red_iso = (*src[:3], a4, a6), (1, r, s, t)
         # the short form is isomorphic with u = 1, so it keeps cod's discriminant
         if (4 * A2 * A2 * A2 + 27 * B2 * B2) % q == 0:
             if soundness is not None:
                 soundness.record("singular_codomains", "singular-codomain", src)
             raise InternalError("Velu codomain is singular")
-        cod_tc, w = base[:2] if base else (target_class_for(A2, B2, N), None)
-        u = solve_twist_scale(A2, B2, cod_tc.rep[0], cod_tc.rep[1], q, tab)
+        if base is None:
+            tkey = short_class_key(A2, B2, q, tab)
+            tc = records.setdefault(tkey, _ClassRecord())
+            if tc.lines is None:
+                lines = enumerate_pointed_lines(A2, B2, N, ell, q, tab, records, tkey)
+                tc.land((A2, B2), N, lines)
+        else:
+            tc = records[tkey]
+        u = solve_twist_scale(A2, B2, *tc.rep, q, tab)
         iso = compose_iso_int(red_iso, (u, 0, 0, 0), q)
-        if w is None:
+        if base is None:
             # the lines whose quotient is the source's class, each with an F_q
             # root x_w when q = 1 mod ell, where a class can have several
-            cands = [(line, x_w) for line, x_w, qkey, _ in cod_tc.lines if qkey == src_key]
+            cands = [(line, x_w) for line, x_w, qkey, _ in tc.lines if qkey == src_key]
             if not cands:
                 raise InternalError("no pointed line of the target matches the source class")
             if len(cands) == 1:
                 w = cands[0][0]
             else:
                 psi = (torsion_x_poly_ints(src, q, ell) if u2 is None  # family: long form
-                       else _class_psi(class_xs[src_key], u2, q))
+                       else _class_psi(records[src_key], u2, q))
                 w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
-            if orbit is not None and cod_tc.aut_fixes_lines:
+            if lam:
+                inv = pow(lam, -1, q)
                 arm = (*cod[3:], A2, B2, *red_iso[1:], *kappa)
-                orbits[orbit] = (cod_tc, w, src_key, *_moved_arm(arm, pow(lam, -1, q), q))
-        cod_tc.n_arms += 1
-        if w not in cod_tc.arms:
-            cod_tc.arms[w] = GraphArm(
+                base = (tkey, w, u * inv % q, *_moved_arm(arm, inv, q))
+        else:
+            # lam u1 and u are both twist scales to the representative, so
+            # they differ by an automorphism x -> z^2 x of it, z = lam u1 / u;
+            # z = +-1, all there is when j is not 0 or 1728, fixes every line
+            lu1 = lam * u1 % q
+            if u != lu1 and u != q - lu1:
+                w = _moved_line(w, lu1 * pow(u, -1, q) % q, q)
+                if w not in tc.dual_j:
+                    raise InternalError("a moved dual line is not a pointed line of the target")
+        tc.n_arms += 1
+        if w not in tc.arms:
+            tc.arms[w] = GraphArm(
                 source=src, kernel_point=kernel_pt, codomain=cod, iso_to_target=iso, dual_line=w
             )
         if soundness is not None:
             _soundness_checks(soundness, src, kappa, kernel_pt, kernel_xs,
-                              cod, (A2, B2), w, cod_tc, N, ell, q, tab, orders, src_inv)
+                              cod, (A2, B2), w, tc, N, ell, q, tab, orders, src_inv)
+        return base
 
-    # short-form sources; the orbit of (source, subgroup) is its class key and
-    # an x of the subgroup in the class record, and lam^2 = u2
+    # short-form sources; an orbit is a source class and the index of a
+    # subgroup in its record, and lam^2 = u2
     for a in range(q):
         row = orders[a]
         for b in range(q):
@@ -855,16 +865,16 @@ def build_pointed_graphs(
             src = (0, 0, 0, a, b)
             key = short_class_key(a, b, q, tab)
             src_inv = (key, (0, 2 * a % q, 4 * b % q))
-            record, u2 = class_record(a, b, N, ell, q, tab, class_xs, key)
-            lam, inv_u2 = tab.sqrt[u2], pow(u2, -1, q)
-            for pt, xs in rational_order_ell_subgroups(a, b, q, tab, record, u2):
-                add_arm(src, src_inv, pt, xs, N, (key, xs[0] * inv_u2 % q), lam, u2)
+            record, u2 = class_record(a, b, N, ell, q, tab, records, key)
+            lam = tab.sqrt[u2]
+            for pt, xs, i in rational_order_ell_subgroups(a, b, q, tab, record, u2):
+                record.bases[i] = add_arm(src, src_inv, pt, xs, N, record.bases[i], lam, u2)
 
     # the universal 3-isogeny family contributes its canonical arm; for w != 0,
     # (w, v) is (x, y) -> (w^2 x, w^3 y) of (1, v / w^3), kernel (0, 0) kept,
-    # so its orbit is v / w^3 and lam = w.  It meets no short-form orbit.
-    orbits.clear()
+    # so its orbit is v / w^3 and lam = w; the w = 0 sources, orbit 0, have none
     if ell == 3 and include_family:
+        family = [None] * q  # orbit -> (source key, order, the orbit's first arm)
         for w_par in range(q):
             w3 = w_par * w_par * w_par % q
             inv_w3 = pow(w3, -1, q) if w_par else 0
@@ -872,37 +882,26 @@ def build_pointed_graphs(
                 if (w3 - 27 * v_par) % q == 0:
                     continue
                 src = (w_par, 0, v_par, 0, 0)
-                orbit = v_par * inv_w3 % q if w_par else None
-                base = orbits.get(orbit)
-                if base is None:
+                orbit = v_par * inv_w3 % q
+                if family[orbit] is None:
                     sA, sB, _ = short_reduce_int(src, q)
                     N = orders[sA][sB]
                     if N == 0 or N % 3:
                         raise InternalError("family curve with order not divisible by 3")
-                    src_key = short_class_key(sA, sB, q, tab)
+                    src_key, base = short_class_key(sA, sB, q, tab), None
                 else:  # isogenous curves have equal order
-                    src_key, N = base[2], base[0].order
+                    src_key, N, base = family[orbit]
                 # b2, b4, b6 of y^2 + w xy + v y = x^3
                 binv = (w_par * w_par % q, w_par * v_par % q, v_par * v_par % q)
-                add_arm(src, (src_key, binv), (0, 0), [0], N, orbit, w_par)
+                base = add_arm(src, (src_key, binv), (0, 0), [0], N, base, w_par)
+                if orbit and family[orbit] is None:
+                    family[orbit] = (src_key, N, base)
 
-    graphs = []
-    for key in sorted(classes):
-        tc = classes[key]
-        if not tc.arms:
-            continue
-        graphs.append(
-            PointedGraph(
-                q=q,
-                ell=ell,
-                target=tc.rep,
-                target_order=tc.order,
-                arms=tuple(tc.arms[w] for w in sorted(tc.arms)),
-                arm_multiplicity=tc.n_arms,
-                pointed_lines=tuple(w for w, _, _, _ in tc.lines),
-            )
-        )
-    return graphs
+    return [PointedGraph(q=q, ell=ell, target=tc.rep, target_order=tc.order,
+                         arms=tuple(tc.arms[w] for w in sorted(tc.arms)),
+                         arm_multiplicity=tc.n_arms,
+                         pointed_lines=tuple(w for w, _, _, _ in tc.lines))
+            for tc in (records[key] for key in sorted(records)) if tc.lines is not None]
 
 
 def _match_dual_line(src_coeffs, kappa, ell, q, candidates, iso_to_target, psi):

@@ -184,12 +184,13 @@ def object_layer_subgroups(E, ell):
     return subgroups
 
 
-def subgroups_of(a, b, N, ell, q, tab, class_xs=None):
+def subgroups_of(a, b, N, ell, q, tab, records=None):
     """rational_order_ell_subgroups of y^2 = x^3 + ax + b from its
-    class_record, taken from or made in class_xs when it is given."""
+    class_record, taken from or made in records when it is given, without
+    the record indices."""
     key = short_class_key(a, b, q, tab)
-    return rational_order_ell_subgroups(a, b, q, tab,
-                                        *class_record(a, b, N, ell, q, tab, class_xs, key))
+    return [(pt, xs) for pt, xs, _ in rational_order_ell_subgroups(
+        a, b, q, tab, *class_record(a, b, N, ell, q, tab, records, key))]
 
 
 @pytest.mark.parametrize("q, ell", [(7, 3), (13, 3), (19, 3), (13, 2), (11, 5), (31, 5),
@@ -201,14 +202,14 @@ def test_rational_subgroups_match_object_layer_enumeration(q, ell):
     F = PrimeField(q)
     tab = fq_tables(q)
     orders = tab.orders()
-    class_xs = {}
+    records = {}
     for a in range(q):
         for b in range(q):
             N = orders[a][b]
             if not N or N % ell:
                 continue
             E = WeierstrassCurve(F, 0, 0, 0, a, b)
-            got = subgroups_of(a, b, N, ell, q, tab, class_xs)
+            got = subgroups_of(a, b, N, ell, q, tab, records)
             assert len({frozenset(xs) for _, xs in got}) == len(got)
             assert {frozenset(xs) for _, xs in got} == object_layer_subgroups(E, ell)
             for pt, xs in got:
@@ -402,8 +403,8 @@ def test_line_root_given_exactly_at_q_1(pointed_line_cases):
 _LINE_MUTATIONS = {
     "a* off by one": ("a_star = min(qmod, ell - qmod)", "a_star = min(qmod, ell - qmod) + 1"),
     "y-test sign flipped": ("intpoly.padd(s, [1], q)", "intpoly.psub(s, [1], q)"),
-    "first subgroup only": ("*class_record(A, B, N, ell, q, tab, class_xs, key))",
-                            "*class_record(A, B, N, ell, q, tab, class_xs, key))[:1]"),
+    "first subgroup only": ("*class_record(A, B, N, ell, q, tab, records, key))",
+                            "*class_record(A, B, N, ell, q, tab, records, key))[:1]"),
 }
 
 
@@ -890,12 +891,23 @@ def test_x_map_differential_catches_a_wrong_coefficient(attr, where, check_point
         assert _x_map_mismatches([arm for arm in small if arm[2] != 2]) == 0
 
 
+# (arms with several candidate lines, those matched); the others are moved
+_MULTI_CANDIDATE_ARMS = {(11, 3): (0, 0), (13, 3): (54, 6), (13, 2): (24, 4),
+                         (31, 5): (30, 2)}
+
+
 @pytest.mark.parametrize("q, ell", [(11, 3), (13, 3), (13, 2), (31, 5)])
 def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch):
-    built = []
+    """velu_x_maps_int is built once for each arm that _match_dual_line
+    decides, and those are arms with several candidate lines: the first of
+    each orbit.  The later arms of the orbit are moved and build none."""
+    built, matched = [], []
     orig = graphs_mod.velu_x_maps_int
     monkeypatch.setattr(graphs_mod, "velu_x_maps_int",
                         lambda *a: built.append((tuple(a[0]), tuple(a[1]))) or orig(*a))
+    orig_match = graphs_mod._match_dual_line
+    monkeypatch.setattr(graphs_mod, "_match_dual_line",
+                        lambda *a: matched.append((tuple(a[0]), tuple(a[1]))) or orig_match(*a))
     checked = []
     _wrap_checks(monkeypatch, lambda a: checked.append(a) or a)
     build_pointed_graphs(PrimeField(q), ell, soundness=SoundnessStats())
@@ -907,9 +919,9 @@ def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch
         src_key = short_class_key(sA, sB, q, tab)
         if sum(qkey == src_key for _, _, qkey, _ in tc.lines) > 1:
             multi.append((tuple(src), tuple(kappa)))
-    assert sorted(built) == sorted(multi)
-    # at (11, 3) every arm has a single candidate line
-    assert bool(multi) == ((q, ell) != (11, 3))
+    assert sorted(built) == sorted(matched)
+    assert set(matched) <= set(multi)
+    assert (len(multi), len(matched)) == _MULTI_CANDIDATE_ARMS[q, ell]
 
 
 def scanned_subgroups(a, b, ell, q, tab):
@@ -950,21 +962,21 @@ def test_rational_ell_points_transport_equals_direct():
         curves = [(a, b, orders[a][b], short_class_key(a, b, q, tab))
                   for a in range(q) for b in range(q)
                   if orders[a][b] and orders[a][b] % ell == 0]
-        class_xs = {}
+        records = {}
         target_made = set()
         if q % ell == 1:
             last = {key: (a, b, N) for a, b, N, key in curves}
             for key in sorted(last)[::2]:
                 a, b, N = last[key]
-                lines = enumerate_pointed_lines(a, b, N, ell, q, tab, class_xs, key)
+                lines = enumerate_pointed_lines(a, b, N, ell, q, tab, records, key)
                 assert lines == enumerate_pointed_lines(a, b, N, ell, q, tab)
                 target_made.add(key)
-            assert set(class_xs) == target_made
+            assert set(records) == target_made
         for a, b, N, key in curves:
-            if key in class_xs:
+            if key in records:
                 psi_finder = ell == 2 or (N % (ell * ell) == 0 and q % ell == 1)
                 taken[key[0], psi_finder, key in target_made] += 1
-            got = subgroups_of(a, b, N, ell, q, tab, class_xs)
+            got = subgroups_of(a, b, N, ell, q, tab, records)
             assert got == scanned_subgroups(a, b, ell, q, tab)
             assert got == subgroups_of(a, b, N, ell, q, tab)
     # targets are met first only at q = 1 mod ell, where ell | N forces
@@ -1036,59 +1048,94 @@ _MATCH_SWEEPS = [(13, 2), (31, 2), (13, 3), (37, 3), (61, 3), (31, 5), (41, 5), 
 
 @pytest.fixture(scope="module")
 def dual_line_matches():
-    """(arguments, answer) of every _match_dual_line call, i.e. of every
-    arm with more than one candidate line that is not moved from the first
-    arm of its orbit, in the sweeps of _MATCH_SWEEPS."""
-    calls = []
-    orig = graphs_mod._match_dual_line
+    """(decisions, calls) in the sweeps of _MATCH_SWEEPS.  decisions holds
+    (arguments, answer, the arm's dual line) of _match_dual_line on every arm
+    with more than one candidate line, moved from the first arm of its orbit
+    or not: a spy on _soundness_checks calls the matcher itself, with the
+    arm's isomorphism (the compose_iso_int result just before its checks)
+    and psi_ell built from scratch.  calls holds the arguments of the
+    build's own _match_dual_line calls."""
+    decisions, calls = [], []
+    orig_match, orig_checks = graphs_mod._match_dual_line, graphs_mod._soundness_checks
+    orig_compose = graphs_mod.compose_iso_int
+    last_iso = [None]
 
-    def record(*args):
-        calls.append((args, orig(*args)))
-        return calls[-1][1]
+    def compose(*args):
+        last_iso[0] = orig_compose(*args)
+        return last_iso[0]
+
+    def checks(*args):
+        src, kappa, w_line, tc, ell, q, src_inv = (args[1], args[_KAPPA], args[_W_LINE],
+                                                   args[_TC], args[_ELL], args[_Q], args[-1])
+        cands = {w: x_w for w, x_w, qkey, _ in tc.lines if qkey == src_inv[0]}
+        if len(cands) > 1:
+            psi = graphs_mod.torsion_x_poly_ints(src, q, ell)
+            call = (src, list(kappa), ell, q, cands, last_iso[0], psi)
+            decisions.append((call, orig_match(*call), w_line))
+        return orig_checks(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs_mod, "_match_dual_line", record)
+        mp.setattr(graphs_mod, "_match_dual_line",
+                   lambda *a: calls.append(a) or orig_match(*a))
+        mp.setattr(graphs_mod, "_soundness_checks", checks)
+        mp.setattr(graphs_mod, "compose_iso_int", compose)
         for q, ell in _MATCH_SWEEPS:
-            build_pointed_graphs(PrimeField(q), ell)
-    return calls
+            build_pointed_graphs(PrimeField(q), ell, soundness=SoundnessStats())
+    return decisions, calls
+
+
+def _into_j_0_or_1728(args):
+    """Whether the arm of _match_dual_line's arguments has a target with j = 0
+    or 1728."""
+    src, kappa, ell, q = args[:4]
+    A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q)
+    return short_class_key(A, B, q, fq_tables(q))[0] in (0, 1)
 
 
 def test_dual_line_fiber_division_equals_composition_oracle(dual_line_matches):
-    special = 0  # arms into targets with j = 0 or 1728
-    for args, got in dual_line_matches:
-        assert match_by_composition(*args) == [got]
-        src, kappa, ell, q = args[:4]
-        assert args[6] == graphs_mod.torsion_x_poly_ints(src, q, ell)
-        A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q)
-        special += short_class_key(A, B, q, fq_tables(q))[0] in (0, 1)
-    assert {args[2] for args, _ in dual_line_matches} == {2, 3, 5, 7}
-    # arms into j = 0 and 1728 targets are never moved; of the others, only
-    # the first of each orbit is matched
-    assert len(dual_line_matches) == 706
-    assert special == 686
+    """The fiber division decides every multi-candidate arm as the oracle
+    does, and its answer is the arm's dual line, moved or matched.  The
+    build matches only the first arm of each orbit, with the psi_ell it takes
+    from the class record, which equals psi_ell built from scratch."""
+    decisions, calls = dual_line_matches
+    for args, got, w_line in decisions:
+        assert match_by_composition(*args) == [got] == [w_line]
+    assert {args[2] for args, _, _ in decisions} == {2, 3, 5, 7}
+    assert len(decisions) == 1274
+    assert sum(_into_j_0_or_1728(args) for args, _, _ in decisions) == 686
+    decided = [args for args, _, _ in decisions]
+    assert all(call in decided for call in calls)
+    assert len(calls) == 54
+    assert sum(_into_j_0_or_1728(args) for args in calls) == 34
 
 
 def test_dual_line_oracle_tells_the_first_candidate_apart(dual_line_matches):
     """Self-check: a matcher that always answers its first candidate
     disagrees with the oracle."""
     assert any(match_by_composition(*args) != [next(iter(args[4]))]
-               for args, _ in dual_line_matches)
+               for args, _, _ in dual_line_matches[0])
 
 
 @pytest.mark.parametrize("q, ell", [(13, 2), (13, 3), (31, 5), (43, 7)])
 def test_shifted_line_root_fails_the_match(q, ell, monkeypatch):
-    """x_w + 1 is no root of w: the arms whose dual line is w find no
-    matching candidate."""
-    orig = graphs_mod._TargetClass.__init__
+    """x_w + 1 is no root of w: an arm whose dual line is w, the first one
+    _match_dual_line decides, finds no matching candidate."""
+    answers = []
+    orig_match = graphs_mod._match_dual_line
+    monkeypatch.setattr(graphs_mod, "_match_dual_line",
+                        lambda *a: answers.append(orig_match(*a)) or answers[-1])
+    build_pointed_graphs(PrimeField(q), ell)
+    monkeypatch.undo()
+    w0 = answers[0]
+    orig = graphs_mod._ClassRecord.land
 
     def shifted(self, *args):
         orig(self, *args)
         if len(self.lines) > 1:
-            w0 = self.lines[0][0]
             self.lines = [(w, (x_w + 1) % q if w == w0 else x_w, *rest)
                           for w, x_w, *rest in self.lines]
 
-    monkeypatch.setattr(graphs_mod._TargetClass, "__init__", shifted)
+    monkeypatch.setattr(graphs_mod._ClassRecord, "land", shifted)
     with pytest.raises(InternalError, match="candidate dual line"):
         build_pointed_graphs(PrimeField(q), ell)
 
@@ -1109,17 +1156,18 @@ def test_class_psi_scales_the_stored_psi_by_u_squared(ell):
             u = rng.randrange(1, q)
             A, B = u**4 * A0 % q, u**6 * B0 % q
             key = short_class_key(A0, B0, q, tab)
-            class_xs = {key: (A0, B0, [], psi0)}
-            record, u2 = class_record(A, B, 0, ell, q, tab, class_xs, key)
+            records = {key: graphs_mod._ClassRecord((A0, B0), [], psi0)}
+            record, u2 = class_record(A, B, 0, ell, q, tab, records, key)
             got = graphs_mod._class_psi(record, u2, q)
             assert got == graphs_mod.torsion_x_poly_ints((0, 0, 0, A, B), q, ell)
     with pytest.raises(InternalError, match="no stored psi"):
-        graphs_mod._class_psi((1, 1, [], None), 1, 13)
+        graphs_mod._class_psi(graphs_mod._ClassRecord((1, 1), [], None), 1, 13)
 
 
 def test_dual_line_match_builds_no_psi(monkeypatch):
     """Every psi_ell build of the (113, 7) sweep is a class's first curve in
-    _rational_ell_points; its 224 multi-candidate arms build none."""
+    _rational_ell_points; of its 224 multi-candidate arms, four are the first
+    of their orbits and are matched, and they build none."""
     q, ell = 113, 7
     finding = [False]
     built, matched = Counter(), []  # psi builds by "inside the finder"
@@ -1140,7 +1188,7 @@ def test_dual_line_match_builds_no_psi(monkeypatch):
                         lambda *a: matched.append(a[0]) or orig_match(*a))
     build_pointed_graphs(PrimeField(q), ell)
     tab = fq_tables(q)
-    assert len(matched) == len(set(matched)) == 224
+    assert len(matched) == len(set(matched)) == 4
     assert len({short_class_key(s[3], s[4], q, tab) for s in matched}) == 4
     assert built[True] > 0 and built[False] == 0
 
@@ -1214,7 +1262,7 @@ def test_every_arm_equals_its_recomputation():
     assert arm_oracle_mismatches(_ARM_ORACLE_SWEEPS) == []
 
 
-_moved_arm, _target_init = graphs_mod._moved_arm, graphs_mod._TargetClass.__init__
+_moved_arm = graphs_mod._moved_arm
 
 
 def _moved_a2_by_lam6(arm, lam, q):
@@ -1235,10 +1283,14 @@ def _moved_s_by_lam2(arm, lam, q):
     return (*moved[:5], arm[5] * lam * lam % q, *moved[6:])
 
 
-def _init_moving_into_j1728(self, *args):
-    """Arms into j = 1728 targets take their orbit's first dual line."""
-    _target_init(self, *args)
-    self.aut_fixes_lines = self.aut_fixes_lines or self.rep[1] == 0
+def _line_keeps_its_roots(w, z, q):
+    """The moved line keeps its base's roots, as if Aut(target) were {+-1}."""
+    return w
+
+
+def _line_scaled_by_z(w, z, q):
+    """The line's roots scaled by z in place of z^2."""
+    return tuple(graphs_mod._scaled_roots(w, z, q))
 
 
 @pytest.mark.parametrize("owner, name, mutant, sweeps, caught_as", [
@@ -1246,9 +1298,63 @@ def _init_moving_into_j1728(self, *args):
     (graphs_mod, "_moved_arm", _moved_kappa_by_lam, [(7, 2), (7, 3)], "kernel polynomial"),
     # only the family's arms have s != 0
     (graphs_mod, "_moved_arm", _moved_s_by_lam2, [(7, 3)], "isomorphism"),
-    (graphs_mod._TargetClass, "__init__", _init_moving_into_j1728, [(13, 2), (13, 3)],
+    # arms into j = 0 or 1728 targets keep their orbit's first dual line
+    (graphs_mod, "_moved_line", _line_keeps_its_roots, [(7, 3), (13, 2), (13, 3)],
      "dual line"),
+    # x -> z x is no automorphism of the target when z^2 != 1
+    (graphs_mod, "_moved_line", _line_scaled_by_z, [(7, 3), (13, 2), (13, 3)], InternalError),
 ])
 def test_arm_oracle_catches_a_wrong_move(owner, name, mutant, sweeps, caught_as, monkeypatch):
+    """The every-arm oracle reports each mutant, unless the build raises
+    InternalError on it first; a line moved by no automorphism must raise."""
     monkeypatch.setattr(owner, name, mutant)
-    assert caught_as in {what for _, _, what in arm_oracle_mismatches(sweeps)}
+    if caught_as is InternalError:
+        with pytest.raises(InternalError, match="moved dual line"):
+            arm_oracle_mismatches(sweeps)
+        return
+    try:
+        bad = arm_oracle_mismatches(sweeps)
+    except InternalError:
+        return
+    assert caught_as in {what for _, _, what in bad}
+
+
+def _built_in_full(q, ell, include_family, monkeypatch):
+    """The sources of the arms that build_pointed_graphs builds in full, i.e.
+    whose Velu codomain it computes, in build order."""
+    built = []
+    orig = graphs_mod.velu_codomain_int
+
+    def codomain(*args):
+        if sys._getframe(1).f_code.co_name == "add_arm":
+            built.append(tuple(args[0]))
+        return orig(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(graphs_mod, "velu_codomain_int", codomain)
+        build_pointed_graphs(PrimeField(q), ell, include_family=include_family)
+    return built
+
+
+@pytest.mark.parametrize("q, ell, orbits", [(113, 7, 40), (101, 5, 52)])
+def test_one_full_arm_per_source_class_and_record_subgroup(q, ell, orbits, monkeypatch):
+    """The short-form loop builds one arm in full per (source class, record
+    subgroup), whatever the target's j, and moves every other arm: as many
+    as the first curves of the classes found subgroups."""
+    found = []
+    orig_find = graphs_mod._rational_ell_points
+    monkeypatch.setattr(graphs_mod, "_rational_ell_points",
+                        lambda *a: found.append(orig_find(*a)) or found[-1])
+    built = _built_in_full(q, ell, False, monkeypatch)
+    assert len(built) == sum(len(subgroups) for subgroups, _ in found) == orbits
+
+
+@pytest.mark.parametrize("q", [13, 31])
+def test_family_builds_one_full_arm_per_orbit_and_per_w0_source(q, monkeypatch):
+    """The 3-isogeny family builds in full one arm per orbit v / w^3 of its
+    w != 0 sources, and every w = 0 source: (q - 2) + (q - 1) arms."""
+    family = [src for src in _built_in_full(q, 3, True, monkeypatch) if src[2]]  # a3 = v
+    w0 = [src for src in family if src[0] == 0]
+    orbits = {src[2] * pow(src[0], -3, q) % q for src in family if src[0]}
+    assert len(w0) == q - 1
+    assert len(family) - len(w0) == len(orbits) == q - 2
