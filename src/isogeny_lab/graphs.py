@@ -32,21 +32,21 @@ DEFAULT_CURVE_LIMIT = 250_000
 
 
 class FqTables:
-    """Quadratic-character and square-root tables, plus the short-curve
-    order table N[a][b] (0 marks singular curves), for one prime q."""
+    """Quadratic-character, square-root and inverse tables (inv[0] is None,
+    so that a division by zero raises), plus the short-curve order table
+    N[a][b] (0 marks singular curves), for one prime q."""
 
     def __init__(self, q: int):
         self.q = q
-        chi = [0] * q
-        sqrt_t = [-1] * q
+        self.inv = inv = [None, 1]
+        for x in range(2, q):  # q = (q // x) x + q mod x
+            inv.append(-(q // x) * inv[q % x] % q)
+        self.sqrt = sqrt_t = [-1] * q
         for y in range(q):
-            v = (y * y) % q
+            v = y * y % q
             if sqrt_t[v] < 0:
                 sqrt_t[v] = y
-        for v in range(1, q):
-            chi[v] = 1 if sqrt_t[v] >= 0 else -1
-        self.chi = chi
-        self.sqrt = sqrt_t
+        self.chi = [0] + [1 if s >= 0 else -1 for s in sqrt_t[1:]]
         self._orders: list[list[int]] | None = None
 
     def orders(self) -> list[list[int]]:
@@ -86,9 +86,8 @@ class FqTables:
             corr = (int.from_bytes(slots_q.pack(*cnt), "little") * chi2).to_bytes(nbytes, "little")
             table.append([s + 1 for s in slots_q.unpack_from(corr, 4 * (q - 1))])
         # mark singular curves: 4a^3 + 27b^2 = 0
-        inv27 = pow(27, -1, q) if q != 3 else None
         for a in range(q):
-            c = (-4 * a * a * a * inv27) % q
+            c = (-4 * a * a * a * self.inv[27 % q]) % q
             y = self.sqrt[c]
             if y >= 0:
                 table[a][y] = 0
@@ -109,8 +108,8 @@ def fq_tables(q: int) -> FqTables:
 # --- integer point arithmetic ----------------------------------------------------
 
 
-def pt_add(P, Q, coeffs, q):
-    """Affine addition on a long Weierstrass curve; None is infinity."""
+def pt_add(P, Q, coeffs, q, inv):
+    """Affine addition on a long Weierstrass curve; None is infinity, inv FqTables.inv."""
     if P is None:
         return Q
     if Q is None:
@@ -121,39 +120,28 @@ def pt_add(P, Q, coeffs, q):
     if x1 == x2:
         if (y1 + y2 + a1 * x2 + a3) % q == 0:
             return None
-        inv = pow(2 * y1 + a1 * x1 + a3, -1, q)
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv % q
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv % q
+        d = inv[(2 * y1 + a1 * x1 + a3) % q]
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * d % q
+        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * d % q
     else:
-        den = (x2 - x1) % q
-        inv = pow(den, -1, q)
-        lam = (y2 - y1) * inv % q
-        nu = (y1 * x2 - y2 * x1) * inv % q
+        d = inv[(x2 - x1) % q]
+        lam = (y2 - y1) * d % q
+        nu = (y1 * x2 - y2 * x1) * d % q
     x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % q
     y3 = (-(lam + a1) * x3 - nu - a3) % q
     return (x3, y3)
 
 
-def pt_neg(P, coeffs, q):
-    if P is None:
-        return None
-    a1, _, a3, _, _ = coeffs
-    x, y = P
-    return (x, (-y - a1 * x - a3) % q)
-
-
-def pt_mul(n, P, coeffs, q):
-    """[n]P by double and add from the low bit; nothing is doubled after the top bit."""
-    if n < 0:
-        return pt_mul(-n, pt_neg(P, coeffs, q), coeffs, q)
-    R = None
-    add = P
+def pt_mul(n, P, coeffs, q, inv):
+    """[n]P, n >= 0, by double and add from the low bit; nothing is doubled
+    after the top bit."""
+    R, add = None, P
     while n:
         if n & 1:
-            R = pt_add(R, add, coeffs, q)
+            R = pt_add(R, add, coeffs, q, inv)
         n >>= 1
         if n:
-            add = pt_add(add, add, coeffs, q)
+            add = pt_add(add, add, coeffs, q, inv)
     return R
 
 
@@ -340,18 +328,18 @@ def velu_x_maps_int(coeffs, kappa, ell, q):
     )
 
 
-def velu_x_map_at(terms, x, q):
+def velu_x_map_at(terms, x, q, inv):
     """(X, X') of the quotient x-map num/den of velu_x_map and its derivative
     at x in F_q, or None at a kernel x.  In Velu's sum form over one term
     (x_Q, v_Q, u_Q) per kernel x, v_Q = 6 x_Q^2 + b2 x_Q + b4 and u_Q =
     4 x_Q^3 + b2 x_Q^2 + 2 b4 x_Q + b6 ((x_Q, v_Q / 2, 0) at ell = 2), and
-    d = 1 / (x - x_Q): X = x + sum (v_Q + u_Q d) d and X' = 1 - sum (v_Q +
-    2 u_Q d) d^2 (J. Velu, C. R. Acad. Sci. Paris 273, 1971)."""
+    d = inv[x - x_Q]: X = x + sum (v_Q + u_Q d) d and X' = 1 -
+    sum (v_Q + 2 u_Q d) d^2 (J. Velu, C. R. Acad. Sci. Paris 273, 1971)."""
     X, Xp = x, 1
     for xq, v, u in terms:
         if x == xq:
             return None
-        d = pow(x - xq, -1, q)
+        d = inv[(x - xq) % q]
         X += (v + u * d) * d
         Xp -= (v + 2 * u * d) * d * d
     return X % q, Xp % q
@@ -372,29 +360,29 @@ def short_class_key(A, B, q, tab: FqTables):
         g4 = gcd(4, q - 1)
         return (1, 1728 % q, pow(A, (q - 1) // g4, q))
     c = 4 * A * A * A
-    j = 1728 * c * pow(c + 27 * B * B, -1, q) % q
+    j = 1728 * c * tab.inv[(c + 27 * B * B) % q] % q
     return (2, j, tab.chi[A * B % q])
 
 
 def solve_twist_scale(A1, B1, A2, B2, q, tab: FqTables):
     """u with (A1/u^4, B1/u^6) = (A2, B2), assuming the curves share a key."""
     if A1 % q and B1 % q:
-        u2 = B1 * A2 * pow(B2 * A1, -1, q) % q
+        u2 = B1 * A2 * tab.inv[B2 * A1 % q] % q
         u = tab.sqrt[u2]
         if u < 0:
             raise InternalError("same-key curves do not admit an isomorphism (generic j)")
         return u
     if A1 % q == 0:
-        u = tab.sixth_root.get(B1 * pow(B2, -1, q) % q)
+        u = tab.sixth_root.get(B1 * tab.inv[B2 % q] % q)
         if u:
             return u
         raise InternalError("same-key curves do not admit an isomorphism (j = 0)")
-    c = A1 * pow(A2, -1, q) % q
+    c = A1 * tab.inv[A2 % q] % q
     s = tab.sqrt[c]
     if s >= 0:
-        for cand in (s, (q - s) % q):
+        for cand in (s, q - s):  # s != 0, as A1 != 0
             u = tab.sqrt[cand]
-            if u >= 0 and u:
+            if u > 0:
                 return u
     raise InternalError("same-key curves do not admit an isomorphism (j = 1728)")
 
@@ -475,8 +463,7 @@ def _line_pointwise_rational(w, A, B, q, tab: FqTables) -> bool:
     if len(roots) != intpoly.deg(list(w)):
         return False
     for x in roots:
-        rhs = (x * x * x + A * x + B) % q
-        if tab.chi[rhs] < 0:
+        if tab.chi[(x * x * x + A * x + B) % q] < 0:
             return False
     return True
 
@@ -486,17 +473,17 @@ def _line_pointwise_rational(w, A, B, q, tab: FqTables) -> bool:
 
 class _ClassRecord:
     """What a sweep keeps of one F_q-isomorphism class, under its
-    short_class_key: anchor = (A0, B0), the first curve of the class to ask
-    class_record (None until one does), with its subgroups and psi
-    (_rational_ell_points); bases, the first arm of the orbit of each record
-    subgroup, moved to the anchor; and the target data, once an arm lands in
-    the class (lines is None until then)."""
+    short_class_key, key, which orbit bases share: anchor = (A0, B0), the
+    first curve of the class to ask class_record (None until one does), with
+    its subgroups and psi (_rational_ell_points); bases, the first arm of the
+    orbit of each record subgroup, moved to the anchor; and the target data,
+    once an arm lands in the class (lines is None until then)."""
 
-    __slots__ = ("anchor", "subgroups", "psi", "bases", "rep", "order", "lines", "arms",
-                 "n_arms", "dual_j")
+    __slots__ = ("key", "anchor", "subgroups", "psi", "bases", "rep", "order", "lines",
+                 "arms", "n_arms", "dual_j")
 
-    def __init__(self, anchor=None, subgroups=(), psi=None):
-        self.anchor, self.subgroups, self.psi = anchor, subgroups, psi
+    def __init__(self, key, anchor=None, subgroups=(), psi=None):
+        self.key, self.anchor, self.subgroups, self.psi = key, anchor, subgroups, psi
         self.bases = [None] * len(subgroups)
         self.lines = None
 
@@ -523,7 +510,7 @@ def class_record(A, B, N, ell, q, tab: FqTables, records=None, key=None):
     records = {} if records is None else records
     record = records.get(key)
     if record is None:
-        record = records[key] = _ClassRecord()
+        record = records[key] = _ClassRecord(key)
     if record.anchor is None:
         record.subgroups, record.psi = _rational_ell_points(A, B, N, ell, q, tab)
         record.anchor, record.bases = (A, B), [None] * len(record.subgroups)
@@ -573,11 +560,11 @@ def _rational_ell_points(A, B, N, ell, q, tab: FqTables):
         for i in range(q):
             x = (start + i) % q
             y = tab.sqrt[(x * x * x + A * x + B) % q]
-            P = pt_mul(m, (x, y), coeffs, q) if y >= 0 else None
+            P = pt_mul(m, (x, y), coeffs, q, tab.inv) if y >= 0 else None
             if P is not None:
-                R = pt_mul(ell, P, coeffs, q)
+                R = pt_mul(ell, P, coeffs, q, tab.inv)
                 while R is not None:
-                    P, R = R, pt_mul(ell, R, coeffs, q)
+                    P, R = R, pt_mul(ell, R, coeffs, q, tab.inv)
                 pts = [P]
                 break
     subgroups = []
@@ -588,7 +575,7 @@ def _rational_ell_points(A, B, N, ell, q, tab: FqTables):
         xs = [pt[0]]
         acc = pt
         for _ in range(2, (ell - 1) // 2 + 1):
-            acc = pt_add(acc, pt, coeffs, q)
+            acc = pt_add(acc, pt, coeffs, q, tab.inv)
             xs.append(acc[0])
         covered.update(xs)
         subgroups.append(xs)
@@ -613,8 +600,11 @@ def _class_psi(record, u2, q):
 def _scaled_roots(f, u2, q):
     """f with its roots moved by x -> u2 x and its leading coefficient kept:
     x^i takes f_i u2^(d - i)."""
-    d = len(f) - 1
-    return [c * pow(u2, d - i, q) % q for i, c in enumerate(f)]
+    out, p = [], 1
+    for c in reversed(f):
+        out.append(c * p % q)
+        p = p * u2 % q
+    return out[::-1]
 
 
 def _moved_arm(arm, lam, q):
@@ -625,7 +615,7 @@ def _moved_arm(arm, lam, q):
     alike, A2, B2 as a4, a6, (r, s, t) to (lam^2 r, lam s, lam^3 t) and the
     kernel x's to lam^2 x."""
     a4, a6, A2, B2, r, s, t = arm[:7]
-    l2, l3 = lam * lam % q, pow(lam, 3, q)
+    l2, l3 = lam * lam % q, lam * lam * lam % q
     l4, l6 = l2 * l2 % q, l3 * l3 % q
     return (a4 * l4 % q, a6 * l6 % q, A2 * l4 % q, B2 * l6 % q, r * l2 % q, s * lam % q,
             t * l3 % q, *_scaled_roots(arm[7:], l2, q))
@@ -773,9 +763,7 @@ def build_pointed_graphs(
         raise ValueError("ell must differ from the characteristic")
     n_curves = q * q * (2 if include_family and ell == 3 else 1)
     if n_curves > curve_limit:
-        raise CapabilityError(
-            f"enumeration of ~{n_curves} curves exceeds the cap {curve_limit}"
-        )
+        raise CapabilityError(f"enumeration of ~{n_curves} curves exceeds the cap {curve_limit}")
     tab = fq_tables(q)
     orders = tab.orders()
     # the _ClassRecord of each class met so far, as a source or as a target
@@ -811,7 +799,7 @@ def build_pointed_graphs(
             raise InternalError("Velu codomain is singular")
         if base is None:
             tkey = short_class_key(A2, B2, q, tab)
-            tc = records.setdefault(tkey, _ClassRecord())
+            tc = records.setdefault(tkey, _ClassRecord(tkey))
             if tc.lines is None:
                 lines = enumerate_pointed_lines(A2, B2, N, ell, q, tab, records, tkey)
                 tc.land((A2, B2), N, lines)
@@ -832,16 +820,16 @@ def build_pointed_graphs(
                        else _class_psi(records[src_key], u2, q))
                 w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
             if lam:
-                inv = pow(lam, -1, q)
+                ilam = tab.inv[lam]
                 arm = (*cod[3:], A2, B2, *red_iso[1:], *kappa)
-                base = (tkey, w, u * inv % q, *_moved_arm(arm, inv, q))
+                base = (tc.key, w, u * ilam % q, *_moved_arm(arm, ilam, q))
         else:
             # lam u1 and u are both twist scales to the representative, so
             # they differ by an automorphism x -> z^2 x of it, z = lam u1 / u;
             # z = +-1, all there is when j is not 0 or 1728, fixes every line
             lu1 = lam * u1 % q
             if u != lu1 and u != q - lu1:
-                w = _moved_line(w, lu1 * pow(u, -1, q) % q, q)
+                w = _moved_line(w, lu1 * tab.inv[u] % q, q)
                 if w not in tc.dual_j:
                     raise InternalError("a moved dual line is not a pointed line of the target")
         tc.n_arms += 1
@@ -877,7 +865,7 @@ def build_pointed_graphs(
         family = [None] * q  # orbit -> (source key, order, the orbit's first arm)
         for w_par in range(q):
             w3 = w_par * w_par * w_par % q
-            inv_w3 = pow(w3, -1, q) if w_par else 0
+            inv_w3 = tab.inv[w3] if w_par else 0
             for v_par in range(1, q):
                 if (w3 - 27 * v_par) % q == 0:
                     continue
@@ -944,53 +932,65 @@ def _soundness_checks(
     nonsingular codomain, dual-line quotient j, isogenous order equality.
 
     cod_short is the short form (A, B) of the codomain and src_inv the
-    source's (short_class_key, (b2, b4, b6)).  The kernel check is
-    kappa(x) = 0 at the kernel's x-coordinates.  At the sampled points the
+    source's (short_class_key, (b2, b4, b6)).  At the sampled points the
     x-map is velu_x_map_at, Velu's sum over one term per kernel x, while cod
     came from the power sums (velu_codomain_int), so the homomorphism check
-    holds the two statements of Velu against each other."""
+    holds the two statements of Velu against each other; as a chord never
+    reads a4 or a6, it also puts the first image on cod."""
     stats.isogenies += 1
     src_key, (b2, b4, b6) = src_inv
-    a1, _, a3, _, _ = src
-    inv2 = (q + 1) // 2
+    a1, a2, a3, a4, a6 = src
+    inv, inv2 = tab.inv, (q + 1) // 2
 
     def ev(P):
-        if P is None:
-            return None
-        x, y = P
-        m = velu_x_map_at(terms, x, q)
-        if m is None:  # P is in the kernel
+        m = P and velu_x_map_at(terms, P[0], q, inv)
+        if not m:  # P is O or in the kernel
             return None
         X, Xp = m
-        Y = (Xp * (2 * y + a1 * x + a3) - a1 * X - a3) * inv2 % q
+        Y = (Xp * (2 * P[1] + a1 * P[0] + a3) - a1 * X - a3) * inv2 % q
         return (X, Y)
 
     # kernel points map to infinity: the x-map's denominator is a power of
     # kappa, so phi(K) = O exactly when kappa(x(K)) = 0
-    for x in kernel_xs:
-        if intpoly.peval(kappa, x, q):
-            stats.record("kernel_failures", "kernel", src)
-            return
     terms = []
     for x in kernel_xs:
+        acc = 0
+        for c in reversed(kappa):
+            acc = (acc * x + c) % q
+        if acc:
+            stats.record("kernel_failures", "kernel", src)
+            return
         v = (6 * x + b2) * x + b4
         if ell == 2:  # Q is 2-torsion: its term is v_Q / 2 and u_Q = 0
             terms.append((x, v * inv2 % q, 0))
         else:
             terms.append((x, v % q, (((4 * x + b2) * x + 2 * b4) * x + b6) % q))
-    # homomorphism on deterministic samples
-    pts = _sample_points(src, q, tab, want=2, salt=kernel_pt[0])
-    if len(pts) == 2:
-        e0 = ev(pts[0])
-        s = pt_add(pts[0], pts[1], src, q)
-        if ev(s) != pt_add(e0, ev(pts[1]), cod, q):
+    # homomorphism on deterministic samples, the first two x from 5 x(K) + 3 on
+    P0 = P1 = None
+    x = (kernel_pt[0] * 5 + 3) % q
+    for _ in range(q):
+        lin = (a1 * x + a3) % q
+        s = tab.sqrt[(lin * lin + 4 * (((x + a2) * x + a4) * x + a6)) % q]
+        if s >= 0:
+            P0, P1 = P1, (x, (s - lin) * inv2 % q)
+            if P0:
+                break
+        x = (x + 1) % q
+    if P0:
+        e0 = ev(P0)
+        if ev(pt_add(P0, P1, src, q, inv)) != pt_add(e0, ev(P1), cod, q, inv):
             stats.record("homomorphism_failures", "homomorphism", src)
             return
         # kernel invariance: phi(Q + P) = phi(Q)
-        s2 = pt_add(pts[0], kernel_pt, src, q)
-        if ev(s2) != e0:
+        if ev(pt_add(P0, kernel_pt, src, q, inv)) != e0:
             stats.record("homomorphism_failures", "kernel-invariance", src)
             return
+        if e0:
+            X, Y = e0
+            c1, c2, c3, c4, c6 = cod
+            if (Y * (Y + c1 * X + c3) - ((X + c2) * X + c4) * X - c6) % q:
+                stats.record("homomorphism_failures", "homomorphism", src)
+                return
     # dual-kernel quotient returns j(source), the second entry of its class key
     if tc.dual_j[w_line] != src_key[1]:
         stats.record("dual_j_failures", "dual-quotient-j", src)
@@ -998,22 +998,3 @@ def _soundness_checks(
     # isogenous curves have equal order
     if orders[cod_short[0]][cod_short[1]] != N:
         stats.record("order_mismatches", "order-mismatch", src)
-
-
-def _sample_points(coeffs, q, tab: FqTables, want: int, salt: int):
-    a1, a2, a3, a4, a6 = coeffs
-    pts = []
-    inv2 = (q + 1) // 2
-    x = (salt * 5 + 3) % q
-    for _ in range(q):
-        lin = (a1 * x + a3) % q
-        rhs = (((x + a2) * x + a4) * x + a6) % q
-        disc = (lin * lin + 4 * rhs) % q
-        s = tab.sqrt[disc]
-        if s >= 0:
-            y = (s - lin) * inv2 % q
-            pts.append((x, y))
-            if len(pts) == want:
-                return pts
-        x = (x + 1) % q
-    return pts

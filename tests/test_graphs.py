@@ -61,14 +61,14 @@ def test_integer_point_ops_match_object_layer():
                 pts.append((x, y))
     for P in pts[:5]:
         for Q in pts[:5]:
-            got = pt_add(P, Q, coeffs, q)
+            got = pt_add(P, Q, coeffs, q, fq_tables(q).inv)
             obj = E.point(*P) + E.point(*Q)
             expect = None if obj.is_infinity() else (obj.x.rep, obj.y.rep)
             assert got == expect
     P = pts[0]
     obj = 5 * E.point(*P)
     expect = None if obj.is_infinity() else (obj.x.rep, obj.y.rep)
-    assert pt_mul(5, P, coeffs, q) == expect
+    assert pt_mul(5, P, coeffs, q, fq_tables(q).inv) == expect
 
 
 def _affine_points(coeffs, q):
@@ -88,11 +88,12 @@ def _affine_points(coeffs, q):
 def test_pt_mul_is_repeated_addition(q, coeffs):
     pts = _affine_points(coeffs, q)
     order = len(pts) + 1
+    inv = fq_tables(q).inv
     for P in pts:
         acc = None  # [n]P
         for n in range(3 * order + 1):
-            assert pt_mul(n, P, coeffs, q) == acc
-            acc = pt_add(acc, P, coeffs, q)
+            assert pt_mul(n, P, coeffs, q, inv) == acc
+            acc = pt_add(acc, P, coeffs, q, inv)
 
 
 @pytest.mark.parametrize("q", [13, 23, 101])
@@ -114,6 +115,27 @@ def test_solve_twist_scale_maps_same_key_curves(q):
             assert u % q
             assert (A1 - pow(u, 4, q) * A2) % q == 0
             assert (B1 - pow(u, 6, q) * B2) % q == 0
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 89, 113, 499])
+def test_inverse_table_inverts_every_unit(q):
+    inv = FqTables(q).inv
+    assert len(inv) == q and inv[0] is None
+    assert all(x * inv[x] % q == 1 for x in range(1, q))
+
+
+def test_zero_divisor_raises():
+    """A division by zero raises, as pow(0, -1, q) did, instead of reading
+    as an inverse: B2 = 0 against a curve of generic j (A1 B1 != 0) has no
+    twist scale, and a singular curve no class key."""
+    q = 13
+    tab = fq_tables(q)
+    with pytest.raises((TypeError, ValueError)):
+        solve_twist_scale(2, 3, 1, 0, q, tab)
+    A, B = next((A, B) for A in range(1, q) for B in range(1, q)
+                if (4 * A**3 + 27 * B * B) % q == 0)
+    with pytest.raises((TypeError, ValueError)):
+        short_class_key(A, B, q, tab)
 
 
 def test_sixth_root_table_matches_the_cube_root_search():
@@ -226,7 +248,7 @@ def test_rational_subgroups_structure():
     subs = subgroups_of(0, 2, 9, 3, q, tab)
     assert len(subs) == 4
     for pt, xs in subs:
-        assert pt_mul(3, pt, (0, 0, 0, 0, 2), q) is None
+        assert pt_mul(3, pt, (0, 0, 0, 0, 2), q, tab.inv) is None
         assert len(xs) == 1
     # a curve with 3 | N but not full torsion gives one subgroup
     for a in range(q):
@@ -662,8 +684,8 @@ def _corrupt_x_maps(monkeypatch):
     no homomorphism."""
     orig = graphs_mod.velu_x_map_at
 
-    def shifted(terms, x, q):
-        m = orig(terms, x, q)
+    def shifted(terms, x, q, inv):
+        m = orig(terms, x, q, inv)
         return m if m is None else ((m[0] + 1) % q, m[1])
 
     monkeypatch.setattr(graphs_mod, "velu_x_map_at", shifted)
@@ -782,10 +804,10 @@ def check_point_calls():
         arms.append([args[1], tuple(args[_KAPPA]), args[_ELL], args[_Q], args[3], None, []])
         return orig_checks(*args)
 
-    def at(terms, x, q):
+    def at(terms, x, q, inv):
         arms[-1][5] = tuple(terms)
         arms[-1][6].append(x)
-        return orig_at(terms, x, q)
+        return orig_at(terms, x, q, inv)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs_mod, "_soundness_checks", checks)
@@ -831,16 +853,17 @@ def _x_map_mismatches(arms, every_x=False):
             dv, dd = peval_deriv(den, x, q)
             dinv = pow(dv, -1, q) if dv else 0
             want = (nv * dinv % q, (nd * dv - nv * dd) * dinv * dinv % q) if dv else None
-            bad += graphs_mod.velu_x_map_at(terms, x, q) != want
+            bad += graphs_mod.velu_x_map_at(terms, x, q, fq_tables(q).inv) != want
     return bad
 
 
 def test_x_map_at_check_points_equals_polynomial(check_point_calls):
     assert {arm[2] for arm in check_point_calls} == {2, 3, 5, 7, 11, 13}
-    # an arm evaluates no x-map only when it has fewer than two sample points
-    for src, _, _, q, kernel_pt, terms, _ in check_point_calls:
+    # an arm evaluates no x-map only when it has fewer than two sample
+    # points, i.e. its source has affine points at fewer than two x
+    for src, _, _, q, _, terms, _ in check_point_calls:
         if terms is None:
-            assert len(graphs_mod._sample_points(src, q, fq_tables(q), 2, kernel_pt[0])) < 2
+            assert len({x for x, _ in _affine_points(src, q)}) < 2
     assert _x_map_mismatches(check_point_calls) == 0
 
 
@@ -882,8 +905,8 @@ def test_x_map_differential_catches_a_wrong_coefficient(attr, where, check_point
             maps[where[0]][where[1]] += 1
             return tuple(maps)
     else:
-        def mutated(terms, x, q):
-            return orig(_mutate_terms(list(terms), where, q), x, q)
+        def mutated(terms, x, q, inv):
+            return orig(_mutate_terms(list(terms), where, q), x, q, inv)
     monkeypatch.setattr(graphs_mod, attr, mutated)
     small = [arm for arm in check_point_calls if arm[3] <= 13]
     assert _x_map_mismatches(small) > 0
@@ -932,11 +955,11 @@ def scanned_subgroups(a, b, ell, q, tab):
     out, covered = [], set()
     for x in range(q):
         y = tab.sqrt[(x**3 + a * x + b) % q]
-        if y < 0 or x in covered or pt_mul(ell, (x, y), coeffs, q) is not None:
+        if y < 0 or x in covered or pt_mul(ell, (x, y), coeffs, q, tab.inv) is not None:
             continue
         xs, acc = {x}, (x, y)
         for _ in range(2, (ell - 1) // 2 + 1):
-            acc = pt_add(acc, (x, y), coeffs, q)
+            acc = pt_add(acc, (x, y), coeffs, q, tab.inv)
             xs.add(acc[0])
         covered |= xs
         out.append(((x, y), sorted(xs)))
@@ -1156,12 +1179,12 @@ def test_class_psi_scales_the_stored_psi_by_u_squared(ell):
             u = rng.randrange(1, q)
             A, B = u**4 * A0 % q, u**6 * B0 % q
             key = short_class_key(A0, B0, q, tab)
-            records = {key: graphs_mod._ClassRecord((A0, B0), [], psi0)}
+            records = {key: graphs_mod._ClassRecord(key, (A0, B0), [], psi0)}
             record, u2 = class_record(A, B, 0, ell, q, tab, records, key)
             got = graphs_mod._class_psi(record, u2, q)
             assert got == graphs_mod.torsion_x_poly_ints((0, 0, 0, A, B), q, ell)
     with pytest.raises(InternalError, match="no stored psi"):
-        graphs_mod._class_psi(graphs_mod._ClassRecord((1, 1), [], None), 1, 13)
+        graphs_mod._class_psi(graphs_mod._ClassRecord(None, (1, 1), [], None), 1, 13)
 
 
 def test_dual_line_match_builds_no_psi(monkeypatch):
@@ -1317,6 +1340,47 @@ def test_arm_oracle_catches_a_wrong_move(owner, name, mutant, sweeps, caught_as,
     except InternalError:
         return
     assert caught_as in {what for _, _, what in bad}
+
+
+def _moved_a4_plus_one(arm, lam, q):
+    """The moved codomain's a4 off by one; a chord never reads a4."""
+    a4, *rest = _moved_arm(arm, lam, q)
+    return ((a4 + 1) % q, *rest)
+
+
+@pytest.mark.parametrize("q, ell", [(11, 3), (13, 3), (31, 5), (43, 7)])
+def test_soundness_checks_catch_a_wrong_moved_codomain(q, ell, monkeypatch):
+    """The homomorphism check puts the first sample's image on the codomain,
+    so a moved arm whose a4 is off by one fails it unless that image has
+    x = 0 or is O, or the source has fewer than two sample points: more than
+    three quarters of the moved arms fail, where the image of a sum against
+    the sum of the images, a chord, caught at most a fifth.  The arms built
+    in full keep their codomain and pass."""
+    full = len(_built_in_full(q, ell, True, monkeypatch))
+    monkeypatch.setattr(graphs_mod, "_moved_arm", _moved_a4_plus_one)
+    stats = SoundnessStats()
+    build_pointed_graphs(PrimeField(q), ell, soundness=stats)
+    moved = stats.isogenies - full
+    assert 3 * moved < 4 * stats.homomorphism_failures <= 4 * moved
+    assert {f["kind"] for f in stats.failures} == {"homomorphism"}
+
+
+def test_arm_loop_calls_no_pow_per_arm(monkeypatch):
+    """Every inversion on the per-arm path is an FqTables.inv lookup and
+    every power a running product, so the (89, 3) build with its soundness
+    checks calls pow a number of times that does not grow with its 11,616
+    arms; with one pow per inversion it made 135,963 calls."""
+    calls = [0]
+
+    def counting_pow(*args):
+        calls[0] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(graphs_mod, "pow", counting_pow, raising=False)
+    stats = SoundnessStats()
+    build_pointed_graphs(PrimeField(89), 3, soundness=stats)
+    assert stats.isogenies == 11616 and stats.ok()
+    assert calls[0] < 2000
 
 
 def _built_in_full(q, ell, include_family, monkeypatch):
