@@ -5,8 +5,10 @@ for ell = 3), finds rational order-ell subgroups through the group
 structure, computes Velu quotients, groups codomains into isomorphism
 classes by twist-aware canonical keys, one record per class, and identifies
 each arm's dual kernel with one of the target's Galois-stable pointed lines.
-Every arm after the first of its orbit of isomorphic arms is moved from
-that one, its dual line by the target's automorphism that relates them.
+Every arm after the first of its orbit of isomorphic arms lands from that
+one, its dual line moved by the target's automorphism that relates them; a
+short-form arm's codomain (A, B) and kernel are moved too, and the 3-isogeny
+family's codomain has a closed form.
 
 Everything here works on plain ints mod q for speed; the contract-level
 objects (WeierstrassCurve, Isogeny, CurveIsomorphism) are reconstructed
@@ -154,21 +156,21 @@ def curve_b_invariants_int(coeffs, q):
     return b2, b4, b6, b8
 
 
-def short_reduce_int(coeffs, q):
-    """Short form (A, B) plus the iso data (u, r, s, t) mapping the curve to
-    y^2 = x^3 + Ax + B (u = 1)."""
+def short_reduce_int(coeffs, q, inv):
+    """Short form (A, B) plus the (r, s, t) of the isomorphism with u = 1
+    that maps the curve to y^2 = x^3 + Ax + B; inv is FqTables.inv."""
     a1, a2, a3, a4, a6 = coeffs
     b2, b4, b6, _ = curve_b_invariants_int(coeffs, q)
     c4 = (b2 * b2 - 24 * b4) % q
     c6 = (-b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6) % q
-    inv864 = pow(864, -1, q)  # 1/48, 1/2 and 1/12 are 18, 432 and 72 times it
+    inv864 = inv[864 % q]  # 1/48, 1/2 and 1/12 are 18, 432 and 72 times it
     A = -c4 * 18 * inv864 % q
     B = -c6 * inv864 % q
     s = -a1 * 432 * inv864 % q
     t0 = -a3 * 432 * inv864 % q
     r = -b2 * 72 * inv864 % q
     t = (s * r + t0) % q
-    return A, B, (1, r, s, t)
+    return A, B, (r, s, t)
 
 
 # --- division polynomials over ints -----------------------------------------------
@@ -299,17 +301,12 @@ def velu_x_map(b, h, p1, t, ell, poly, mul, sub, deriv):
     return num, h2
 
 
-def velu_codomain_int(coeffs, kappa, ell, q, binv=None, sums=None):
+def velu_codomain_int(coeffs, kappa, ell, q):
     """Codomain coefficients of the quotient by the subgroup with kernel
-    polynomial kappa (monic, ints): velu_t_w over ints mod q.
-
-    binv = (b2, b4, b6) of the curve and sums = the power sums p_1..p_3 of
-    kappa's roots are computed here unless the caller already has them.
-    """
+    polynomial kappa (monic, ints): velu_t_w over ints mod q."""
     a1, a2, a3, a4, a6 = coeffs
-    b = binv or curve_b_invariants_int(coeffs, q)[:3]
-    sums = sums or intpoly.power_sums(kappa, 3)
-    t, w = velu_t_w(b, ell, intpoly.deg(kappa), sums, (q + 1) // 2)
+    b = curve_b_invariants_int(coeffs, q)[:3]
+    t, w = velu_t_w(b, ell, intpoly.deg(kappa), intpoly.power_sums(kappa, 3), (q + 1) // 2)
     return (a1, a2, a3, (a4 - 5 * t) % q, (a6 - b[0] * t - 7 * w) % q)
 
 
@@ -387,22 +384,10 @@ def solve_twist_scale(A1, B1, A2, B2, q, tab: FqTables):
     raise InternalError("same-key curves do not admit an isomorphism (j = 1728)")
 
 
-def compose_iso_int(i1, i2, q):
-    """(u,r,s,t) of applying i1 then i2."""
-    u1, r1, s1, t1 = i1
-    u2, r2, s2, t2 = i2
-    return (
-        u1 * u2 % q,
-        (u1 * u1 * r2 + r1) % q,
-        (u1 * s2 + s1) % q,
-        (u1 * u1 * u1 * t2 + s1 * u1 * u1 * r2 + t1) % q,
-    )
-
-
 # --- stable pointed lines of a target ----------------------------------------------
 
 
-def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, records=None, key=None):
+def enumerate_pointed_lines(A, B, N, ell, q, tab: FqTables, records, key):
     """All Galois-stable lines of E[ell] with trivial quotient action, for
     the short curve y^2 = x^3 + Ax + B with #E = N (ell | N required).
 
@@ -476,8 +461,9 @@ class _ClassRecord:
     short_class_key, key, which orbit bases share: anchor = (A0, B0), the
     first curve of the class to ask class_record (None until one does), with
     its subgroups and psi (_rational_ell_points); bases, the first arm of the
-    orbit of each record subgroup, moved to the anchor; and the target data,
-    once an arm lands in the class (lines is None until then)."""
+    orbit of each record subgroup moved to the anchor, (landing, A2, B2,
+    kappa); and the target data, once an arm lands in the class (lines is
+    None until then)."""
 
     __slots__ = ("key", "anchor", "subgroups", "psi", "bases", "rep", "order", "lines",
                  "arms", "n_arms", "dual_j")
@@ -497,17 +483,16 @@ class _ClassRecord:
         self.arms, self.n_arms = {}, 0
 
 
-def class_record(A, B, N, ell, q, tab: FqTables, records=None, key=None):
+def class_record(A, B, N, ell, q, tab: FqTables, records, key):
     """(record, u2) of y^2 = x^3 + Ax + B, ell | N: its isomorphism class's
     _ClassRecord, anchored with _rational_ell_points' subgroups and psi, and
     u2 = u^2 for (A, B) = (u^4 A0, u^6 B0), so that (x, y) -> (u^2 x, u^3 y)
     maps the anchor (A0, B0) onto this curve.
 
-    records, when given, holds the record of each class met so far, as a
-    source or a target, under its short_class_key; key is the curve's.  The
-    first curve of a class to ask anchors the record, every other one takes
-    it with one solve_twist_scale."""
-    records = {} if records is None else records
+    records holds the record of each class met so far, as a source or a
+    target, under its short_class_key; key is the curve's.  The first curve
+    of a class to ask anchors the record, every other one takes it with one
+    solve_twist_scale."""
     record = records.get(key)
     if record is None:
         record = records[key] = _ClassRecord(key)
@@ -607,18 +592,13 @@ def _scaled_roots(f, u2, q):
     return out[::-1]
 
 
-def _moved_arm(arm, lam, q):
-    """arm = (a4, a6, A2, B2, r, s, t, *kappa), with the codomain's a4, a6 (it
-    keeps the source's a1, a2, a3), short form, short_reduce_int's r, s, t and
-    the kernel polynomial, moved along the isomorphism (x, y) -> (lam^2 x,
-    lam^3 y) of the source: each a_i goes to lam^i a_i on source and codomain
-    alike, A2, B2 as a4, a6, (r, s, t) to (lam^2 r, lam s, lam^3 t) and the
-    kernel x's to lam^2 x."""
-    a4, a6, A2, B2, r, s, t = arm[:7]
-    l2, l3 = lam * lam % q, lam * lam * lam % q
-    l4, l6 = l2 * l2 % q, l3 * l3 % q
-    return (a4 * l4 % q, a6 * l6 % q, A2 * l4 % q, B2 * l6 % q, r * l2 % q, s * lam % q,
-            t * l3 % q, *_scaled_roots(arm[7:], l2, q))
+def _moved_arm(A2, B2, kappa, lam, q):
+    """A short-form arm's codomain (A2, B2) and kernel polynomial kappa moved
+    along the isomorphism (x, y) -> (lam^2 x, lam^3 y) of the source: to
+    (lam^4 A2, lam^6 B2), with the kernel x's at lam^2 x."""
+    l2 = lam * lam % q
+    l4 = l2 * l2 % q
+    return A2 * l4 % q, B2 * l4 * l2 % q, _scaled_roots(kappa, l2, q)
 
 
 def _moved_line(w, z, q):
@@ -769,60 +749,49 @@ def build_pointed_graphs(
     # the _ClassRecord of each class met so far, as a source or as a target
     records: dict[tuple, _ClassRecord] = {}
 
-    def add_arm(src, src_inv, kernel_pt, kernel_xs, N, base, lam, u2=None):
-        """src_inv = (short_class_key, (b2, b4, b6)) of the source curve; u2
-        is a short-form source's class_record scale, None for the family.  The
-        source is (x, y) -> (lam^2 x, lam^3 y) of its orbit's lam = 1 curve,
-        and base is None or the orbit's first arm moved there, (target key,
-        dual line, u / lam, *arm), from which later arms are moved.  Returns
-        base, or this arm's when base is None and lam != 0 (lam = 0: no orbit)."""
-        src_key, binv = src_inv
-        if base is None:
-            kappa = intpoly.pfrom_roots(kernel_xs, q)
-            p1 = p2 = p3 = 0
-            for x in kernel_xs:
-                p1, p2, p3 = p1 + x, p2 + x * x, p3 + x * x * x
-            sums = (p1 % q, p2 % q, p3 % q)
-            cod = velu_codomain_int(src, kappa, ell, q, binv, sums)
-            if cod[0] or cod[1] or cod[2]:
-                A2, B2, red_iso = short_reduce_int(cod, q)
-            else:
-                A2, B2, red_iso = cod[3], cod[4], (1, 0, 0, 0)
-        else:
-            tkey, w, u1, *arm = base
-            a4, a6, A2, B2, r, s, t, *kappa = _moved_arm(arm, lam, q)
-            cod, red_iso = (*src[:3], a4, a6), (1, r, s, t)
+    def add_arm(src, src_inv, kernel_pt, kernel_xs, kappa, N, cod, short, landing, lam, u2=None):
+        """Lands the arm of src with kernel polynomial kappa and Velu codomain
+        cod, whose short form (A2, B2) is cod mapped by (1, r, s, t), short =
+        (A2, B2, (r, s, t)).  src_inv = (short_class_key, (b2, b4, b6)) of the
+        source; u2 is a short-form source's class_record scale, None for the
+        family.  The source is (x, y) -> (lam^2 x, lam^3 y) of its orbit's
+        lam = 1 curve, and landing is None or the orbit's (target key, dual
+        line, u / lam), from which the arm's dual line is moved.  Returns
+        landing, or this arm's when landing is None and lam != 0 (lam = 0: no
+        orbit)."""
+        A2, B2, rst = short
         # the short form is isomorphic with u = 1, so it keeps cod's discriminant
         if (4 * A2 * A2 * A2 + 27 * B2 * B2) % q == 0:
             if soundness is not None:
                 soundness.record("singular_codomains", "singular-codomain", src)
             raise InternalError("Velu codomain is singular")
-        if base is None:
+        if landing is None:
             tkey = short_class_key(A2, B2, q, tab)
-            tc = records.setdefault(tkey, _ClassRecord(tkey))
+            tc = records.get(tkey)
+            if tc is None:
+                tc = records[tkey] = _ClassRecord(tkey)
             if tc.lines is None:
                 lines = enumerate_pointed_lines(A2, B2, N, ell, q, tab, records, tkey)
                 tc.land((A2, B2), N, lines)
         else:
+            tkey, w, u1 = landing
             tc = records[tkey]
         u = solve_twist_scale(A2, B2, *tc.rep, q, tab)
-        iso = compose_iso_int(red_iso, (u, 0, 0, 0), q)
-        if base is None:
+        iso = (u, *rst)
+        if landing is None:
             # the lines whose quotient is the source's class, each with an F_q
             # root x_w when q = 1 mod ell, where a class can have several
-            cands = [(line, x_w) for line, x_w, qkey, _ in tc.lines if qkey == src_key]
+            cands = [(line, x_w) for line, x_w, qkey, _ in tc.lines if qkey == src_inv[0]]
             if not cands:
                 raise InternalError("no pointed line of the target matches the source class")
             if len(cands) == 1:
                 w = cands[0][0]
             else:
                 psi = (torsion_x_poly_ints(src, q, ell) if u2 is None  # family: long form
-                       else _class_psi(records[src_key], u2, q))
+                       else _class_psi(records[src_inv[0]], u2, q))
                 w = _match_dual_line(src, kappa, ell, q, dict(cands), iso, psi)
             if lam:
-                ilam = tab.inv[lam]
-                arm = (*cod[3:], A2, B2, *red_iso[1:], *kappa)
-                base = (tc.key, w, u * ilam % q, *_moved_arm(arm, ilam, q))
+                landing = (tc.key, w, u * tab.inv[lam] % q)
         else:
             # lam u1 and u are both twist scales to the representative, so
             # they differ by an automorphism x -> z^2 x of it, z = lam u1 / u;
@@ -840,10 +809,11 @@ def build_pointed_graphs(
         if soundness is not None:
             _soundness_checks(soundness, src, kappa, kernel_pt, kernel_xs,
                               cod, (A2, B2), w, tc, N, ell, q, tab, orders, src_inv)
-        return base
+        return landing
 
     # short-form sources; an orbit is a source class and the index of a
-    # subgroup in its record, and lam^2 = u2
+    # subgroup in its record, and lam^2 = u2; its first arm is built by Velu,
+    # the later ones are moved from it
     for a in range(q):
         row = orders[a]
         for b in range(q):
@@ -856,13 +826,26 @@ def build_pointed_graphs(
             record, u2 = class_record(a, b, N, ell, q, tab, records, key)
             lam = tab.sqrt[u2]
             for pt, xs, i in rational_order_ell_subgroups(a, b, q, tab, record, u2):
-                record.bases[i] = add_arm(src, src_inv, pt, xs, N, record.bases[i], lam, u2)
+                base = record.bases[i]
+                if base is None:
+                    kappa = intpoly.pfrom_roots(xs, q)
+                    A2, B2 = velu_codomain_int(src, kappa, ell, q)[3:]
+                    landing = None
+                else:
+                    landing, *moved = base
+                    A2, B2, kappa = _moved_arm(*moved, lam, q)
+                landing = add_arm(src, src_inv, pt, xs, kappa, N, (0, 0, 0, A2, B2),
+                                  (A2, B2, (0, 0, 0)), landing, lam, u2)
+                if base is None:
+                    record.bases[i] = (landing, *_moved_arm(A2, B2, kappa, tab.inv[lam], q))
 
-    # the universal 3-isogeny family contributes its canonical arm; for w != 0,
-    # (w, v) is (x, y) -> (w^2 x, w^3 y) of (1, v / w^3), kernel (0, 0) kept,
-    # so its orbit is v / w^3 and lam = w; the w = 0 sources, orbit 0, have none
+    # the universal 3-isogeny family contributes its canonical arm, into
+    # E3' = E3 / <(0, 0)> in closed form (Velu's t = b4 = wv and w = b6 = v^2);
+    # for w != 0, (w, v) is (x, y) -> (w^2 x, w^3 y) of (1, v / w^3), kernel
+    # (0, 0) kept, so its orbit is v / w^3 and lam = w; the w = 0 sources,
+    # orbit 0, have none
     if ell == 3 and include_family:
-        family = [None] * q  # orbit -> (source key, order, the orbit's first arm)
+        family = [None] * q  # orbit -> (source key, order, the orbit's landing)
         for w_par in range(q):
             w3 = w_par * w_par * w_par % q
             inv_w3 = tab.inv[w3] if w_par else 0
@@ -872,18 +855,20 @@ def build_pointed_graphs(
                 src = (w_par, 0, v_par, 0, 0)
                 orbit = v_par * inv_w3 % q
                 if family[orbit] is None:
-                    sA, sB, _ = short_reduce_int(src, q)
+                    sA, sB, _ = short_reduce_int(src, q, tab.inv)
                     N = orders[sA][sB]
                     if N == 0 or N % 3:
                         raise InternalError("family curve with order not divisible by 3")
-                    src_key, base = short_class_key(sA, sB, q, tab), None
+                    src_key, landing = short_class_key(sA, sB, q, tab), None
                 else:  # isogenous curves have equal order
-                    src_key, N, base = family[orbit]
+                    src_key, N, landing = family[orbit]
                 # b2, b4, b6 of y^2 + w xy + v y = x^3
                 binv = (w_par * w_par % q, w_par * v_par % q, v_par * v_par % q)
-                base = add_arm(src, (src_key, binv), (0, 0), [0], N, base, w_par)
+                cod = (w_par, 0, v_par, -5 * binv[1] % q, -v_par * (w3 + 7 * v_par) % q)
+                landing = add_arm(src, (src_key, binv), (0, 0), [0], [0, 1], N, cod,
+                                  short_reduce_int(cod, q, tab.inv), landing, w_par)
                 if orbit and family[orbit] is None:
-                    family[orbit] = (src_key, N, base)
+                    family[orbit] = (src_key, N, landing)
 
     return [PointedGraph(q=q, ell=ell, target=tc.rep, target_order=tc.order,
                          arms=tuple(tc.arms[w] for w in sorted(tc.arms)),

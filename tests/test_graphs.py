@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import random
 import sys
@@ -208,11 +209,17 @@ def object_layer_subgroups(E, ell):
 
 def subgroups_of(a, b, N, ell, q, tab, records=None):
     """rational_order_ell_subgroups of y^2 = x^3 + ax + b from its
-    class_record, taken from or made in records when it is given, without
-    the record indices."""
+    class_record, taken from or made in records when it is given (else in a
+    new store), without the record indices."""
     key = short_class_key(a, b, q, tab)
+    records = {} if records is None else records
     return [(pt, xs) for pt, xs, _ in rational_order_ell_subgroups(
         a, b, q, tab, *class_record(a, b, N, ell, q, tab, records, key))]
+
+
+def lines_of(a, b, N, ell, q, tab, enumerate_lines=enumerate_pointed_lines):
+    """enumerate_pointed_lines of y^2 = x^3 + ax + b with a new record store."""
+    return enumerate_lines(a, b, N, ell, q, tab, {}, short_class_key(a, b, q, tab))
 
 
 @pytest.mark.parametrize("q, ell", [(7, 3), (13, 3), (19, 3), (13, 2), (11, 5), (31, 5),
@@ -272,7 +279,7 @@ def test_pointed_lines_divide_division_polynomial():
             N = orders[a][b]
             if not N or N % 3:
                 continue
-            lines = enumerate_pointed_lines(a, b, N, 3, q, tab)
+            lines = lines_of(a, b, N, 3, q, tab)
             E = WeierstrassCurve(F, 0, 0, 0, a, b)
             psi = division_polynomial(E, 3)
             for w, _, _, quot in lines:
@@ -367,7 +374,7 @@ def _oracle_mismatches(enumerate_lines, cases):
     bad = 0
     for (a, b, N), ell, q, tab, want in cases:
         try:
-            bad += _without_roots(enumerate_lines(a, b, N, ell, q, tab)) != want
+            bad += _without_roots(lines_of(a, b, N, ell, q, tab, enumerate_lines)) != want
         except InternalError:
             bad += 1
     return bad
@@ -376,7 +383,7 @@ def _oracle_mismatches(enumerate_lines, cases):
 def test_pointed_lines_equal_factoring_oracle(pointed_line_cases):
     branches = Counter()
     for (a, b, N), ell, q, tab, want in pointed_line_cases:
-        assert _without_roots(enumerate_pointed_lines(a, b, N, ell, q, tab)) == want
+        assert _without_roots(lines_of(a, b, N, ell, q, tab)) == want
         qmod = q % ell
         if qmod == 1:
             assert len(want) in (1, ell + 1)
@@ -402,7 +409,7 @@ def test_pointed_lines_at_ell_2_are_the_rational_roots_of_the_cubic():
                 if not N or N % 2:
                     continue
                 roots = [r for r in range(q) if (cubes[r] + a * r + b) % q == 0]
-                got = enumerate_pointed_lines(a, b, N, 2, q, tab)
+                got = lines_of(a, b, N, 2, q, tab)
                 assert [(w, x_w) for w, x_w, _, _ in got] == sorted(
                     (((-r) % q, 1), r) for r in roots)
                 sizes[len(roots)] += 1
@@ -412,7 +419,7 @@ def test_pointed_lines_at_ell_2_are_the_rational_roots_of_the_cubic():
 def test_line_root_given_exactly_at_q_1(pointed_line_cases):
     """x_w is an F_q root of w when q = 1 mod ell, and None otherwise."""
     for (a, b, N), ell, q, tab, _ in pointed_line_cases:
-        for w, x_w, _, _ in enumerate_pointed_lines(a, b, N, ell, q, tab):
+        for w, x_w, _, _ in lines_of(a, b, N, ell, q, tab):
             if q % ell == 1:
                 assert intpoly.peval(list(w), x_w, q) == 0
             else:
@@ -699,7 +706,7 @@ def _wrap_checks(monkeypatch, change):
 
 
 # positions of the arguments of graphs._soundness_checks
-_KAPPA, _W_LINE, _TC, _N, _ELL, _Q = 2, 7, 8, 9, 10, 11
+_KAPPA, _COD, _W_LINE, _TC, _N, _ELL, _Q = 2, 5, 7, 8, 9, 10, 11
 
 
 def test_soundness_corrupted_x_map_fails_homomorphism(monkeypatch):
@@ -938,7 +945,7 @@ def test_x_map_polynomial_built_once_per_multi_candidate_arm(q, ell, monkeypatch
     multi = []
     for a in checked:
         src, kappa, tc = a[1], a[2], a[_TC]
-        sA, sB, _ = short_reduce_int(src, q)
+        sA, sB, _ = short_reduce_int(src, q, tab.inv)
         src_key = short_class_key(sA, sB, q, tab)
         if sum(qkey == src_key for _, _, qkey, _ in tc.lines) > 1:
             multi.append((tuple(src), tuple(kappa)))
@@ -992,7 +999,7 @@ def test_rational_ell_points_transport_equals_direct():
             for key in sorted(last)[::2]:
                 a, b, N = last[key]
                 lines = enumerate_pointed_lines(a, b, N, ell, q, tab, records, key)
-                assert lines == enumerate_pointed_lines(a, b, N, ell, q, tab)
+                assert lines == lines_of(a, b, N, ell, q, tab)
                 target_made.add(key)
             assert set(records) == target_made
         for a, b, N, key in curves:
@@ -1075,17 +1082,18 @@ def dual_line_matches():
     (arguments, answer, the arm's dual line) of _match_dual_line on every arm
     with more than one candidate line, moved from the first arm of its orbit
     or not: a spy on _soundness_checks calls the matcher itself, with the
-    arm's isomorphism (the compose_iso_int result just before its checks)
-    and psi_ell built from scratch.  calls holds the arguments of the
-    build's own _match_dual_line calls."""
+    arm's isomorphism (u, r, s, t), u the arm's twist scale (the last
+    solve_twist_scale result before its checks) and (r, s, t) the reduction
+    of its recomputed Velu codomain, and psi_ell built from scratch.  calls
+    holds the arguments of the build's own _match_dual_line calls."""
     decisions, calls = [], []
     orig_match, orig_checks = graphs_mod._match_dual_line, graphs_mod._soundness_checks
-    orig_compose = graphs_mod.compose_iso_int
-    last_iso = [None]
+    orig_solve = graphs_mod.solve_twist_scale
+    last_u = [None]
 
-    def compose(*args):
-        last_iso[0] = orig_compose(*args)
-        return last_iso[0]
+    def solve(*args):
+        last_u[0] = orig_solve(*args)
+        return last_u[0]
 
     def checks(*args):
         src, kappa, w_line, tc, ell, q, src_inv = (args[1], args[_KAPPA], args[_W_LINE],
@@ -1093,7 +1101,9 @@ def dual_line_matches():
         cands = {w: x_w for w, x_w, qkey, _ in tc.lines if qkey == src_inv[0]}
         if len(cands) > 1:
             psi = graphs_mod.torsion_x_poly_ints(src, q, ell)
-            call = (src, list(kappa), ell, q, cands, last_iso[0], psi)
+            cod = velu_codomain_int(src, list(kappa), ell, q)
+            iso = (last_u[0], *short_reduce_int(cod, q, fq_tables(q).inv)[2])
+            call = (src, list(kappa), ell, q, cands, iso, psi)
             decisions.append((call, orig_match(*call), w_line))
         return orig_checks(*args)
 
@@ -1101,7 +1111,7 @@ def dual_line_matches():
         mp.setattr(graphs_mod, "_match_dual_line",
                    lambda *a: calls.append(a) or orig_match(*a))
         mp.setattr(graphs_mod, "_soundness_checks", checks)
-        mp.setattr(graphs_mod, "compose_iso_int", compose)
+        mp.setattr(graphs_mod, "solve_twist_scale", solve)
         for q, ell in _MATCH_SWEEPS:
             build_pointed_graphs(PrimeField(q), ell, soundness=SoundnessStats())
     return decisions, calls
@@ -1111,7 +1121,7 @@ def _into_j_0_or_1728(args):
     """Whether the arm of _match_dual_line's arguments has a target with j = 0
     or 1728."""
     src, kappa, ell, q = args[:4]
-    A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q)
+    A, B, _ = short_reduce_int(velu_codomain_int(src, kappa, ell, q), q, fq_tables(q).inv)
     return short_class_key(A, B, q, fq_tables(q))[0] in (0, 1)
 
 
@@ -1222,43 +1232,65 @@ _ARM_ORACLE_SWEEPS = [(q, ell) for ell in (2, 3, 5, 7) for q in primes_in_range(
                       if q != ell]
 
 
-def arm_oracle_mismatches(sweeps):
+def arm_oracle_mismatches(sweeps, bad=None):
     """Build each (q, ell) of sweeps, the 3-isogeny family included, with a
     spy on _soundness_checks, which sees every arm, moved from the first arm
     of its orbit or not, and recompute the arm from scratch: kappa from its
     kernel x's, the codomain by velu_codomain_int, its short form and class
     key, the isomorphism to the target's representative and the dual line
     by match_by_composition among all the target's lines.  The arm's own
-    isomorphism is the compose_iso_int result just before its checks.  Each
-    target's arms are counted against its arm_multiplicity, and the soundness
-    checks must pass.  Returns (q, ell, what) for each disagreement."""
-    bad = []
-    orig_checks, orig_compose = graphs_mod._soundness_checks, graphs_mod.compose_iso_int
-    last_iso = [None]
+    twist scale u is the last solve_twist_scale result before its checks, and
+    its isomorphism (u, r, s, t) with the reduction (r, s, t) of the
+    recomputed codomain.  Each arm a report shows must carry the recomputed
+    codomain and isomorphism, each target's arms are counted against its
+    arm_multiplicity, and the soundness checks must pass.  The codomain is
+    also checked as the arm lands, at add_arm's first lookup of its target
+    (its class key or its twist solve), before the build can raise on it.
+    Returns (q, ell, what) for each disagreement, appended to bad when it is
+    given, so that what was found before a raise is kept."""
+    bad = [] if bad is None else bad
+    orig_checks, orig_solve = graphs_mod._soundness_checks, graphs_mod.solve_twist_scale
+    orig_key = graphs_mod.short_class_key
+    last_u = [None]
     arms = Counter()
+    recomputed = {}  # (source, kernel point) -> (codomain, isomorphism)
 
-    def compose(*args):
-        last_iso[0] = orig_compose(*args)
-        return last_iso[0]
+    def landing(frame):
+        if frame.f_code.co_name == "add_arm":
+            arm = frame.f_locals
+            q, ell = arm["q"], arm["ell"]
+            kappa = intpoly.pfrom_roots(arm["kernel_xs"], q)
+            if arm["cod"] != velu_codomain_int(arm["src"], kappa, ell, q):
+                bad.append((q, ell, "codomain"))
+
+    def key(*args):
+        landing(sys._getframe(1))
+        return orig_key(*args)
+
+    def solve(*args):
+        landing(sys._getframe(1))
+        last_u[0] = orig_solve(*args)
+        return last_u[0]
 
     def checks(*args):
-        src, kappa, _, kernel_xs, cod, cod_short, w_line, tc, N, ell, q, tab, orders, src_inv \
-            = args[1:]
+        src, kappa, kernel_pt, kernel_xs, cod, cod_short, w_line, tc, N, ell, q, tab, orders, \
+            src_inv = args[1:]
         want_kappa = intpoly.pfrom_roots(kernel_xs, q)
         want_cod = velu_codomain_int(src, want_kappa, ell, q)
-        A, B, red = short_reduce_int(want_cod, q)
-        u = solve_twist_scale(A, B, *tc.rep, q, tab)
-        want_iso = orig_compose(red, (u, 0, 0, 0), q)
+        A, B, rst = short_reduce_int(want_cod, q, tab.inv)
+        u = orig_solve(A, B, *tc.rep, q, tab)
+        want_iso = (u, *rst)
+        recomputed[src, kernel_pt] = (want_cod, want_iso)
         lines = [w for w, _, _, _ in tc.lines]
         want_w = lines if len(lines) == 1 else match_by_composition(
             src, want_kappa, ell, q, lines, want_iso)
-        sA, sB, _ = short_reduce_int(src, q)
+        sA, sB, _ = short_reduce_int(src, q, tab.inv)
         for what, got, want in [
             ("kernel polynomial", list(kappa), want_kappa),
             ("codomain", cod, want_cod),
             ("short codomain", cod_short, (A, B)),
             ("target class", short_class_key(*tc.rep, q, tab), short_class_key(A, B, q, tab)),
-            ("isomorphism", last_iso[0], want_iso),
+            ("isomorphism", (last_u[0], *rst), want_iso),
             ("dual line", [w_line], want_w),
             ("source", (src_inv[0], N), (short_class_key(sA, sB, q, tab), orders[sA][sB])),
         ]:
@@ -1269,15 +1301,19 @@ def arm_oracle_mismatches(sweeps):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs_mod, "_soundness_checks", checks)
-        mp.setattr(graphs_mod, "compose_iso_int", compose)
+        mp.setattr(graphs_mod, "solve_twist_scale", solve)
+        mp.setattr(graphs_mod, "short_class_key", key)
         for q, ell in sweeps:
             arms.clear()
             stats = SoundnessStats()
-            graphs = build_pointed_graphs(PrimeField(q), ell, soundness=stats)
+            graphs = graphs_mod.build_pointed_graphs(PrimeField(q), ell, soundness=stats)
             if not stats.ok():
                 bad.append((q, ell, "soundness checks"))
             if {g.target: g.arm_multiplicity for g in graphs} != dict(arms):
                 bad.append((q, ell, "arm multiplicity"))
+            if any((arm.codomain, arm.iso_to_target) != recomputed[arm.source, arm.kernel_point]
+                   for g in graphs for arm in g.arms):
+                bad.append((q, ell, "report arm"))
     return bad
 
 
@@ -1288,22 +1324,28 @@ def test_every_arm_equals_its_recomputation():
 _moved_arm = graphs_mod._moved_arm
 
 
-def _moved_a2_by_lam6(arm, lam, q):
-    """u2^3 in place of u2^2 (lam^6 in place of lam^4) on A2 and a4."""
-    a4, a6, A2, B2, *rest = _moved_arm(arm, lam, q)
-    l2 = lam * lam % q
-    return (a4 * l2 % q, a6, A2 * l2 % q, B2, *rest)
+def _moved_a2_by_lam6(A2, B2, kappa, lam, q):
+    """u2^3 in place of u2^2 (lam^6 in place of lam^4) on A2."""
+    A2, B2, kappa = _moved_arm(A2, B2, kappa, lam, q)
+    return A2 * lam * lam % q, B2, kappa
 
 
-def _moved_kappa_by_lam(arm, lam, q):
+def _moved_kappa_by_lam(A2, B2, kappa, lam, q):
     """kappa's roots moved by u (lam) in place of u^2."""
-    return (*_moved_arm(arm, lam, q)[:7], *graphs_mod._scaled_roots(arm[7:], lam, q))
+    return (*_moved_arm(A2, B2, kappa, lam, q)[:2], graphs_mod._scaled_roots(kappa, lam, q))
 
 
-def _moved_s_by_lam2(arm, lam, q):
-    """short_reduce_int's s moved by lam^2 in place of lam."""
-    moved = _moved_arm(arm, lam, q)
-    return (*moved[:5], arm[5] * lam * lam % q, *moved[6:])
+def _family_a6_minus_7v():
+    """build_pointed_graphs with the family's closed-form a6 = -v(w^3 - 7v)
+    in place of -v(w^3 + 7v)."""
+    old, new = "-v_par * (w3 + 7 * v_par)", "-v_par * (w3 - 7 * v_par)"
+    src = inspect.getsource(graphs_mod.build_pointed_graphs)
+    assert src.count(old) == 1
+    namespace = {}  # the mutant reads the module's globals, spies included
+    exec(compile(src.replace(old, new), graphs_mod.__file__, "exec"), vars(graphs_mod), namespace)
+    mutant = namespace["build_pointed_graphs"]
+    mutant.__name__ = _family_a6_minus_7v.__name__
+    return mutant
 
 
 def _line_keeps_its_roots(w, z, q):
@@ -1319,8 +1361,8 @@ def _line_scaled_by_z(w, z, q):
 @pytest.mark.parametrize("owner, name, mutant, sweeps, caught_as", [
     (graphs_mod, "_moved_arm", _moved_a2_by_lam6, [(7, 2), (7, 3)], "codomain"),
     (graphs_mod, "_moved_arm", _moved_kappa_by_lam, [(7, 2), (7, 3)], "kernel polynomial"),
-    # only the family's arms have s != 0
-    (graphs_mod, "_moved_arm", _moved_s_by_lam2, [(7, 3)], "isomorphism"),
+    # every family arm takes its codomain from the closed form
+    (graphs_mod, "build_pointed_graphs", _family_a6_minus_7v(), [(13, 3)], "codomain"),
     # arms into j = 0 or 1728 targets keep their orbit's first dual line
     (graphs_mod, "_moved_line", _line_keeps_its_roots, [(7, 3), (13, 2), (13, 3)],
      "dual line"),
@@ -1328,97 +1370,120 @@ def _line_scaled_by_z(w, z, q):
     (graphs_mod, "_moved_line", _line_scaled_by_z, [(7, 3), (13, 2), (13, 3)], InternalError),
 ])
 def test_arm_oracle_catches_a_wrong_move(owner, name, mutant, sweeps, caught_as, monkeypatch):
-    """The every-arm oracle reports each mutant, unless the build raises
-    InternalError on it first; a line moved by no automorphism must raise."""
+    """The every-arm oracle reports each mutant, also when the build raises
+    InternalError on it after the arm landed; a line moved by no
+    automorphism must raise."""
     monkeypatch.setattr(owner, name, mutant)
     if caught_as is InternalError:
         with pytest.raises(InternalError, match="moved dual line"):
             arm_oracle_mismatches(sweeps)
         return
-    try:
-        bad = arm_oracle_mismatches(sweeps)
-    except InternalError:
-        return
+    bad = []
+    with contextlib.suppress(InternalError):
+        arm_oracle_mismatches(sweeps, bad)
     assert caught_as in {what for _, _, what in bad}
-
-
-def _moved_a4_plus_one(arm, lam, q):
-    """The moved codomain's a4 off by one; a chord never reads a4."""
-    a4, *rest = _moved_arm(arm, lam, q)
-    return ((a4 + 1) % q, *rest)
 
 
 @pytest.mark.parametrize("q, ell", [(11, 3), (13, 3), (31, 5), (43, 7)])
 def test_soundness_checks_catch_a_wrong_moved_codomain(q, ell, monkeypatch):
     """The homomorphism check puts the first sample's image on the codomain,
-    so a moved arm whose a4 is off by one fails it unless that image has
-    x = 0 or is O, or the source has fewer than two sample points: more than
-    three quarters of the moved arms fail, where the image of a sum against
-    the sum of the images, a chord, caught at most a fifth.  The arms built
-    in full keep their codomain and pass."""
-    full = len(_built_in_full(q, ell, True, monkeypatch))
-    monkeypatch.setattr(graphs_mod, "_moved_arm", _moved_a4_plus_one)
+    so an arm not landed in full whose codomain a4 (the moved A2 of a
+    short-form source) reaches the checks off by one fails it unless that
+    image has x = 0 or is O, or the source has fewer than two sample points:
+    more than three quarters of those arms fail, where the image of a sum
+    against the sum of the images, a chord, caught at most a fifth.  The
+    arms landed in full keep their codomain and pass.  A moved A2 that is
+    wrong before the landing already breaks the twist solve to the target."""
+    landed, full = [False], [0]  # whether the arm looked up its target key
+    orig_key = graphs_mod.short_class_key
+
+    def key(*args):
+        landed[0] = landed[0] or sys._getframe(1).f_code.co_name == "add_arm"
+        return orig_key(*args)
+
+    def a4_plus_one(a):
+        if landed[0]:
+            full[0] += 1
+        else:
+            a[_COD] = (*a[_COD][:3], (a[_COD][3] + 1) % q, a[_COD][4])
+        landed[0] = False
+        return a
+
+    monkeypatch.setattr(graphs_mod, "short_class_key", key)
+    _wrap_checks(monkeypatch, a4_plus_one)
     stats = SoundnessStats()
     build_pointed_graphs(PrimeField(q), ell, soundness=stats)
-    moved = stats.isogenies - full
+    moved = stats.isogenies - full[0]
+    assert full[0] == len(_built_in_full(q, ell, True, monkeypatch)[0])
     assert 3 * moved < 4 * stats.homomorphism_failures <= 4 * moved
     assert {f["kind"] for f in stats.failures} == {"homomorphism"}
 
 
 def test_arm_loop_calls_no_pow_per_arm(monkeypatch):
-    """Every inversion on the per-arm path is an FqTables.inv lookup and
-    every power a running product, so the (89, 3) build with its soundness
-    checks calls pow a number of times that does not grow with its 11,616
-    arms; with one pow per inversion it made 135,963 calls."""
-    calls = [0]
+    """Every inversion on the per-arm path, short_reduce_int's 1/864
+    included, is an FqTables.inv lookup and every power a running product,
+    so in the (89, 3) build with its soundness checks only short_class_key
+    calls pow, at j = 0 and 1728, a number of times that does not grow with
+    its 11,616 arms; with one pow per inversion it made 135,963 calls, and
+    with short_reduce_int's 1/864 by pow 620."""
+    callers = Counter()
 
     def counting_pow(*args):
-        calls[0] += 1
+        callers[sys._getframe(1).f_code.co_name] += 1
         return pow(*args)
 
     monkeypatch.setattr(graphs_mod, "pow", counting_pow, raising=False)
     stats = SoundnessStats()
     build_pointed_graphs(PrimeField(89), 3, soundness=stats)
     assert stats.isogenies == 11616 and stats.ok()
-    assert calls[0] < 2000
+    assert set(callers) == {"short_class_key"}
+    assert callers["short_class_key"] < 300
 
 
 def _built_in_full(q, ell, include_family, monkeypatch):
-    """The sources of the arms that build_pointed_graphs builds in full, i.e.
-    whose Velu codomain it computes, in build order."""
-    built = []
-    orig = graphs_mod.velu_codomain_int
-
-    def codomain(*args):
-        if sys._getframe(1).f_code.co_name == "add_arm":
-            built.append(tuple(args[0]))
-        return orig(*args)
-
+    """(landed, velu): the sources of the arms that build_pointed_graphs lands
+    in full, i.e. whose target class key add_arm looks up, and of those whose
+    Velu codomain the arm loop computes, in build order."""
+    landed, velu = [], []
     with monkeypatch.context() as mp:
-        mp.setattr(graphs_mod, "velu_codomain_int", codomain)
+        for name, caller, out in [("short_class_key", "add_arm", landed),
+                                  ("velu_codomain_int", "build_pointed_graphs", velu)]:
+            def spy(*args, _orig=getattr(graphs_mod, name), _caller=caller, _out=out):
+                frame = sys._getframe(1)
+                if frame.f_code.co_name == _caller:
+                    _out.append(frame.f_locals["src"])
+                return _orig(*args)
+
+            mp.setattr(graphs_mod, name, spy)
         build_pointed_graphs(PrimeField(q), ell, include_family=include_family)
-    return built
+    return landed, velu
 
 
 @pytest.mark.parametrize("q, ell, orbits", [(113, 7, 40), (101, 5, 52)])
 def test_one_full_arm_per_source_class_and_record_subgroup(q, ell, orbits, monkeypatch):
     """The short-form loop builds one arm in full per (source class, record
-    subgroup), whatever the target's j, and moves every other arm: as many
-    as the first curves of the classes found subgroups."""
+    subgroup), whatever the target's j: its Velu codomain, target class key
+    and dual line; it moves every other arm.  As many as the first curves of
+    the classes found subgroups."""
     found = []
     orig_find = graphs_mod._rational_ell_points
     monkeypatch.setattr(graphs_mod, "_rational_ell_points",
                         lambda *a: found.append(orig_find(*a)) or found[-1])
-    built = _built_in_full(q, ell, False, monkeypatch)
-    assert len(built) == sum(len(subgroups) for subgroups, _ in found) == orbits
+    landed, velu = _built_in_full(q, ell, False, monkeypatch)
+    assert landed == velu
+    assert len(landed) == sum(len(subgroups) for subgroups, _ in found) == orbits
 
 
 @pytest.mark.parametrize("q", [13, 31])
 def test_family_builds_one_full_arm_per_orbit_and_per_w0_source(q, monkeypatch):
-    """The 3-isogeny family builds in full one arm per orbit v / w^3 of its
-    w != 0 sources, and every w = 0 source: (q - 2) + (q - 1) arms."""
-    family = [src for src in _built_in_full(q, 3, True, monkeypatch) if src[2]]  # a3 = v
+    """The 3-isogeny family lands in full (a target key lookup and a line
+    match) one arm per orbit v / w^3 of its w != 0 sources, and every w = 0
+    source: (q - 2) + (q - 1) arms.  Every family arm takes its codomain from
+    the closed form, none from velu_codomain_int."""
+    landed, velu = _built_in_full(q, 3, True, monkeypatch)
+    family = [src for src in landed if src[2]]  # a3 = v
     w0 = [src for src in family if src[0] == 0]
     orbits = {src[2] * pow(src[0], -3, q) % q for src in family if src[0]}
     assert len(w0) == q - 1
     assert len(family) - len(w0) == len(orbits) == q - 2
+    assert not any(src[2] for src in velu)

@@ -161,7 +161,8 @@ def test_int_velu_is_the_polynomial_instance_mod_q(velu_cases):
             N = orders[A][B]
             if not N or N % ell:
                 continue
-            for w, _, key, cod in G.enumerate_pointed_lines(A, B, N, ell, q, tab):
+            curve_key = G.short_class_key(A, B, q, tab)
+            for w, _, key, cod in G.enumerate_pointed_lines(A, B, N, ell, q, tab, {}, curve_key):
                 want = quotient_by_kernel_polynomial(
                     WeierstrassCurve(F, 0, 0, 0, A, B), Polynomial(F, list(w)), ell
                 ).codomain
