@@ -95,9 +95,13 @@ class PrimeField:
 
 
 class ExtensionField:
-    """F_{p^k} = F_p[t]/(modulus), modulus monic irreducible of degree k."""
+    """F_{p^k} = F_p[t]/(modulus), modulus monic irreducible of degree k.
 
-    __slots__ = ("p", "k", "modulus")
+    Each field handle carries its (p, modulus)'s entry of `_EXT_TABLES`
+    (see `_ext_tables`): `fold`, the rows t^(k+i) mod modulus that reduce a
+    product inline, and `frob`, the Frobenius images of the power basis."""
+
+    __slots__ = ("p", "k", "modulus", "fold", "frob")
 
     def __init__(self, p: int, k: int, modulus: Iterable[int] | None = None):
         if not is_prime(p):
@@ -105,15 +109,22 @@ class ExtensionField:
         if k < 1:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
-            modulus = find_irreducible_ints(p, k)
-        mod = [c % p for c in modulus]
-        if len(mod) != k + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not intpoly.is_irreducible(mod, p):
-            raise ValueError("modulus is reducible over F_p")
+            mod = _DEFAULT_MODULI.get((p, k))
+            if mod is None:
+                mod = _DEFAULT_MODULI[p, k] = tuple(find_irreducible_ints(p, k))
+        else:
+            mod = tuple(c % p for c in modulus)
+            if len(mod) != k + 1 or mod[-1] != 1:
+                raise ValueError("modulus must be monic of degree k")
+        tables = _EXT_TABLES.get((p, mod))
+        if tables is None:  # a default modulus is irreducible by construction
+            if modulus is not None and not intpoly.is_irreducible(list(mod), p):
+                raise ValueError("modulus is reducible over F_p")
+            tables = _EXT_TABLES[p, mod] = _ext_tables(p, mod)
         self.p = p
         self.k = k
-        self.modulus = tuple(mod)
+        self.modulus = mod
+        self.fold, self.frob = tables
 
     def element(self, v) -> "FieldElement":
         if isinstance(v, FieldElement):
@@ -152,9 +163,31 @@ class ExtensionField:
             yield FieldElement(self, rep)
 
     def is_square(self, a: "FieldElement") -> bool:
+        """a^((p^k - 1)/2) = N(a)^((p - 1)/2) = 1, read off the norm for odd p."""
         if a.is_zero():
             return True
-        return (a ** ((self.size() - 1) // 2)).rep == self.one().rep
+        if self.p == 2:
+            return (a ** ((self.size() - 1) // 2)).rep == self.one().rep
+        return pow(self.norm(a), (self.p - 1) // 2, self.p) == 1
+
+    def conjugates_product(self, a: "FieldElement") -> "FieldElement":
+        """a^(r - 1) = Frob^1(a) ... Frob^(k-1)(a), r = (p^k - 1)/(p - 1), with
+        Frob^i(a) = sum_j a_j (t^j)^(p^i) read from the Frobenius images
+        (the a_j lie in F_p), so that a a^(r - 1) = N(a) lies in F_p."""
+        out = None
+        p, (a0, *high) = self.p, a.rep
+        for images in self.frob:
+            acc = [a0] + [0] * (self.k - 1)  # (t^0)^(p^i) = 1
+            for x, img in zip(high, images[1:]):
+                if x:
+                    acc = [u + x * w for u, w in zip(acc, img)]
+            conj = FieldElement(self, tuple([u % p for u in acc]))
+            out = conj if out is None else out * conj
+        return self.one() if out is None else out
+
+    def norm(self, a: "FieldElement") -> int:
+        """N(a) = a^r, r = (p^k - 1)/(p - 1), as an int in [0, p)."""
+        return (a * self.conjugates_product(a)).rep[0]
 
     def sqrt(self, a: "FieldElement") -> "FieldElement | None":
         return _tonelli_generic(self, a)
@@ -222,6 +255,8 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
+            if other.field is self.field:
+                return other
             if other.field != self.field:
                 if (
                     isinstance(self.field, ExtensionField)
@@ -241,24 +276,27 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if isinstance(self.rep, int):
-            return FieldElement(self.field, (self.rep + o.rep) % self.field.p)
         p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.rep, o.rep)))
+        if isinstance(self.rep, int):
+            return FieldElement(self.field, (self.rep + o.rep) % p)
+        return FieldElement(self.field, tuple([(a + b) % p for a, b in zip(self.rep, o.rep)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if isinstance(self.rep, int):
-            return FieldElement(self.field, (-self.rep) % self.field.p)
         p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.rep))
+        if isinstance(self.rep, int):
+            return FieldElement(self.field, (-self.rep) % p)
+        return FieldElement(self.field, tuple([(-a) % p for a in self.rep]))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        p = self.field.p
+        if isinstance(self.rep, int):
+            return FieldElement(self.field, (self.rep - o.rep) % p)
+        return FieldElement(self.field, tuple([(a - b) % p for a, b in zip(self.rep, o.rep)]))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -267,24 +305,38 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if isinstance(self.rep, int):
-            return FieldElement(self.field, (self.rep * o.rep) % self.field.p)
         f = self.field
-        prod = intpoly.pmul(list(self.rep), list(o.rep), f.p)
-        if len(prod) > f.k:  # a shorter product is already reduced
-            prod = intpoly.pmod(prod, list(f.modulus), f.p)
-        return FieldElement(f, tuple(prod + [0] * (f.k - len(prod))))
+        if isinstance(self.rep, int):
+            return FieldElement(f, (self.rep * o.rep) % f.p)
+        # schoolbook product; each c_(k+i) t^(k+i) is folded in by the row t^(k+i) mod modulus
+        a, b, k = self.rep, o.rep, f.k
+        c = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    c[j] += x * y
+        low = c[:k]
+        for h, row in zip(c[k:], f.fold):
+            if h:
+                low = [u + h * w for u, w in zip(low, row)]
+        p = f.p
+        return FieldElement(f, tuple([u % p for u in low]))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """a^-1 = a^(r - 1) N(a)^-1, r = (p^k - 1)/(p - 1) (T. Itoh and S. Tsujii,
+        Inform. and Comput. 78, 1988): the norm N(a) = a a^(r - 1) lies in F_p,
+        so the one inversion left is an int one."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if isinstance(self.rep, int):
-            return FieldElement(self.field, pow(self.rep, -1, self.field.p))
         f = self.field
-        inv = intpoly.einv(intpoly.trim(list(self.rep)), list(f.modulus), f.p)
-        return FieldElement(f, tuple(inv + [0] * (f.k - len(inv))))
+        if isinstance(self.rep, int):
+            return FieldElement(f, pow(self.rep, -1, f.p))
+        conj = f.conjugates_product(self)
+        p = f.p
+        n_inv = pow((self * conj).rep[0], -1, p)
+        return FieldElement(f, tuple([u * n_inv % p for u in conj.rep]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -306,7 +358,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.rep == other.rep
+            f, g = self.field, other.field
+            return self.rep == other.rep and (f is g or f == g)
         if isinstance(other, int):
             return self == self.field.element(other)
         return NotImplemented
@@ -539,6 +592,32 @@ def _val_is_zero(c) -> bool:
 
 def _val_inverse(c):
     return c.inverse() if isinstance(c, FieldElement) else 1 / c
+
+
+_DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {}  # (p, k) -> modulus
+_EXT_TABLES: dict[tuple, tuple] = {}  # (p, modulus) -> (fold, frob), one per field
+
+
+def _ext_tables(p: int, mod: tuple[int, ...]) -> tuple:
+    """(fold, frob) for F_p[t]/(mod), k = deg mod, as coefficient tuples of
+    length k: fold[i] = t^(k+i) mod mod for 0 <= i < k - 1, and
+    frob[i-1][j] = (t^j)^(p^i) for 1 <= i < k and 0 <= j < k, from one
+    t^(p^i) = (t^(p^(i-1)))^p per i."""
+    k, m = len(mod) - 1, list(mod)
+
+    def padded(f: list[int]) -> tuple[int, ...]:
+        return tuple(f + [0] * (k - len(f)))
+
+    fold = tuple(padded(intpoly.pmod([0] * (k + i) + [1], m, p)) for i in range(k - 1))
+    frob, t_pi = [], [0, 1]
+    for _ in range(1, k):
+        t_pi = intpoly.ppowmod(t_pi, p, m, p)
+        images, power = [], [1]
+        for _ in range(k):
+            images.append(padded(power))
+            power = intpoly.emul(power, t_pi, m, p)
+        frob.append(tuple(images))
+    return fold, tuple(frob)
 
 
 def find_irreducible_ints(p: int, k: int) -> list[int]:

@@ -366,7 +366,7 @@ def solve_twist_scale(A1, B1, A2, B2, q, tab: FqTables):
     if A1 % q and B1 % q:
         u2 = B1 * A2 * tab.inv[B2 * A1 % q] % q
         u = tab.sqrt[u2]
-        if u < 0:
+        if u <= 0:  # u2 = 0 when A2 = 0: a j = 0 curve against a generic one
             raise InternalError("same-key curves do not admit an isomorphism (generic j)")
         return u
     if A1 % q == 0:

@@ -319,6 +319,13 @@ def verify_theorem2_products(
                   "pairs_skipped_large_splitting": 0,
                   "semisimple_instances": 0, "non_semisimple_instances": 0}
     factor_cache: dict = {}
+    line_cache: dict = {}
+
+    def line_data(g, arm, basis):
+        key = (g.target, arm.dual_line)  # the basis is the target's
+        if key not in line_cache:
+            line_cache[key] = _line_subspace(basis, list(arm.dual_line))
+        return line_cache[key]
 
     def factor_data(g):
         key = g.target
@@ -344,8 +351,8 @@ def verify_theorem2_products(
         rep.counts["pairs_checked"] += 1
         b1, m1 = d1
         b2, m2 = d2
-        l1 = _line_subspace(b1, list(a1.dual_line))
-        l2 = _line_subspace(b2, list(a2.dual_line))
+        l1 = line_data(g1, a1, b1)
+        l2 = line_data(g2, a2, b2)
         mod = product_module(
             GaloisModule.from_matrices(ell, [[list(r) for r in m1.entries]]),
             GaloisModule.from_matrices(ell, [[list(r) for r in m2.entries]]),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isogeny_lab import intpoly
+from isogeny_lab import fields, intpoly
 from isogeny_lab.curves import WeierstrassCurve, division_polynomial
 from isogeny_lab.errors import CapabilityError, FieldMismatchError
 from isogeny_lab.fields import (
@@ -455,3 +455,93 @@ def test_prime_field_poly_roots_equal_roots_in_fq(q):
             F, [rng.randrange(q) for _ in range(rng.randrange(1, 5))] + [rng.randrange(1, q)])
         got = sorted(r.rep for r in poly_roots(f))
         assert got == intpoly.roots_in_fq(f.int_coeffs(), q)
+
+
+# --- F_{p^k} element arithmetic against the intpoly kernels -----------------------
+
+
+def _ext_elements(K, count=None, seed=0):
+    """Every element of K, or `count` seeded random ones."""
+    if count is None:
+        return list(K.iter_elements())
+    rng = random.Random(seed)
+    return [K.element([rng.randrange(K.p) for _ in range(K.k)]) for _ in range(count)]
+
+
+def _arithmetic_mismatches(K, elements, pairs):
+    """(what, a, b) for each product, inverse or quadratic character of K's
+    elements that disagrees with the intpoly kernels: emul for a * b, einv
+    (and a * a^-1 = 1) for the inverse of a nonzero a, which must not raise,
+    and a^((p^k - 1)/2) = 1 by ppowmod for is_square.  Zero's inverse must
+    raise ZeroDivisionError."""
+    p, m = K.p, list(K.modulus)
+    pad = lambda f: tuple(f + [0] * (K.k - len(f)))  # noqa: E731
+    half = (K.size() - 1) // 2
+    bad = []
+    for a, b in pairs:
+        if (a * b).rep != pad(intpoly.emul(list(a.rep), list(b.rep), m, p)):
+            bad.append(("mul", a, b))
+    for a in elements:
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            continue
+        try:
+            inv = a.inverse()
+        except ValueError:  # pow(N(a), -1, p) with N(a) = 0 for a nonzero a
+            inv = K.zero()
+        if inv.rep != pad(intpoly.einv(intpoly.trim(list(a.rep)), m, p)) or a * inv != K.one():
+            bad.append(("inverse", a, None))
+        if K.is_square(a) != (intpoly.ppowmod(list(a.rep), half, m, p) == [1]):
+            bad.append(("is_square", a, None))
+    return bad
+
+
+@pytest.mark.parametrize("pk", [(5, 2), (7, 2), (3, 4)])
+def test_extension_arithmetic_matches_intpoly_exhaustively(pk):
+    """Every product, inverse and quadratic character of F_{5^2}, F_{7^2}
+    and F_{3^4}, and the zero inverse's ZeroDivisionError."""
+    K = ExtensionField(*pk)
+    els = _ext_elements(K)
+    assert len(els) == K.size()
+    assert _arithmetic_mismatches(K, els, [(a, b) for a in els for b in els]) == []
+
+
+@pytest.mark.parametrize("pk", [(41, 2), (7, 4), (3, 5)])
+def test_extension_arithmetic_matches_intpoly_on_random_elements(pk):
+    """200 seeded random elements of F_{41^2}, F_{7^4} and F_{3^5}, each
+    multiplied by the next and by itself, with zero added."""
+    K = ExtensionField(*pk)
+    els = [K.zero()] + _ext_elements(K, 200, seed=pk[0] * 10 + pk[1])
+    pairs = list(zip(els, els[1:] + els[:1])) + [(a, a) for a in els]
+    assert _arithmetic_mismatches(K, els, pairs) == []
+
+
+def test_inverse_oracle_catches_a_corrupted_frobenius_column(monkeypatch):
+    """The oracle's self-check: with one Frobenius image (t^1)^(p^2) of
+    F_{7^4} changed, the Itoh-Tsujii inverse goes wrong and is caught."""
+    p, k = 7, 4
+    mod = ExtensionField(p, k).modulus
+    fold, frob = fields._EXT_TABLES[p, mod]
+    col = tuple((c + 1) % p for c in frob[1][1])
+    bad = frob[:1] + ((frob[1][0], col) + frob[1][2:],) + frob[2:]
+    monkeypatch.setitem(fields._EXT_TABLES, (p, mod), (fold, bad))
+    K = ExtensionField(p, k)
+    els = _ext_elements(K, 50, seed=1)
+    assert any(what == "inverse" for what, _, _ in _arithmetic_mismatches(K, els, []))
+
+
+def test_passed_modulus_is_still_checked():
+    """A modulus passed in, as a JSON curve's, is tested for irreducibility;
+    x^2 + 1 = (x + 2)(x + 3) over F_5."""
+    with pytest.raises(ValueError, match="reducible"):
+        ExtensionField(5, 2, [1, 0, 1])
+    assert ExtensionField(5, 2, [2, 0, 1]) == ExtensionField(5, 2)
+
+
+def test_norm_is_the_power_r():
+    """N(a) = a^((p^k - 1)/(p - 1)) in F_p, for every a of F_{3^4}."""
+    K = ExtensionField(3, 4)
+    r = (K.size() - 1) // (K.p - 1)
+    for a in K.iter_elements():
+        assert K.from_base_int(K.norm(a)) == a**r

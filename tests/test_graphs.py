@@ -139,6 +139,13 @@ def test_zero_divisor_raises():
         short_class_key(A, B, q, tab)
 
 
+def test_twist_scale_into_a_j0_curve_raises():
+    """A generic-j curve (A1 B1 != 0) against a j = 0 curve (A2 = 0) has no
+    twist scale: u^2 = B1 A2 / (B2 A1) = 0 must not read as u = 0."""
+    with pytest.raises(InternalError, match="generic j"):
+        solve_twist_scale(2, 3, 0, 5, 13, fq_tables(13))
+
+
 def test_sixth_root_table_matches_the_cube_root_search():
     """The j = 0 twist scale: the table's u for c is the square root of the
     least cube root z of c that is a nonzero square, as the old search over

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from isogeny_lab import curves, galois_modules as GM, graphs as G, intpoly, verify as V
+from isogeny_lab import curves, fields, galois_modules as GM, graphs as G, intpoly, verify as V
 from isogeny_lab.curves import division_polynomial, torsion_field_degree
 from isogeny_lab.errors import InternalError
 from isogeny_lab.fields import PrimeField
@@ -109,6 +110,33 @@ def test_product_configuration_checked_once(monkeypatch):
     # one per pointedness check, and three in each of the two complement
     # solves of each of the six semisimple configurations
     assert calls["is_invariant"] == 48
+
+
+def test_product_check_extension_work_is_done_once(monkeypatch):
+    """At (41, 3) the six factor targets split E[3] over F_{41^2}.  No
+    FieldElement.inverse calls intpoly.einv (the extended-gcd inverse made
+    342 calls), the default modulus of F_{41^2} is found once from a cold
+    start (once per torsion basis, 6 times, with the Rabin test rerun on it),
+    and each of the six arms' lines is built once (12 calls, once per pair
+    side, with the first arm's line rebuilt in every pair)."""
+    einv_callers, found, lines = Counter(), Counter(), []
+    orig_einv, orig_find, orig_line = intpoly.einv, fields.find_irreducible_ints, V._line_subspace
+
+    def spy_einv(*args):
+        einv_callers[sys._getframe(1).f_code.co_name] += 1
+        return orig_einv(*args)
+
+    monkeypatch.setattr(intpoly, "einv", spy_einv)
+    monkeypatch.setattr(fields, "find_irreducible_ints",
+                        lambda p, k: found.update([(p, k)]) or orig_find(p, k))
+    monkeypatch.setattr(fields, "_DEFAULT_MODULI", {})  # cold, as in a fresh process
+    monkeypatch.setattr(V, "_line_subspace", lambda basis, w: lines.append(
+        (basis.curve, tuple(w))) or orig_line(basis, w))
+    rep = verify_theorem2_products(41, 3)
+    assert rep.counts["pairs_checked"] == 6
+    assert einv_callers["inverse"] == 0
+    assert found == {(41, 2): 1}
+    assert len(lines) == len(set(lines)) == 6
 
 
 def test_product_configuration_order_and_fixed_space_computed_once(monkeypatch):
