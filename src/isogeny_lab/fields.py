@@ -163,17 +163,15 @@ class ExtensionField:
             yield FieldElement(self, rep)
 
     def is_square(self, a: "FieldElement") -> bool:
-        """a^((p^k - 1)/2) = N(a)^((p - 1)/2) = 1, read off the norm for odd p."""
-        if a.is_zero():
-            return True
-        if self.p == 2:
-            return (a ** ((self.size() - 1) // 2)).rep == self.one().rep
-        return pow(self.norm(a), (self.p - 1) // 2, self.p) == 1
+        """a^((p^k - 1)/2) = N(a)^((p - 1)/2) = 1, read off the norm; for p = 2
+        the exponent is 0 and every element is a square."""
+        return a.is_zero() or pow(self._norm_parts(a)[1], (self.p - 1) // 2, self.p) == 1
 
-    def conjugates_product(self, a: "FieldElement") -> "FieldElement":
-        """a^(r - 1) = Frob^1(a) ... Frob^(k-1)(a), r = (p^k - 1)/(p - 1), with
+    def _norm_parts(self, a: "FieldElement") -> "tuple[FieldElement, int]":
+        """(a^(r - 1), N(a)), r = (p^k - 1)/(p - 1), with N(a) = a a^(r - 1) = a^r
+        an int in [0, p).  a^(r - 1) = Frob^1(a) ... Frob^(k-1)(a), each
         Frob^i(a) = sum_j a_j (t^j)^(p^i) read from the Frobenius images
-        (the a_j lie in F_p), so that a a^(r - 1) = N(a) lies in F_p."""
+        (the a_j lie in F_p)."""
         out = None
         p, (a0, *high) = self.p, a.rep
         for images in self.frob:
@@ -183,11 +181,9 @@ class ExtensionField:
                     acc = [u + x * w for u, w in zip(acc, img)]
             conj = FieldElement(self, tuple([u % p for u in acc]))
             out = conj if out is None else out * conj
-        return self.one() if out is None else out
-
-    def norm(self, a: "FieldElement") -> int:
-        """N(a) = a^r, r = (p^k - 1)/(p - 1), as an int in [0, p)."""
-        return (a * self.conjugates_product(a)).rep[0]
+        if out is None:
+            out = self.one()
+        return out, (a * out).rep[0]
 
     def sqrt(self, a: "FieldElement") -> "FieldElement | None":
         return _tonelli_generic(self, a)
@@ -333,9 +329,9 @@ class FieldElement:
         f = self.field
         if isinstance(self.rep, int):
             return FieldElement(f, pow(self.rep, -1, f.p))
-        conj = f.conjugates_product(self)
+        conj, n = f._norm_parts(self)
         p = f.p
-        n_inv = pow((self * conj).rep[0], -1, p)
+        n_inv = pow(n, -1, p)
         return FieldElement(f, tuple([u * n_inv % p for u in conj.rep]))
 
     def __truediv__(self, other):

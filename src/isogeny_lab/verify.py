@@ -321,10 +321,10 @@ def verify_theorem2_products(
     factor_cache: dict = {}
     line_cache: dict = {}
 
-    def line_data(g, arm, basis):
-        key = (g.target, arm.dual_line)  # the basis is the target's
+    def line_data(g, arm):
+        key = (g.target, arm.dual_line)
         if key not in line_cache:
-            line_cache[key] = _line_subspace(basis, list(arm.dual_line))
+            line_cache[key] = _line_subspace(factor_data(g)[0], list(arm.dual_line))
         return line_cache[key]
 
     def factor_data(g):
@@ -349,13 +349,11 @@ def verify_theorem2_products(
             rep.counts["pairs_skipped_large_splitting"] += 1
             continue
         rep.counts["pairs_checked"] += 1
-        b1, m1 = d1
-        b2, m2 = d2
-        l1 = line_data(g1, a1, b1)
-        l2 = line_data(g2, a2, b2)
+        l1 = line_data(g1, a1)
+        l2 = line_data(g2, a2)
         mod = product_module(
-            GaloisModule.from_matrices(ell, [[list(r) for r in m1.entries]]),
-            GaloisModule.from_matrices(ell, [[list(r) for r in m2.entries]]),
+            GaloisModule.from_matrices(ell, [[list(r) for r in d1[1].entries]]),
+            GaloisModule.from_matrices(ell, [[list(r) for r in d2[1].entries]]),
         )
         (l1a, l1b) = l1.rows[0]
         (l2a, l2b) = l2.rows[0]

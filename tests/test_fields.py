@@ -539,9 +539,22 @@ def test_passed_modulus_is_still_checked():
     assert ExtensionField(5, 2, [2, 0, 1]) == ExtensionField(5, 2)
 
 
-def test_norm_is_the_power_r():
-    """N(a) = a^((p^k - 1)/(p - 1)) in F_p, for every a of F_{3^4}."""
+def test_norm_parts_are_the_powers_r_minus_1_and_r():
+    """(a^(r - 1), N(a)) with N(a) = a^r in F_p, r = (p^k - 1)/(p - 1), for
+    every a of F_{3^4}."""
     K = ExtensionField(3, 4)
     r = (K.size() - 1) // (K.p - 1)
     for a in K.iter_elements():
-        assert K.from_base_int(K.norm(a)) == a**r
+        conj, n = K._norm_parts(a)
+        assert conj == a ** (r - 1)
+        assert K.from_base_int(n) == a**r
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_element_of_a_binary_extension_is_a_square(k):
+    """In F_{2^k}, a = (a^(2^(k-1)))^2 for every a, and is_square says so."""
+    K = ExtensionField(2, k)
+    for a in K.iter_elements():
+        root = a ** (K.size() // 2)
+        assert root * root == a
+        assert K.is_square(a)
