@@ -14,7 +14,6 @@ from .curves import (  # noqa: F401
     FrobeniusMatrix,
     TorsionBasis,
     WeierstrassCurve,
-    curve_order,
     division_polynomial,
     frobenius_matrix,
     torsion_basis,
@@ -47,7 +46,6 @@ from .galois_modules import (  # noqa: F401
 )
 from .graphs import PointedGraph, build_pointed_graphs  # noqa: F401
 from .isogenies import (  # noqa: F401
-    CurveIsomorphism,
     Isogeny,
     family_e3,
     velu_quotient,

@@ -23,12 +23,11 @@ from .fields import (
     PrimeField,
     QQ,
     RationalField,
-    _val_inverse,
+    _roots_from_base_factors,
     _val_is_zero,
     poly_roots,
 )
 
-ORDER_ENUMERATION_CAP = 10**6
 TORSION_DEGREE_BOUND = lambda ell: ell * (ell - 1) * (ell + 1)  # noqa: E731
 
 
@@ -99,10 +98,16 @@ class WeierstrassCurve:
     def rhs_cubic(self, x):
         return x * x * x + self.a2 * x * x + self.a4 * x + self.a6
 
+    def _y_disc(self, x):
+        """(a1 x + a3, disc) with disc = (a1 x + a3)^2 + 4 rhs(x), the
+        discriminant of the y-quadratic above x: 0, 1 or 2 points lie above x
+        as disc is a non-square, zero or a nonzero square (char != 2)."""
+        lin = self.a1 * x + self.a3
+        return lin, lin * lin + 4 * self.rhs_cubic(x)
+
     def y_candidates(self, x) -> list:
         """Points above x: solve the y-quadratic (char != 2)."""
-        lin = self.a1 * x + self.a3
-        disc = lin * lin + 4 * self.rhs_cubic(x)
+        lin, disc = self._y_disc(x)
         field = self.field
         if isinstance(field, RationalField):
             from .fields import rational_sqrt
@@ -115,8 +120,8 @@ class WeierstrassCurve:
             s = field.sqrt(field.element(disc))
             if s is None:
                 return []
-            inv2 = field.element(2).inverse()
-            ys = {(-lin + s) * inv2, (-lin - s) * inv2}
+            half = (field.characteristic() + 1) // 2  # 1/2 in F_p
+            ys = {(-lin + s) * half, (-lin - s) * half}
         return sorted(ys, key=_sort_key)
 
     def base_change(self, new_field) -> "WeierstrassCurve":
@@ -127,28 +132,6 @@ class WeierstrassCurve:
 
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def short_form(self):
-        """(short-form curve, iso self->short) for char > 3 or Q.
-
-        The iso data (u, r, s, t) follows the substitution
-        x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
-        """
-        from .isogenies import CurveIsomorphism
-
-        two_inv = _val_inverse(self.field.element(2))
-        s = -self.a1 * two_inv
-        t = -self.a3 * two_inv
-        e1 = CurveIsomorphism(self.field, self.field.one(), self.field.zero(), s, t)
-        c1 = e1.apply_to_curve(self)
-        # now a1 = a3 = 0; kill a2 with r = -a2/3
-        three_inv = _val_inverse(self.field.element(3))
-        r = -c1.a2 * three_inv
-        e2 = CurveIsomorphism(c1.field, c1.field.one(), r, c1.field.zero(), c1.field.zero())
-        c2 = e2.apply_to_curve(c1)
-        # then a3 may have reappeared? (no: r-shift with a1=0 gives a3' = a3 + r*a1 = 0)
-        iso = e1.compose(e2)
-        return c2, iso
 
     def to_json(self) -> dict:
         f = self.field
@@ -212,9 +195,6 @@ class CurvePoint:
         self.y = y
         self.infinity = infinity
 
-    def is_infinity(self) -> bool:
-        return self.infinity
-
     def __neg__(self):
         if self.infinity:
             return self
@@ -224,25 +204,22 @@ class CurvePoint:
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
         if not isinstance(other, CurvePoint):
             return NotImplemented
-        if self.curve != other.curve:
+        c = self.curve
+        if other.curve is not c and c != other.curve:
             raise FieldMismatchError("points on different curves")
         if self.infinity:
             return other
         if other.infinity:
             return self
-        c = self.curve
-        a1, a2, a3, a4, a6 = c.coefficients()
+        a1, a2, a3 = c.a1, c.a2, c.a3
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         if x1 == x2:
             if _val_is_zero(y1 + y2 + a1 * x2 + a3):
                 return c.infinity()
-            den = 2 * y1 + a1 * x1 + a3
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-            nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) / den
+            lam = (3 * x1 * x1 + 2 * a2 * x1 + c.a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
         else:
-            den = x2 - x1
-            lam = (y2 - y1) / den
-            nu = (y1 * x2 - y2 * x1) / den
+            lam = (y2 - y1) / (x2 - x1)
+        nu = y1 - lam * x1  # the chord or tangent y = lam x + nu passes through (x1, y1)
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
         y3 = -(lam + a1) * x3 - nu - a3
         return CurvePoint(c, x3, y3, False)
@@ -327,38 +304,6 @@ def division_polynomial(curve: WeierstrassCurve, n: int) -> Polynomial:
     return psi[n] if n % 2 == 1 else F * psi[n]
 
 
-# --- point counting -----------------------------------------------------------
-
-
-def curve_order(curve: WeierstrassCurve, cap: int = ORDER_ENUMERATION_CAP) -> int:
-    """#E(F_q) by exhaustive enumeration over x (char != 2 trick: count y
-    solutions through the quadratic discriminant)."""
-    field = curve.field
-    size = field.size()
-    if size is None:
-        raise CapabilityError("curve_order requires a finite field")
-    if size > cap:
-        raise CapabilityError(f"field size {size} exceeds enumeration cap {cap}")
-    if isinstance(field, PrimeField):
-        q = field.p
-        a1, a2, a3, a4, a6 = (c.to_int() for c in curve.coefficients())
-        total = 1
-        half = (q - 1) // 2
-        for x in range(q):
-            lin = (a1 * x + a3) % q
-            f = (((x + a2) * x + a4) * x + a6) % q
-            disc = (lin * lin + 4 * f) % q
-            if disc == 0:
-                total += 1
-            elif pow(disc, half, q) == 1:
-                total += 2
-        return total
-    total = 1
-    for x in field.iter_elements():
-        total += len(curve.y_candidates(x))
-    return total
-
-
 # --- torsion bases over extensions --------------------------------------------
 
 
@@ -399,6 +344,24 @@ class TorsionBasis:
         return weil_pairing(self.P, self.Q, self.ell)
 
 
+def _torsion_x_factors(curve: WeierstrassCurve, ell: int) -> list[list[int]]:
+    """The monic irreducible factors over F_q of division_polynomial(curve,
+    ell), kept in the curve's cache for torsion_field_degree and
+    torsion_basis."""
+    key = ("x_factors", ell)
+    if key not in curve._cache:
+        field = curve.field
+        if not isinstance(field, PrimeField):
+            raise CapabilityError("torsion bases are built over prime base fields")
+        q = field.p
+        if ell == q:
+            raise ValueError("ell must differ from the characteristic")
+        coeffs = [c.to_int() for c in curve.coefficients()]
+        psi = graphs.torsion_x_poly_ints(coeffs, q, ell)
+        curve._cache[key] = intpoly.factor_squarefree(psi, q)
+    return curve._cache[key]
+
+
 @functools.lru_cache(maxsize=64)
 def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     """Minimal k with E[ell] contained in E(F_{q^k}); q prime.
@@ -408,14 +371,9 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     or its quadratic extension.  The splitting degree is the lcm of the
     point degrees (the Galois group is cyclic, so compositum degree = lcm).
     """
-    field = curve.field
-    if not isinstance(field, PrimeField):
-        raise CapabilityError("torsion bases are built over prime base fields")
-    q = field.p
-    if ell == q:
-        raise ValueError("ell must differ from the characteristic")
-    a1, a2, a3, a4, a6 = coeffs = [c.to_int() for c in curve.coefficients()]
-    factors = intpoly.factor_squarefree(graphs.torsion_x_poly_ints(coeffs, q, ell), q)
+    factors = _torsion_x_factors(curve, ell)
+    q = curve.field.p
+    a1, a2, a3, a4, a6 = [c.to_int() for c in curve.coefficients()]
     rhs_coeffs = [a6, a4, a2, 1]
     k = 1
     for f in factors:
@@ -450,37 +408,37 @@ def torsion_basis(curve: WeierstrassCurve, ell: int) -> TorsionBasis:
         raise CapabilityError("torsion bases are built over prime base fields")
     q = field.p
     k = torsion_field_degree(curve, ell)
-    if k == 1:
+    if k == 1:  # whole-polynomial poly_roots: the sweeps trace its splitting
         K = field
         curve_k = curve
+        xs = poly_roots(division_polynomial(curve, ell), K)
     else:
         K = ExtensionField(q, k)
         curve_k = curve.base_change(K)
-    xs = sorted(poly_roots(division_polynomial(curve, ell), K), key=_sort_key)
-    points = []
+        xs = _roots_from_base_factors(_torsion_x_factors(curve, ell), K)
+    xs = sorted(xs, key=_sort_key)
+    found = 0  # nonzero points, 0, 1 or 2 above each x
     for x in xs:
-        for y in curve_k.y_candidates(x):
-            points.append(curve_k.point(x, y))
+        disc = curve_k._y_disc(x)[1]
+        found += 1 if _val_is_zero(disc) else 2 if K.is_square(disc) else 0
     expected = ell * ell - 1
-    if len(points) != expected:
+    if found != expected:
         raise InternalError(
-            f"found {len(points)} nonzero {ell}-torsion points over F_{q}^{k}, expected {expected}"
+            f"found {found} nonzero {ell}-torsion points over F_{q}^{k}, expected {expected}"
         )
-    P = points[0]
+    # P, Q: the first point by (x, y), and the first outside <P>, which lies
+    # above the first x of no iP (above that x lie +-iP)
+    P = curve_k.point(xs[0], curve_k.y_candidates(xs[0])[0])
     if not P.has_order(ell):
         raise InternalError("division polynomial root gave a point of wrong order")
-    span = set()
-    acc = curve_k.infinity()
-    for _ in range(ell - 1):
+    span_xs, acc = {P.x}, P
+    for _ in range(ell // 2 - 1):  # iP for 0 < i <= ell/2 meet every x of <P>
         acc = acc + P
-        span.add(acc)
-    Q = None
-    for cand in points:
-        if cand not in span:
-            Q = cand
-            break
-    if Q is None:
+        span_xs.add(acc.x)
+    x_q = next((x for x in xs if x not in span_xs), None)
+    if x_q is None:
         raise InternalError("no independent second basis point found")
+    Q = curve_k.point(x_q, curve_k.y_candidates(x_q)[0])
     basis = TorsionBasis(ell=ell, k=k, base_q=q, curve=curve_k, P=P, Q=Q)
     one = curve_k.field.one()
     if basis.zeta == one or not _val_is_zero(basis.zeta**ell - one):
@@ -592,28 +550,26 @@ class FrobeniusMatrix:
         return self.entries == ((1, 0), (0, 1))
 
 
-def _frobenius_point(point: CurvePoint, q: int) -> CurvePoint:
-    if point.infinity:
+def _frobenius_point(point: CurvePoint) -> CurvePoint:
+    """The p-power Frobenius of a point over F_p or F_{p^k}."""
+    field = point.curve.field
+    if point.infinity or not isinstance(field, ExtensionField):
         return point
-    return CurvePoint(point.curve, point.x**q, point.y**q, False)
+    x, y = (FieldElement(field, field._frobenius(c.rep)) for c in (point.x, point.y))
+    return CurvePoint(point.curve, x, y, False)
 
 
-def frobenius_matrix(
-    curve: WeierstrassCurve, basis: TorsionBasis, order: int | None = None
-) -> FrobeniusMatrix:
-    """Matrix of the base-field Frobenius acting on (P, Q), solved by
-    enumerating all ell^2 coordinate pairs."""
+def frobenius_matrix(curve: WeierstrassCurve, basis: TorsionBasis, order: int) -> FrobeniusMatrix:
+    """Matrix of the base-field Frobenius acting on (P, Q), checked against
+    q mod ell (determinant) and q + 1 - order mod ell (trace)."""
     ell, q = basis.ell, basis.base_q
-    colP = basis.coordinates(_frobenius_point(basis.P, q))
-    colQ = basis.coordinates(_frobenius_point(basis.Q, q))
+    colP = basis.coordinates(_frobenius_point(basis.P))
+    colQ = basis.coordinates(_frobenius_point(basis.Q))
     entries = ((colP[0], colQ[0]), (colP[1], colQ[1]))
     mat = FrobeniusMatrix(ell=ell, q=q, entries=entries)
     if mat.determinant() != q % ell:
         raise InternalError("Frobenius determinant != q mod ell")
-    if order is None:
-        if curve.field.size() <= ORDER_ENUMERATION_CAP:
-            order = curve_order(curve)
-    if order is not None and mat.trace() != (q + 1 - order) % ell:
+    if mat.trace() != (q + 1 - order) % ell:
         raise InternalError("Frobenius trace != q + 1 - #E mod ell")
     return mat
 

@@ -11,12 +11,12 @@ invariants (positive denominator, coprime parts).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import isqrt, lcm
 from typing import Iterable, Iterator
 
 from . import intpoly
-from .errors import CapabilityError, FieldMismatchError
+from .errors import CapabilityError, FieldMismatchError, InternalError
 
 
 def is_prime(n: int) -> bool:
@@ -143,9 +143,6 @@ class ExtensionField:
         rep = [v % self.p] + [0] * (self.k - 1)
         return FieldElement(self, tuple(rep))
 
-    def gen(self) -> "FieldElement":
-        return self.element([0, 1])  # reduced mod the modulus, which matters for k = 1
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, (0,) * self.k)
 
@@ -167,26 +164,70 @@ class ExtensionField:
         the exponent is 0 and every element is a square."""
         return a.is_zero() or pow(self._norm_parts(a)[1], (self.p - 1) // 2, self.p) == 1
 
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        """a b for reps: schoolbook, each c_(k+i) t^(k+i) folded in by a row."""
+        k = self.k
+        c = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    c[j] += x * y
+        low = c[:k]
+        for h, row in zip(c[k:], self.fold):
+            if h:
+                low = [u + h * w for u, w in zip(low, row)]
+        p = self.p
+        return tuple([u % p for u in low])
+
+    def _frobenius(self, a: tuple, i: int = 1) -> tuple:
+        """Frob^i(a) = sum_j a_j (t^j)^(p^i) for a rep a, 0 < i < k."""
+        a0, *high = a
+        acc = [a0] + [0] * (self.k - 1)  # (t^0)^(p^i) = 1
+        for x, img in zip(high, self.frob[i - 1][1:]):
+            if x:
+                acc = [u + x * w for u, w in zip(acc, img)]
+        p = self.p
+        return tuple([u % p for u in acc])
+
     def _norm_parts(self, a: "FieldElement") -> "tuple[FieldElement, int]":
         """(a^(r - 1), N(a)), r = (p^k - 1)/(p - 1), with N(a) = a a^(r - 1) = a^r
-        an int in [0, p).  a^(r - 1) = Frob^1(a) ... Frob^(k-1)(a), each
-        Frob^i(a) = sum_j a_j (t^j)^(p^i) read from the Frobenius images
-        (the a_j lie in F_p)."""
-        out = None
-        p, (a0, *high) = self.p, a.rep
-        for images in self.frob:
-            acc = [a0] + [0] * (self.k - 1)  # (t^0)^(p^i) = 1
-            for x, img in zip(high, images[1:]):
-                if x:
-                    acc = [u + x * w for u, w in zip(acc, img)]
-            conj = FieldElement(self, tuple([u % p for u in acc]))
-            out = conj if out is None else out * conj
-        if out is None:
-            out = self.one()
-        return out, (a * out).rep[0]
+        an int in [0, p) and a^(r - 1) = Frob^1(a) ... Frob^(k-1)(a)."""
+        out = (1,) + (0,) * (self.k - 1)
+        for i in range(1, self.k):
+            conj = self._frobenius(a.rep, i)
+            out = conj if i == 1 else self._mul(out, conj)
+        return FieldElement(self, out), self._mul(a.rep, out)[0]
 
     def sqrt(self, a: "FieldElement") -> "FieldElement | None":
-        return _tonelli_generic(self, a)
+        """A square root of a, or None (odd p).  For k = 2 through the norm
+        (G. Adj and F. Rodriguez-Henriquez, IEEE Trans. Comput. 63, 2014): if
+        x^2 = a, m = N(x) = +-sqrt(N(a)) and s = Tr(x) have s^2 = Tr(a) + 2m
+        and x = (a + m)/s.  Both signs fail only for a non-residue a of F_p,
+        and then x = sqrt(a/D) (2t + b), (2t + b)^2 = D = b^2 - 4c for the
+        modulus t^2 + bt + c.  Other k take `_tonelli_generic`."""
+        if self.k != 2:
+            return _tonelli_generic(self, a)
+        if a.is_zero():
+            return a
+        p, rep = self.p, a.rep
+        conj = self._frobenius(rep)
+        m = intpoly.sqrt_mod(self._mul(rep, conj)[0], p)
+        if m is None:  # N(a) is a non-residue of F_p
+            return None
+        tr = rep[0] + conj[0]
+        for n in (m, p - m):
+            s = intpoly.sqrt_mod(tr + 2 * n, p)
+            if s:
+                s_inv = pow(s, -1, p)
+                root = ((rep[0] + n) * s_inv % p, rep[1] * s_inv % p)
+                break
+        else:
+            c, b = self.modulus[0], self.modulus[1]
+            r = intpoly.sqrt_mod(rep[0] * pow(b * b - 4 * c, -1, p), p)
+            root = None if r is None else (r * b % p, 2 * r % p)
+        if root is None or self._mul(root, root) != rep:
+            raise InternalError("square root through the norm does not square back")
+        return FieldElement(self, root)
 
     def __eq__(self, other):
         return (
@@ -304,19 +345,7 @@ class FieldElement:
         f = self.field
         if isinstance(self.rep, int):
             return FieldElement(f, (self.rep * o.rep) % f.p)
-        # schoolbook product; each c_(k+i) t^(k+i) is folded in by the row t^(k+i) mod modulus
-        a, b, k = self.rep, o.rep, f.k
-        c = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    c[j] += x * y
-        low = c[:k]
-        for h, row in zip(c[k:], f.fold):
-            if h:
-                low = [u + h * w for u, w in zip(low, row)]
-        p = f.p
-        return FieldElement(f, tuple([u % p for u in low]))
+        return FieldElement(f, f._mul(self.rep, o.rep))
 
     __rmul__ = __mul__
 
@@ -378,11 +407,12 @@ class FieldElement:
         return f"{self.rep}:{self.field!r}"
 
 
-_NONRESIDUE_CACHE: dict = {}
+_NONSQUARES: dict = {}  # field -> a non-square, found once per field
 
 
-def _tonelli_generic(field, a: FieldElement) -> FieldElement | None:
-    """Square root in any odd finite field via Tonelli-Shanks on elements."""
+def _tonelli_generic(field: ExtensionField, a: FieldElement) -> FieldElement | None:
+    """Square root in F_{p^k}, p odd, by Tonelli-Shanks; its non-square is
+    the first t + c, c in F_p (then any element) whose norm is a non-residue."""
     if a.is_zero():
         return field.zero()
     size = field.size()
@@ -394,15 +424,11 @@ def _tonelli_generic(field, a: FieldElement) -> FieldElement | None:
     while s % 2 == 0:
         s //= 2
         m += 1
-    z = _NONRESIDUE_CACHE.get(field)
+    z = _NONSQUARES.get(field)
     if z is None:
-        for cand in field.iter_elements():
-            if not cand.is_zero() and not field.is_square(cand):
-                z = cand
-                break
-        _NONRESIDUE_CACHE[field] = z
-    if z is None:
-        return None
+        lines = (field.element([c, 1]) for c in range(field.p))
+        z = next(c for c in chain(lines, field.iter_elements()) if c and not field.is_square(c))
+        _NONSQUARES[field] = z
     c = z**s
     t = a**s
     r = a ** ((s + 1) // 2)
@@ -499,7 +525,8 @@ class Polynomial:
             c = rem[-1] * inv_lc
             k = len(rem) - 1 - dg
             quot[k] = c
-            for i, b in enumerate(other.coeffs):
+            rem.pop()  # the leading term cancels
+            for i, b in enumerate(other.coeffs[:-1]):
                 rem[k + i] = rem[k + i] - c * b
             while rem and _val_is_zero(rem[-1]):
                 rem.pop()
@@ -521,6 +548,10 @@ class Polynomial:
         if isinstance(self.field, PrimeField):  # the same Euclid, on the int kernel
             g = intpoly.pgcd(self.int_coeffs(), other.int_coeffs(), self.field.p)
             return Polynomial(self.field, g)
+        f = self.field
+        if isinstance(f, ExtensionField):  # the same Euclid, on the rep tuples
+            g = _ext_gcd(f, [c.rep for c in self.coeffs], [c.rep for c in other.coeffs])
+            return Polynomial(f, [FieldElement(f, c) for c in g])
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -574,6 +605,26 @@ class Polynomial:
             return "Poly(0)"
         terms = [f"({c!r})*x^{i}" for i, c in enumerate(self.coeffs) if not _val_is_zero(c)]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _ext_gcd(f: ExtensionField, a: list[tuple], b: list[tuple]) -> list[tuple]:
+    """Monic gcd over F_{p^k} of trimmed ascending lists of reps, by Euclid."""
+    p = f.p
+    while b:
+        lc_inv = FieldElement(f, b[-1]).inverse().rep
+        rem, db = list(a), len(b) - 1
+        while len(rem) > db:
+            c = f._mul(rem.pop(), lc_inv)  # the leading term cancels
+            shift = len(rem) - db
+            for i, bc in enumerate(b[:-1], shift):
+                rem[i] = tuple([(u - v) % p for u, v in zip(rem[i], f._mul(c, bc))])
+            while rem and not any(rem[-1]):
+                rem.pop()
+        a, b = b, rem
+    if not a:
+        return a
+    lc_inv = FieldElement(f, a[-1]).inverse().rep
+    return [f._mul(c, lc_inv) for c in a]
 
 
 def _is_field_value(c, field) -> bool:
@@ -668,34 +719,45 @@ def poly_roots(f: Polynomial, field=None) -> set:
     if field.characteristic() == 2:
         raise CapabilityError("poly_roots requires odd characteristic")
     if isinstance(field, ExtensionField) and not any(any(c.rep[1:]) for c in f.coeffs):
-        return set(_roots_from_base_factors([c.rep[0] for c in f.coeffs], field))
+        base, p = [c.rep[0] for c in f.coeffs], field.p
+        factors = intpoly.factor_squarefree(intpoly.frobenius_gcd(base, field.k, p), p)
+        return set(_roots_from_base_factors(factors, field))
     x = Polynomial.x(field)
     return set(_roots_large_field((x.pow_mod(field.size(), f) - x).gcd(f), field))
 
 
-def _roots_from_base_factors(f: list[int], field: ExtensionField) -> list:
-    """Roots in F_{p^k} of an f with F_p coefficients, from its factors over
-    F_p: only the irreducible factors whose degree divides k have roots
-    there, and gcd(x^(p^k) - x, f) is their squarefree product.  A linear
-    factor gives its root directly; a longer one is split over F_{p^k}."""
+def _roots_from_base_factors(factors: list[list[int]], field: ExtensionField) -> list:
+    """Roots in F_{p^k} of an F_p polynomial from its distinct monic
+    irreducible factors over F_p; those of degree d dividing k have d roots.
+    One split of a quadratic gives both; a longer factor is split only until
+    a root r turns up, and the rest are Frob^i(r), 0 < i < d (J. von zur
+    Gathen and V. Shoup, Comput. Complexity 2, 1992)."""
     roots = []
-    for h in intpoly.factor_squarefree(intpoly.frobenius_gcd(f, field.k, field.p), field.p):
-        if len(h) == 2:
+    for h in factors:
+        d = len(h) - 1
+        if field.k % d:
+            continue
+        if d == 1:
             roots.append(field.from_base_int(-h[0]))
-        else:
+        elif d == 2:
             roots.extend(_roots_large_field(Polynomial(field, h), field))
+        else:
+            r = _roots_large_field(Polynomial(field, h), field, one=True)[0].rep
+            for _ in range(d):
+                roots.append(FieldElement(field, r))
+                r = field._frobenius(r)
     return roots
 
 
-def _roots_large_field(f: Polynomial, field) -> list:
+def _roots_large_field(f: Polynomial, field, one: bool = False) -> list:
     """Roots of a squarefree f that splits into linear factors over a finite
-    field of odd characteristic: f is split by gcds with
-    (x + t)^((|field| - 1)/2) - 1 for shifts t running through the field
-    from the (p+1)-th element on (see `_shift_element`)."""
+    field of odd characteristic (with `one`, only the first root found): f
+    is split by gcds with (x + t)^((|field| - 1)/2) - 1 for shifts t running
+    through the field from the (p+1)-th element on (see `_shift_element`)."""
     size, p = field.size(), field.characteristic()
     roots = []
     stack = [f]
-    while stack:
+    while stack and not (one and roots):
         g = stack.pop()
         if g.degree <= 0:
             continue

@@ -10,9 +10,8 @@ one, its dual line moved by the target's automorphism that relates them; a
 short-form arm's codomain (A, B) and kernel are moved too, and the 3-isogeny
 family's codomain has a closed form.
 
-Everything here works on plain ints mod q for speed; the contract-level
-objects (WeierstrassCurve, Isogeny, CurveIsomorphism) are reconstructed
-lazily from the stored integer data.
+Everything here works on plain ints mod q for speed; a graph keeps its
+curves, kernel points and isomorphisms as int tuples.
 """
 
 from __future__ import annotations
@@ -619,24 +618,6 @@ class GraphArm:
     codomain: tuple[int, int, int, int, int]
     iso_to_target: tuple[int, int, int, int]
     dual_line: tuple[int, ...]
-
-    def source_curve(self, field: PrimeField):
-        from .curves import WeierstrassCurve
-
-        return WeierstrassCurve(field, *self.source)
-
-    def isogeny(self, field: PrimeField):
-        from .isogenies import velu_quotient
-
-        E = self.source_curve(field)
-        P = E.point(field.element(self.kernel_point[0]), field.element(self.kernel_point[1]))
-        return velu_quotient(E, P)
-
-    def isomorphism(self, field: PrimeField):
-        from .isogenies import CurveIsomorphism
-
-        u, r, s, t = self.iso_to_target
-        return CurveIsomorphism(field, u, r, s, t)
 
     def to_json(self):
         return {

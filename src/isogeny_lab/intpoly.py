@@ -123,13 +123,6 @@ def pxgcd(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int], lis
     return r0, u0, v0
 
 
-def peval(f: list[int], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def pderiv(f: list[int], q: int) -> list[int]:
     return trim([(i * c) % q for i, c in enumerate(f)][1:])
 

@@ -1,5 +1,5 @@
-"""Separable prime-degree isogenies via Velu's formulas, explicit curve
-isomorphisms and the universal 3-isogeny family.
+"""Separable prime-degree isogenies via Velu's formulas and the universal
+3-isogeny family.
 
 The quotient is computed from the kernel polynomial alone: the Velu sums
 are symmetric functions of the kernel x-coordinates, so power sums via
@@ -18,72 +18,7 @@ from dataclasses import dataclass, replace
 from . import graphs, intpoly
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import CapabilityError, FieldMismatchError
-from .fields import FieldElement, Polynomial, _val_inverse, _val_is_zero, is_prime
-
-
-class CurveIsomorphism:
-    """Weierstrass change of coordinates x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-
-    __slots__ = ("field", "u", "r", "s", "t")
-
-    def __init__(self, field, u, r, s, t):
-        self.field = field
-        self.u = field.element(u)
-        self.r = field.element(r)
-        self.s = field.element(s)
-        self.t = field.element(t)
-        if _val_is_zero(self.u):
-            raise ValueError("isomorphism scale u must be nonzero")
-
-    @classmethod
-    def identity(cls, field) -> "CurveIsomorphism":
-        return cls(field, field.one(), field.zero(), field.zero(), field.zero())
-
-    def apply_to_curve(self, curve: WeierstrassCurve) -> WeierstrassCurve:
-        a1, a2, a3, a4, a6 = curve.coefficients()
-        u, r, s, t = self.u, self.r, self.s, self.t
-        u2 = u * u
-        u3 = u2 * u
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / u2
-        na3 = (a3 + r * a1 + 2 * t) / u3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u2 * u2)
-        na6 = (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1) / (u3 * u3)
-        return WeierstrassCurve(curve.field, na1, na2, na3, na4, na6)
-
-    def compose(self, other: "CurveIsomorphism") -> "CurveIsomorphism":
-        """self then other (self: E->E1, other: E1->E2)."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = other.u, other.r, other.s, other.t
-        return CurveIsomorphism(
-            self.field,
-            u1 * u2,
-            u1 * u1 * r2 + r1,
-            u1 * s2 + s1,
-            u1 * u1 * u1 * t2 + s1 * u1 * u1 * r2 + t1,
-        )
-
-    def invert(self) -> "CurveIsomorphism":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        ui = _val_inverse(u)
-        ui2 = ui * ui
-        return CurveIsomorphism(
-            self.field, ui, -r * ui2, -s * ui, (s * r - t) * ui2 * ui
-        )
-
-    def to_tuple(self):
-        return (self.u, self.r, self.s, self.t)
-
-    def to_json(self):
-        def enc(v):
-            if isinstance(v, FieldElement):
-                return v.coeff_list() if not isinstance(v.rep, int) else v.rep
-            return [v.numerator, v.denominator]
-
-        return [enc(c) for c in self.to_tuple()]
-
-    def __repr__(self):
-        return f"Iso(u={self.u!r}, r={self.r!r}, s={self.s!r}, t={self.t!r})"
+from .fields import FieldElement, Polynomial, _val_is_zero, is_prime
 
 
 @dataclass(frozen=True)

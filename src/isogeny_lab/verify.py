@@ -144,10 +144,10 @@ def _order_two_torsion(field: PrimeField, graph_list) -> dict:
     return out
 
 
-def _check_full_torsion_target(q: int, ell: int, target, order: int | None, k: int, basis):
-    """Honest check on the target y^2 = x^3 + Ax + B of #E = order (None:
-    count it): E[ell] splits at k = 1 and the Frobenius matrix is the
-    identity; also runs the pairing suite on the constructed basis."""
+def _check_full_torsion_target(q: int, ell: int, target, order: int, k: int, basis):
+    """Honest check on the target y^2 = x^3 + Ax + B of #E = order: E[ell]
+    splits at k = 1 and the Frobenius matrix is the identity; also runs the
+    pairing suite on the constructed basis."""
     if k != 1:
         return False, {"kind": "torsion-not-rational", "q": q, "ell": ell,
                        "target": list(target), "splitting_degree": k}
@@ -658,10 +658,10 @@ def replay_witness(witness: dict) -> bool:
         E = WeierstrassCurve(field, 0, 0, 0, A, B)
         k = torsion_field_degree(E, ell)
         basis = torsion_basis(E, ell) if k == 1 else None
-        if not _check_full_torsion_target(q, ell, (A, B), None, k, basis)[0]:
+        tab = G.fq_tables(q)
+        if not _check_full_torsion_target(q, ell, (A, B), tab.orders()[A][B], k, basis)[0]:
             return False
         if kind == "dual-line-generator-not-rational":
-            tab = G.fq_tables(q)
             return G._line_pointwise_rational(list(witness["line"]), A, B, q, tab)
         return True
     if claim == CLAIM_LEM32 or claim == CLAIM_LEM42:

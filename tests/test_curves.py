@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from isogeny_lab import intpoly
 from isogeny_lab.curves import (
+    CurvePoint,
     WeierstrassCurve,
+    _frobenius_point,
     _line_value,
     _miller_shifted,
     _vertical_value,
-    curve_order,
     division_polynomial,
     frobenius_matrix,
     torsion_basis,
@@ -19,9 +20,10 @@ from isogeny_lab.curves import (
     weil_pairing,
 )
 from isogeny_lab.errors import CapabilityError, InternalError
-from isogeny_lab.fields import ExtensionField, PrimeField, QQ, _val_is_zero
+from isogeny_lab.fields import ExtensionField, PrimeField, QQ, _val_is_zero, poly_roots
 from isogeny_lab.graphs import fq_tables, psi_tilde_ints, pt_mul, xmul_fraction_ints
-from oracles import rational_ell_torsion
+from isogeny_lab.verify import primes_in_range
+from oracles import curve_order, eager_torsion_basis, peval, rational_ell_torsion
 
 
 def hasse_interval(q: int) -> tuple[int, int]:
@@ -58,7 +60,7 @@ def test_point_plus_neg_is_infinity():
     F7 = PrimeField(7)
     E = WeierstrassCurve(F7, 1, 0, 2, 0, 1)
     for P in brute_points(E)[:6]:
-        assert (P + (-P)).is_infinity()
+        assert (P + (-P)).infinity
 
 
 def test_paper_family_point_doubling_over_q():
@@ -66,7 +68,7 @@ def test_paper_family_point_doubling_over_q():
     E = WeierstrassCurve(QQ, 1, 0, 2, 0, 0)
     P = E.point(Fraction(0), Fraction(0))
     assert 2 * P == E.point(Fraction(0), Fraction(-2))
-    assert (3 * P).is_infinity()
+    assert (3 * P).infinity
     assert P.has_order(3)
 
 
@@ -92,7 +94,7 @@ def test_order_matches_brute_force_and_hasse(q, data):
     assert lo <= n <= hi
     # Lagrange: N * P = O for sampled points
     for P in brute_points(E)[:5]:
-        assert (n * P).is_infinity()
+        assert (n * P).infinity
 
 
 def test_curve_order_cap():
@@ -148,7 +150,7 @@ def test_division_polynomial_roots_are_torsion_x(q_ell, data):
     # oracle: brute-force the group for rational ell-torsion x-coordinates
     torsion_xs = set()
     for P in brute_points(E):
-        if (ell * P).is_infinity():
+        if (ell * P).infinity:
             torsion_xs.add(P.x)
     from isogeny_lab.fields import poly_roots
 
@@ -186,9 +188,9 @@ def test_division_polynomial_agrees_with_the_group_law(q):
             num, den = xmul_fraction_ints(psi, F, n, q)
             for P in points:
                 nP = pt_mul(n, P, coeffs, q, fq_tables(q).inv)
-                assert (intpoly.peval(div, P[0], q) == 0) == (nP is None)
+                assert (peval(div, P[0], q) == 0) == (nP is None)
                 if nP is not None:
-                    x_num, x_den = intpoly.peval(num, P[0], q), intpoly.peval(den, P[0], q)
+                    x_num, x_den = peval(num, P[0], q), peval(den, P[0], q)
                     assert x_num == nP[0] * x_den % q and x_den
 
 
@@ -231,7 +233,7 @@ def test_torsion_basis_minimal_degree():
     assert basis.k == 2
     assert basis.P.has_order(3) and basis.Q.has_order(3)
     # oracle: count 3-torsion points of the base-changed curve by brute force
-    count = sum(1 for P in brute_points(basis.curve) if (3 * P).is_infinity())
+    count = sum(1 for P in brute_points(basis.curve) if (3 * P).infinity)
     assert count + 1 == 9
 
 
@@ -259,11 +261,9 @@ def test_weil_pairing_galois_equivariance_over_extension():
     E = WeierstrassCurve(F5, 0, 0, 0, 0, 2)
     basis = torsion_basis(E, 3)
     assert basis.k == 2
-    from isogeny_lab.curves import _frobenius_point
-
     P, Q = basis.P, basis.Q
-    piP = _frobenius_point(P, 5)
-    piQ = _frobenius_point(Q, 5)
+    piP = _frobenius_point(P)
+    piQ = _frobenius_point(Q)
     z = weil_pairing(P, Q, 3)
     assert weil_pairing(piP, piQ, 3) == z**5
 
@@ -272,7 +272,7 @@ def test_frobenius_matrix_identity_on_full_torsion():
     F5 = PrimeField(5)
     E = WeierstrassCurve(F5, 0, 0, 0, 1, 0)
     basis = torsion_basis(E, 2)
-    mat = frobenius_matrix(E, basis)
+    mat = frobenius_matrix(E, basis, curve_order(E))
     assert mat.is_identity()
     assert rational_ell_torsion(E, 2) == 2
 
@@ -281,7 +281,7 @@ def test_frobenius_det_trace_invariants():
     F5 = PrimeField(5)
     E = WeierstrassCurve(F5, 0, 0, 0, 0, 2)  # N = 6
     basis = torsion_basis(E, 3)
-    mat = frobenius_matrix(E, basis)
+    mat = frobenius_matrix(E, basis, curve_order(E))
     assert mat.determinant() == 5 % 3
     assert mat.trace() == (5 + 1 - 6) % 3
     assert rational_ell_torsion(E, 3) == 1
@@ -496,3 +496,80 @@ def test_weil_pairing_sign_and_order_are_pinned_by_the_reference(q, ab, ell):
     assert -fP / fQ == ref
     assert fP / fQ != ref
     assert -fQ / fP != ref
+
+
+# --- lazy torsion bases and the table Frobenius against the eager forms -------
+
+
+def _curves_with_small_k(q, ell, count, seed):
+    """Up to `count` seeded long-Weierstrass curves over F_q whose E[ell]
+    splits over F_{q^k} with k <= 4."""
+    rng, F, out = random.Random(seed), PrimeField(q), []
+    for _ in range(60):
+        try:
+            E = WeierstrassCurve(F, *[rng.randrange(q) for _ in range(5)])
+        except ValueError:  # singular
+            continue
+        if torsion_field_degree(E, ell) <= 4:
+            out.append(E)
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_torsion_basis_matches_the_eager_enumeration(ell):
+    """At every prime 5 <= q < 60 other than ell, on two seeded curves with
+    k <= 4: torsion_basis, which takes y only at P and Q, picks the P and Q
+    of the enumeration of every torsion point."""
+    for q in primes_in_range(5, 60):
+        if q == ell:
+            continue
+        for E in _curves_with_small_k(q, ell, 2, seed=q * ell):
+            basis = torsion_basis(E, ell)
+            assert (basis.P, basis.Q) == eager_torsion_basis(E, ell), (q, E)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_torsion_basis_raises_when_one_discriminant_reads_as_a_non_square(monkeypatch, q):
+    """y^2 = x^3 + 2 has E[3] over F_{5^2} (k = 2) and over F_7 (k = 1).
+    With is_square answering False once, for the y-discriminant of the last
+    torsion x, the point count comes out two short and torsion_basis
+    raises."""
+    E = WeierstrassCurve(PrimeField(q), 0, 0, 0, 0, 2)
+    curve_k = eager_torsion_basis(E, 3)[0].curve
+    K = curve_k.field
+    last = max(poly_roots(division_polynomial(E, 3), K), key=lambda e: e.coeff_list())
+    target, flipped = curve_k._y_disc(last)[1], []
+    orig = type(K).is_square
+
+    def mutant(self, a):
+        if a == target and not flipped:
+            flipped.append(a)
+            return False
+        return orig(self, a)
+
+    monkeypatch.setattr(type(K), "is_square", mutant)
+    with pytest.raises(InternalError, match="found 6 nonzero 3-torsion points"):
+        torsion_basis(E, 3)
+
+
+@pytest.mark.parametrize("q,ell,b", [(5, 3, 2), (7, 5, 1), (7, 3, 2)])
+def test_table_frobenius_point_matches_the_q_power(monkeypatch, q, ell, b):
+    """Every point of E[ell] on y^2 = x^3 + x + b (b = 2: x^3 + 2) over
+    F_{5^2}, F_{7^4} and F_7: the table's Frobenius point is (x^q, y^q), and
+    the identity at k = 1.  With t^q changed in the table it is not."""
+    E = WeierstrassCurve(PrimeField(q), 0, 0, 0, 0 if b == 2 else 1, b)
+    basis = torsion_basis(E, ell)
+    assert basis.k == {(5, 3): 2, (7, 5): 4, (7, 3): 1}[q, ell]
+    points = [a * basis.P + c * basis.Q for a in range(ell) for c in range(ell)]
+
+    def q_power(R):
+        return R if R.infinity else CurvePoint(R.curve, R.x**q, R.y**q)
+
+    assert all(_frobenius_point(R) == q_power(R) for R in points)
+    K = basis.curve.field
+    if basis.k > 1:
+        col = ((K.frob[0][1][0] + 1) % q,) + K.frob[0][1][1:]
+        monkeypatch.setattr(K, "frob", ((K.frob[0][0], col) + K.frob[0][2:],) + K.frob[1:])
+        assert not all(_frobenius_point(R) == q_power(R) for R in points)

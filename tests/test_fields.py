@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ def test_additive_inverse():
 def test_extension_multiplication_reduces_by_modulus():
     F25 = ExtensionField(5, 2)
     assert F25.modulus == (2, 0, 1)  # t^2 + 2, the lexicographically first
-    t = F25.gen()
+    t = F25.element([0, 1])
     assert (t * t) == F25.element(3)  # t^2 = -2 = 3
 
 
@@ -222,7 +223,7 @@ def test_poly_roots_rejects_characteristic_two():
     for f in (
         Polynomial(F2, [F2.one(), F2.one()]),  # x + 1
         Polynomial(F2, [F2.one(), F2.one(), F2.one()]),  # x^2 + x + 1
-        Polynomial(F4, [F4.gen(), F4.one()]),  # x + t
+        Polynomial(F4, [F4.element([0, 1]), F4.one()]),  # x + t
     ):
         with pytest.raises(CapabilityError, match="odd characteristic"):
             poly_roots(f)
@@ -558,3 +559,167 @@ def test_every_element_of_a_binary_extension_is_a_square(k):
         root = a ** (K.size() // 2)
         assert root * root == a
         assert K.is_square(a)
+
+
+# --- square roots, Frobenius, conjugate roots and gcd on the per-field tables ---
+
+# (p, k) and the number of seeded random elements, None for every element
+_TABLE_FIELDS = [pytest.param(pk, count, id=f"{pk[0]}^{pk[1]}") for pk, count in
+                 [((5, 2), None), ((7, 2), None), ((3, 4), None), ((7, 4), None),
+                  ((41, 2), 300), ((3, 5), 120)]]
+
+
+def _corrupted_field(monkeypatch, p, k):
+    """F_{p^k} with the Frobenius image t^p of t changed in its constant
+    coefficient, and a cold non-square cache for it."""
+    mod = ExtensionField(p, k).modulus
+    fold, frob = fields._EXT_TABLES[p, mod]
+    col = ((frob[0][1][0] + 1) % p,) + frob[0][1][1:]
+    bad = ((frob[0][0], col) + frob[0][2:],) + frob[1:]
+    monkeypatch.setitem(fields._EXT_TABLES, (p, mod), (fold, bad))
+    monkeypatch.setattr(fields, "_NONSQUARES", {})
+    return ExtensionField(p, k)
+
+
+def _sqrt_mismatches(K, elements):
+    """The elements whose K.sqrt fails an oracle: None exactly on the
+    non-squares, read off a^((p^k - 1)/2) by ppowmod; a root that squares
+    back; and `_tonelli_generic`'s root up to sign.  For k = 2 sqrt goes
+    through the norm and the reference is independent of it; for other k
+    sqrt is `_tonelli_generic`, held by the character and the squaring.  A
+    call that raises is a mismatch too."""
+    p, m, half = K.p, list(K.modulus), (K.size() - 1) // 2
+    bad = []
+    for a in elements:
+        square = a.is_zero() or intpoly.ppowmod(list(a.rep), half, m, p) == [1]
+        try:
+            r, ref = K.sqrt(a), fields._tonelli_generic(K, a)
+        except Exception:
+            bad.append(a)
+            continue
+        if (r is None) == square or (r is not None and (r * r != a or ref not in (r, -r))):
+            bad.append(a)
+    return bad
+
+
+def _frobenius_mismatches(K, elements):
+    """(a, i) where the table's Frob^i(a), 0 < i < k, is not a^(p^i) by
+    square and multiply."""
+    return [(a, i) for a in elements for i in range(1, K.k)
+            if K._frobenius(a.rep, i) != (a ** K.p**i).rep]
+
+
+def _irreducibles(p, d, count=None, seed=0):
+    """Every monic irreducible of degree d over F_p, or `count` seeded ones."""
+    out = [list(c) + [1] for c in itertools.product(range(p), repeat=d)
+           if intpoly.is_irreducible(list(c) + [1], p)]
+    return out if count is None else random.Random(seed).sample(out, count)
+
+
+def _conjugate_mismatches(K, factors):
+    """The F_p-irreducible factors h, of degree dividing k, whose roots from
+    `_roots_from_base_factors` (one split root and its conjugates when
+    deg h >= 3) are not deg h distinct zeros of h equal to the roots of a
+    full split of h over K."""
+    bad = []
+    for h in factors:
+        hK = Polynomial(K, h)
+        try:
+            got = fields._roots_from_base_factors([h], K)
+            full = fields._roots_large_field(hK, K)
+        except Exception:
+            bad.append(h)
+            continue
+        if (len(set(got)) != len(h) - 1 or any(hK(r) for r in got)
+                or sorted(got, key=_coeffs) != sorted(full, key=_coeffs)):
+            bad.append(h)
+    return bad
+
+
+def _coeffs(e):
+    return e.coeff_list()
+
+
+def _euclid_by_powers(a, b):
+    """Monic gcd by Euclid on Polynomial objects, each leading coefficient
+    inverted as c^(p^k - 2) by square and multiply, not through the norm."""
+    e = a.field.size() - 2
+    while not b.is_zero():
+        inv, r = b.leading() ** e, list(a.coeffs)
+        while len(r) >= len(b.coeffs):
+            c, shift = r[-1] * inv, len(r) - len(b.coeffs)
+            for i, bc in enumerate(b.coeffs):
+                r[shift + i] = r[shift + i] - c * bc
+            while r and r[-1].is_zero():
+                r.pop()
+        a, b = b, Polynomial(a.field, r)
+    return a if a.is_zero() else a * (a.leading() ** e)
+
+
+def _gcd_mismatches(K, count, seed):
+    """Seeded pairs (a, b) of polynomials over K, with and without a common
+    factor, whose tuple gcd differs from `_euclid_by_powers`."""
+    rng = random.Random(seed)
+
+    def rand(deg):
+        return Polynomial(K, [K.element([rng.randrange(K.p) for _ in range(K.k)])
+                              for _ in range(deg + 1)])
+
+    zero, bad = Polynomial.zero(K), []
+    for _ in range(count):
+        f, g, m = rand(rng.randrange(6)), rand(rng.randrange(1, 5)), rand(rng.randrange(1, 4))
+        for a, b in ((f, g), (g, f), (f * m, g * m), (f, zero), (zero, zero)):
+            try:
+                ok = a.gcd(b) == _euclid_by_powers(a, b)
+            except Exception:
+                ok = False
+            if not ok:
+                bad.append((a, b))
+    return bad
+
+
+@pytest.mark.parametrize("pk,count", _TABLE_FIELDS)
+def test_square_root_matches_tonelli_and_the_character(pk, count):
+    """Every element of F_{5^2}, F_{7^2}, F_{3^4} and F_{7^4}, and seeded
+    ones of F_{41^2} and F_{3^5}."""
+    K = ExtensionField(*pk)
+    assert _sqrt_mismatches(K, _ext_elements(K, count, seed=pk[0] + pk[1])) == []
+
+
+@pytest.mark.parametrize("pk,count", _TABLE_FIELDS)
+def test_table_frobenius_matches_the_p_power(pk, count):
+    K = ExtensionField(*pk)
+    assert _frobenius_mismatches(K, _ext_elements(K, count, seed=pk[0] + pk[1])) == []
+
+
+@pytest.mark.parametrize("pk,count", [((3, 4), None), ((7, 4), 8), ((3, 5), 12)],
+                         ids=["3^4", "7^4", "3^5"])
+def test_conjugate_roots_match_a_full_split(pk, count):
+    """The factors of degree d >= 2 dividing k: all of them over F_3 for
+    F_{3^4}, seeded ones of degree 4 (and every quadratic) for F_{7^4}, and
+    seeded quintics for F_{3^5}."""
+    p, k = pk
+    K = ExtensionField(p, k)
+    factors = [h for d in range(2, k + 1) if k % d == 0
+               for h in _irreducibles(p, d, None if d == 2 else count, seed=p * d)]
+    assert _conjugate_mismatches(K, factors) == []
+
+
+@pytest.mark.parametrize("pk,count", _TABLE_FIELDS)
+def test_tuple_gcd_matches_object_euclid(pk, count):
+    K = ExtensionField(*pk)
+    assert _gcd_mismatches(K, 12, seed=pk[0] * pk[1]) == []
+
+
+@pytest.mark.parametrize("pk", [(7, 2), (3, 4)], ids=["7^2", "3^4"])
+def test_table_oracles_catch_a_corrupted_frobenius_column(monkeypatch, pk):
+    """With t^p changed in the table, the square root, the Frobenius, the
+    gcd and (for F_{3^4}; F_{7^2} has no factor of degree >= 3) the
+    conjugate roots each fail their oracle."""
+    K = _corrupted_field(monkeypatch, *pk)
+    els = _ext_elements(K)
+    assert _sqrt_mismatches(K, els)
+    assert _frobenius_mismatches(K, els)
+    assert _gcd_mismatches(K, 12, seed=1)
+    if K.k >= 3:
+        assert _conjugate_mismatches(K, _irreducibles(K.p, K.k))

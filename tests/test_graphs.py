@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from isogeny_lab import graphs as graphs_mod, intpoly
-from isogeny_lab.curves import WeierstrassCurve, curve_order, division_polynomial, torsion_basis
+from isogeny_lab.curves import WeierstrassCurve, division_polynomial, torsion_basis
 from isogeny_lab.errors import CapabilityError, InternalError
 from isogeny_lab.fields import ExtensionField, PrimeField, Polynomial
 from isogeny_lab.graphs import (
@@ -30,9 +30,14 @@ from isogeny_lab.graphs import (
 )
 from isogeny_lab.verify import primes_in_range
 from oracles import (
+    arm_isogeny,
+    arm_isomorphism,
+    arm_source_curve,
+    curve_order,
     curves_isomorphic,
     dual_kernel_polynomial,
     line_poly_int,
+    peval,
     rational_ell_torsion,
     xmul_table,
 )
@@ -64,11 +69,11 @@ def test_integer_point_ops_match_object_layer():
         for Q in pts[:5]:
             got = pt_add(P, Q, coeffs, q, fq_tables(q).inv)
             obj = E.point(*P) + E.point(*Q)
-            expect = None if obj.is_infinity() else (obj.x.rep, obj.y.rep)
+            expect = None if obj.infinity else (obj.x.rep, obj.y.rep)
             assert got == expect
     P = pts[0]
     obj = 5 * E.point(*P)
-    expect = None if obj.is_infinity() else (obj.x.rep, obj.y.rep)
+    expect = None if obj.infinity else (obj.x.rep, obj.y.rep)
     assert pt_mul(5, P, coeffs, q, fq_tables(q).inv) == expect
 
 
@@ -428,7 +433,7 @@ def test_line_root_given_exactly_at_q_1(pointed_line_cases):
     for (a, b, N), ell, q, tab, _ in pointed_line_cases:
         for w, x_w, _, _ in lines_of(a, b, N, ell, q, tab):
             if q % ell == 1:
-                assert intpoly.peval(list(w), x_w, q) == 0
+                assert peval(list(w), x_w, q) == 0
             else:
                 assert x_w is None
 
@@ -476,14 +481,14 @@ def test_arm_invariants_object_level():
     for g in gs:
         target = g.target_curve(F13)
         for arm in g.arms:
-            E = arm.source_curve(F13)
+            E = arm_source_curve(arm, F13)
             P = E.point(
                 F13.element(arm.kernel_point[0]), F13.element(arm.kernel_point[1])
             )
             assert P.has_order(3)
-            phi = arm.isogeny(F13)
+            phi = arm_isogeny(arm, F13)
             assert phi.degree == 3
-            iso = arm.isomorphism(F13)
+            iso = arm_isomorphism(arm, F13)
             assert iso.apply_to_curve(phi.codomain) == target
             # transported dual line agrees with the contract-layer route
             w = dual_kernel_polynomial(phi).int_coeffs()
@@ -629,7 +634,7 @@ def test_ell2_graphs():
         assert len(g.arms) <= 3
         for arm in g.arms:
             assert arm.kernel_point[1] == 0  # 2-torsion on a short curve
-            phi = arm.isogeny(PrimeField(13))
+            phi = arm_isogeny(arm, PrimeField(13))
             assert phi.degree == 2
 
 
@@ -849,7 +854,7 @@ def test_peval_deriv_matches_pderiv_and_peval():
         for _ in range(40):
             f = intpoly.trim([rng.randrange(q) for _ in range(rng.randrange(0, 10))])
             for x in (0, 1, q - 1, rng.randrange(q)):
-                want = (intpoly.peval(f, x, q), intpoly.peval(intpoly.pderiv(f, q), x, q))
+                want = (peval(f, x, q), peval(intpoly.pderiv(f, q), x, q))
                 assert peval_deriv(f, x, q) == want
 
 

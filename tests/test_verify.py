@@ -139,6 +139,29 @@ def test_product_check_extension_work_is_done_once(monkeypatch):
     assert len(lines) == len(set(lines)) == 6
 
 
+def test_product_check_torsion_bases_take_no_general_powers(monkeypatch):
+    """At (41, 3) the six torsion bases over F_{41^2} take their square
+    roots through the norm (no _tonelli_generic call), their Frobenius
+    points from the table and y only at P and Q.  FieldElement.__pow__ runs
+    for the six zeta^3 checks alone (169 calls when every root and Frobenius
+    point was a power); y_candidates runs twice per basis and once per line,
+    18 times (30 when every torsion x had its y's); and psi_3 of each target
+    is factored over F_41 once, 12 factorizations with the lines' (18 when
+    torsion_basis factored it again)."""
+    calls = Counter()
+    for owner, name in ((fields, "_tonelli_generic"), (fields.FieldElement, "__pow__"),
+                        (curves.WeierstrassCurve, "y_candidates"), (intpoly, "factor_squarefree")):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _o=orig, _n=name: calls.update([_n]) or _o(*a))
+    rep = verify_theorem2_products(41, 3)
+    assert rep.counts["pairs_checked"] == 6
+    assert calls["_tonelli_generic"] == 0
+    assert calls["__pow__"] < 20
+    assert calls["y_candidates"] == 18
+    assert calls["factor_squarefree"] == 12
+
+
 def test_product_configuration_order_and_fixed_space_computed_once(monkeypatch):
     """The product sweep hands its order and fixed space to the
     construction, so each is computed once per configuration; a caller
