@@ -344,22 +344,27 @@ class TorsionBasis:
         return weil_pairing(self.P, self.Q, self.ell)
 
 
+_LAST_X_FACTORS: list = [None]  # (curve, ell, factors) of the last call
+
+
 def _torsion_x_factors(curve: WeierstrassCurve, ell: int) -> list[list[int]]:
     """The monic irreducible factors over F_q of division_polynomial(curve,
-    ell), kept in the curve's cache for torsion_field_degree and
-    torsion_basis."""
-    key = ("x_factors", ell)
-    if key not in curve._cache:
-        field = curve.field
-        if not isinstance(field, PrimeField):
-            raise CapabilityError("torsion bases are built over prime base fields")
-        q = field.p
-        if ell == q:
-            raise ValueError("ell must differ from the characteristic")
-        coeffs = [c.to_int() for c in curve.coefficients()]
-        psi = graphs.torsion_x_poly_ints(coeffs, q, ell)
-        curve._cache[key] = intpoly.factor_squarefree(psi, q)
-    return curve._cache[key]
+    ell).  The last result is kept, so that torsion_basis right after
+    torsion_field_degree on the same curve factors it once; only the last,
+    so that the curves in torsion_field_degree's cache hold no factors."""
+    last = _LAST_X_FACTORS[0]
+    if last is not None and last[0] is curve and last[1] == ell:
+        return last[2]
+    field = curve.field
+    if not isinstance(field, PrimeField):
+        raise CapabilityError("torsion bases are built over prime base fields")
+    q = field.p
+    if ell == q:
+        raise ValueError("ell must differ from the characteristic")
+    coeffs = [c.to_int() for c in curve.coefficients()]
+    factors = intpoly.factor_squarefree(graphs.torsion_x_poly_ints(coeffs, q, ell), q)
+    _LAST_X_FACTORS[0] = (curve, ell, factors)
+    return factors
 
 
 @functools.lru_cache(maxsize=64)

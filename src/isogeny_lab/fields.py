@@ -164,39 +164,18 @@ class ExtensionField:
         the exponent is 0 and every element is a square."""
         return a.is_zero() or pow(self._norm_parts(a)[1], (self.p - 1) // 2, self.p) == 1
 
-    def _mul(self, a: tuple, b: tuple) -> tuple:
-        """a b for reps: schoolbook, each c_(k+i) t^(k+i) folded in by a row."""
-        k = self.k
-        c = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    c[j] += x * y
-        low = c[:k]
-        for h, row in zip(c[k:], self.fold):
-            if h:
-                low = [u + h * w for u, w in zip(low, row)]
-        p = self.p
-        return tuple([u % p for u in low])
-
     def _frobenius(self, a: tuple, i: int = 1) -> tuple:
         """Frob^i(a) = sum_j a_j (t^j)^(p^i) for a rep a, 0 < i < k."""
-        a0, *high = a
-        acc = [a0] + [0] * (self.k - 1)  # (t^0)^(p^i) = 1
-        for x, img in zip(high, self.frob[i - 1][1:]):
-            if x:
-                acc = [u + x * w for u, w in zip(acc, img)]
-        p = self.p
-        return tuple([u % p for u in acc])
+        return intpoly.tlin(a, self.frob[i - 1], self.p)
 
     def _norm_parts(self, a: "FieldElement") -> "tuple[FieldElement, int]":
         """(a^(r - 1), N(a)), r = (p^k - 1)/(p - 1), with N(a) = a a^(r - 1) = a^r
         an int in [0, p) and a^(r - 1) = Frob^1(a) ... Frob^(k-1)(a)."""
-        out = (1,) + (0,) * (self.k - 1)
+        out, fold, p = (1,) + (0,) * (self.k - 1), self.fold, self.p
         for i in range(1, self.k):
             conj = self._frobenius(a.rep, i)
-            out = conj if i == 1 else self._mul(out, conj)
-        return FieldElement(self, out), self._mul(a.rep, out)[0]
+            out = conj if i == 1 else intpoly.tmul(out, conj, fold, p)
+        return FieldElement(self, out), intpoly.tmul(a.rep, out, fold, p)[0]
 
     def sqrt(self, a: "FieldElement") -> "FieldElement | None":
         """A square root of a, or None (odd p).  For k = 2 through the norm
@@ -211,7 +190,7 @@ class ExtensionField:
             return a
         p, rep = self.p, a.rep
         conj = self._frobenius(rep)
-        m = intpoly.sqrt_mod(self._mul(rep, conj)[0], p)
+        m = intpoly.sqrt_mod(intpoly.tmul(rep, conj, self.fold, p)[0], p)
         if m is None:  # N(a) is a non-residue of F_p
             return None
         tr = rep[0] + conj[0]
@@ -225,7 +204,7 @@ class ExtensionField:
             c, b = self.modulus[0], self.modulus[1]
             r = intpoly.sqrt_mod(rep[0] * pow(b * b - 4 * c, -1, p), p)
             root = None if r is None else (r * b % p, 2 * r % p)
-        if root is None or self._mul(root, root) != rep:
+        if root is None or intpoly.tmul(root, root, self.fold, p) != rep:
             raise InternalError("square root through the norm does not square back")
         return FieldElement(self, root)
 
@@ -345,7 +324,7 @@ class FieldElement:
         f = self.field
         if isinstance(self.rep, int):
             return FieldElement(f, (self.rep * o.rep) % f.p)
-        return FieldElement(f, f._mul(self.rep, o.rep))
+        return FieldElement(f, intpoly.tmul(self.rep, o.rep, f.fold, f.p))
 
     __rmul__ = __mul__
 
@@ -550,7 +529,8 @@ class Polynomial:
             return Polynomial(self.field, g)
         f = self.field
         if isinstance(f, ExtensionField):  # the same Euclid, on the rep tuples
-            g = _ext_gcd(f, [c.rep for c in self.coeffs], [c.rep for c in other.coeffs])
+            g = intpoly.tgcd([c.rep for c in self.coeffs], [c.rep for c in other.coeffs],
+                             f.fold, f.p, lambda c: FieldElement(f, c).inverse().rep)
             return Polynomial(f, [FieldElement(f, c) for c in g])
         a, b = self, other
         while not b.is_zero():
@@ -605,26 +585,6 @@ class Polynomial:
             return "Poly(0)"
         terms = [f"({c!r})*x^{i}" for i, c in enumerate(self.coeffs) if not _val_is_zero(c)]
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def _ext_gcd(f: ExtensionField, a: list[tuple], b: list[tuple]) -> list[tuple]:
-    """Monic gcd over F_{p^k} of trimmed ascending lists of reps, by Euclid."""
-    p = f.p
-    while b:
-        lc_inv = FieldElement(f, b[-1]).inverse().rep
-        rem, db = list(a), len(b) - 1
-        while len(rem) > db:
-            c = f._mul(rem.pop(), lc_inv)  # the leading term cancels
-            shift = len(rem) - db
-            for i, bc in enumerate(b[:-1], shift):
-                rem[i] = tuple([(u - v) % p for u, v in zip(rem[i], f._mul(c, bc))])
-            while rem and not any(rem[-1]):
-                rem.pop()
-        a, b = b, rem
-    if not a:
-        return a
-    lc_inv = FieldElement(f, a[-1]).inverse().rep
-    return [f._mul(c, lc_inv) for c in a]
 
 
 def _is_field_value(c, field) -> bool:

@@ -407,6 +407,54 @@ def epowmod(base: list, e: int, m: list, f: list[int], q: int) -> list | None:
     return out
 
 
+# --- F_q[z]/(f) elements as k-tuples, products folded by rows z^(k+i) mod f ---
+
+
+def tmul(a: tuple, b: tuple, fold: tuple, q: int) -> tuple:
+    """a b for k-tuples: a schoolbook product, each c_(k+i) z^(k+i) folded in
+    by fold[i] = z^(k+i) mod f, reduced mod q once."""
+    k = len(a)
+    c = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                c[j] += x * y
+    low = c[:k]
+    for h, row in zip(c[k:], fold):
+        if h:
+            low = [u + h * w for u, w in zip(low, row)]
+    return tuple([u % q for u in low])
+
+
+def tlin(a: tuple, images: tuple, q: int) -> tuple:
+    """sum_j a_j images[j] for a k-tuple a: the F_q-linear map (a power of
+    Frobenius) with images[j] the image of z^j and images[0] = 1."""
+    a0, *high = a
+    acc = [a0] + [0] * (len(a) - 1)
+    for x, img in zip(high, images[1:]):
+        if x:
+            acc = [u + x * w for u, w in zip(acc, img)]
+    return tuple([u % q for u in acc])
+
+
+def tgcd(a: list, b: list, fold: tuple, q: int, inv) -> list:
+    """Monic gcd of two polynomials over F_q[z]/(f), trimmed ascending lists
+    of k-tuples, by Euclid; inv(c) is the inverse of a nonzero k-tuple."""
+    while b:
+        lc_inv, rem, db = inv(b[-1]), list(a), len(b) - 1
+        while len(rem) > db:
+            c = tmul(rem.pop(), lc_inv, fold, q)  # the leading term cancels
+            for i, bc in enumerate(b[:-1], len(rem) - db):
+                rem[i] = tuple([(u - v) % q for u, v in zip(rem[i], tmul(c, bc, fold, q))])
+            while rem and not any(rem[-1]):
+                rem.pop()
+        a, b = b, rem
+    if not a:
+        return a
+    lc_inv = inv(a[-1])
+    return [tmul(c, lc_inv, fold, q) for c in a]
+
+
 def eval_poly_ext(g: list[int], a: list[int], f: list[int], q: int) -> list[int]:
     """Evaluate g in F_q[x] at the element a of F_q[z]/(f)."""
     acc: list[int] = []
