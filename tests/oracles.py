@@ -332,10 +332,11 @@ def curve_order(curve: WeierstrassCurve, cap: int = ORDER_ENUMERATION_CAP) -> in
 
 
 def eager_torsion_basis(curve: WeierstrassCurve, ell: int) -> tuple:
-    """(P, Q) as torsion_basis chose them before it went lazy: every nonzero
-    ell-torsion point, from the roots of the whole division polynomial and
-    both y's above each, in order of x and then y; P the first of them and
-    Q the first outside {P, 2P, ..., (ell - 1)P}."""
+    """(P, Q) from the enumeration of every nonzero ell-torsion point, from
+    the roots of the whole division polynomial and both y's above each, in
+    order of x and then y: P the first of them and Q the first outside
+    {P, 2P, ..., (ell - 1)P}.  The reference for torsion_basis, which takes
+    y only at P and Q."""
     q, k = curve.field.p, torsion_field_degree(curve, ell)
     K = curve.field if k == 1 else ExtensionField(q, k)
     curve_k = curve if k == 1 else curve.base_change(K)
