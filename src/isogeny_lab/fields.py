@@ -182,8 +182,8 @@ class ExtensionField:
         (G. Adj and F. Rodriguez-Henriquez, IEEE Trans. Comput. 63, 2014): if
         x^2 = a, m = N(x) = +-sqrt(N(a)) and s = Tr(x) have s^2 = Tr(a) + 2m
         and x = (a + m)/s.  Both signs fail only for a non-residue a of F_p,
-        and then x = sqrt(a/D) (2t + b), (2t + b)^2 = D = b^2 - 4c for the
-        modulus t^2 + bt + c.  Other k take `_tonelli_generic`."""
+        and then x is a root of x^2 - a (`quadratic.quadratic_roots`).  Other
+        k take `_tonelli_generic`."""
         if self.k != 2:
             return _tonelli_generic(self, a)
         if a.is_zero():
@@ -201,10 +201,9 @@ class ExtensionField:
                 root = ((rep[0] + n) * s_inv % p, rep[1] * s_inv % p)
                 break
         else:
-            c, b = self.modulus[0], self.modulus[1]
-            r = intpoly.sqrt_mod(rep[0] * pow(b * b - 4 * c, -1, p), p)
-            root = None if r is None else (r * b % p, 2 * r % p)
-        if root is None or intpoly.tmul(root, root, self.fold, p) != rep:
+            from .quadratic import quadratic_roots
+            root = quadratic_roots([-rep[0] % p, 0, 1], self)[0].rep
+        if intpoly.tmul(root, root, self.fold, p) != rep:
             raise InternalError("square root through the norm does not square back")
         return FieldElement(self, root)
 
@@ -658,13 +657,13 @@ def find_irreducible_ints(p: int, k: int) -> list[int]:
 
 
 def poly_roots(f: Polynomial, field=None) -> set:
-    """All roots of nonzero f in the given finite field (default: its own),
-    by distinct-degree / equal-degree splitting; odd characteristic only.
+    """All roots of nonzero f in the given finite field (default: its own);
+    odd characteristic only.
 
     An f over a subfield is lifted into `field` first.  When `field` is
-    F_{p^k} and f has F_p coefficients, f is factored over F_p first;
-    otherwise gcd(x^|field| - x, f), the product of f's distinct linear
-    factors, is split.
+    F_{p^k} and f has F_p coefficients, f is factored over F_p first and
+    only its factors of degree >= 3 are split; otherwise gcd(x^|field| - x,
+    f), the product of f's distinct linear factors, is split.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a root")
@@ -689,9 +688,9 @@ def poly_roots(f: Polynomial, field=None) -> set:
 def _roots_from_base_factors(factors: list[list[int]], field: ExtensionField) -> list:
     """Roots in F_{p^k} of an F_p polynomial from its distinct monic
     irreducible factors over F_p; those of degree d dividing k have d roots.
-    One split of a quadratic gives both; a longer factor is split only until
-    a root r turns up, and the rest are Frob^i(r), 0 < i < d (J. von zur
-    Gathen and V. Shoup, Comput. Complexity 2, 1992)."""
+    A quadratic's two come from the quadratic formula; a longer factor is
+    split only until a root r turns up, and the rest are Frob^i(r),
+    0 < i < d (J. von zur Gathen and V. Shoup, Comput. Complexity 2, 1992)."""
     roots = []
     for h in factors:
         d = len(h) - 1
@@ -700,7 +699,8 @@ def _roots_from_base_factors(factors: list[list[int]], field: ExtensionField) ->
         if d == 1:
             roots.append(field.from_base_int(-h[0]))
         elif d == 2:
-            roots.extend(_roots_large_field(Polynomial(field, h), field))
+            from .quadratic import quadratic_roots
+            roots += quadratic_roots(h, field)
         else:
             r = _roots_large_field(Polynomial(field, h), field, one=True)[0].rep
             for _ in range(d):

@@ -607,14 +607,18 @@ def _sweep_task(args):
 
 def run_sweep(
     ell_list,
-    q_max: int = 200,
+    *,
     q_min: int = 5,
+    q_max: int = 200,
     threads: int = 1,
     curve_limit: int = G.DEFAULT_CURVE_LIMIT,
     include_family: bool = True,
 ) -> VerificationReport:
     """Theorem-1 plus lemma sweeps over all primes q_min <= q < q_max with
-    q != ell, merged into a single deterministic report."""
+    q != ell, merged into a single deterministic report.  An empty range
+    (q_min >= q_max) raises ValueError."""
+    if q_min >= q_max:
+        raise ValueError(f"empty sweep range: q_min = {q_min} >= q_max = {q_max}")
     t0 = time.time()
     tasks = []
     for ell in ell_list:

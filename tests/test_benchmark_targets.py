@@ -2,7 +2,7 @@
 (`perfbench/layers.py`) and fails when one is no longer defined, or when a
 function it expects on a workload records no call.  These tests resolve
 every traced name the same way, and run one sweep task of each sweep
-workload, one `theorem2-ext` product check and a short `theorem2-ext` module
+workload, two `theorem2-ext` product checks and a short `theorem2-ext` module
 round under the benchmark's tracer, so that a rename or a rerouted call
 fails here too."""
 
@@ -92,11 +92,15 @@ def test_theorem2_module_calls_record_every_expected_galois_call():
     assert result["checked"] > 0
 
 
-# One product check of `theorem2-ext`.  Its torsion splits only over F_{q^2},
-# so its root searches take the F_p-factor path of `poly_roots`, which must
-# still reach the object-layer splitting that the workload expects to record
-# (`_roots_large_field`, `Polynomial.pow_mod`).  The Q counterexample and the
-# module suites of the workload reach the names left over.
+# Two product checks of `theorem2-ext`.  Their torsion splits only over
+# F_{q^k}, so their root searches take the F_p-factor path of `poly_roots`.
+# At (11, 3), k = 2, every factor there is linear or quadratic and needs no
+# splitting, so `_roots_large_field` records no call; at (7, 5), which the
+# workload runs at every seed, psi_5 has quartic factors over F_7 (k = 4),
+# and their split reaches the object-layer splitting that the workload
+# expects to record (`_roots_large_field`, `Polynomial.pow_mod`).  The Q
+# counterexample and the module suites of the workload reach the names left
+# over.
 _TRACED_PRODUCT = """
 import json, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
@@ -107,10 +111,13 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install(layers.TARGETS)
 V.verify_theorem2_products(11, 3)
+split_at_11_3 = tracer.snapshot()["stats"]["fields._roots_large_field"][0]
+V.verify_theorem2_products(7, 5)
 stats = tracer.snapshot()["stats"]
 names = [n for n in layers.EXPECTED["theorem2-ext"] if not n.startswith("galois_modules.")]
 print(json.dumps({{"absent": tracer.absent, "checked": len(names),
-                  "silent": [n for n in names if not stats[n][0]]}}))
+                  "silent": [n for n in names if not stats[n][0]],
+                  "split_at_11_3": split_at_11_3}}))
 """
 
 _NOT_REACHED_BY_A_PRODUCT_CHECK = [
@@ -127,3 +134,4 @@ def test_theorem2_product_check_records_every_expected_call():
     assert result["absent"] == []
     assert sorted(result["silent"]) == sorted(_NOT_REACHED_BY_A_PRODUCT_CHECK)
     assert result["checked"] > len(_NOT_REACHED_BY_A_PRODUCT_CHECK)
+    assert result["split_at_11_3"] == 0

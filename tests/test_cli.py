@@ -192,6 +192,13 @@ def test_sweep_command_small(capsys):
     assert data["violations"] == []
 
 
+def test_sweep_command_rejects_an_empty_range(capsys):
+    assert main(["sweep", "--ell-list", "3", "--q-min", "60", "--q-max", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty sweep range")
+
+
 def test_json_schema_stability(capsys):
     _, out = run_cli(["theorem1", "--q", "7", "--ell", "3"], capsys)
     data = json.loads(out)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isogeny_lab import fields, intpoly
+from isogeny_lab import fields, intpoly, quadratic
 from isogeny_lab.curves import WeierstrassCurve, division_polynomial
-from isogeny_lab.errors import CapabilityError, FieldMismatchError
+from isogeny_lab.errors import CapabilityError, FieldMismatchError, InternalError
 from isogeny_lab.fields import (
     ExtensionField,
     Polynomial,
@@ -723,3 +723,35 @@ def test_table_oracles_catch_a_corrupted_frobenius_column(monkeypatch, pk):
     assert _gcd_mismatches(K, 12, seed=1)
     if K.k >= 3:
         assert _conjugate_mismatches(K, _irreducibles(K.p, K.k))
+
+
+# --- quadratic factors over F_p by the quadratic formula ---
+
+
+@pytest.mark.parametrize("pk,count", [((5, 2), None), ((7, 2), None), ((3, 4), None),
+                                      ((7, 4), None), ((41, 2), 200), ((3, 6), None)],
+                         ids=["5^2", "7^2", "3^4", "7^4", "41^2", "3^6"])
+def test_quadratic_formula_roots_match_a_full_split(pk, count):
+    """Every monic irreducible quadratic over F_p (200 seeded ones over F_41;
+    F_3 has only three), solved by the formula, against a full split."""
+    p, k = pk
+    K = ExtensionField(p, k)
+    assert _conjugate_mismatches(K, _irreducibles(p, 2, count, seed=p * k)) == []
+
+
+@pytest.mark.parametrize("pk", [(7, 2), (3, 4)], ids=["7^2", "3^4"])
+def test_a_corrupted_nonresidue_root_raises(monkeypatch, pk):
+    """With delta + 1 in place of delta, each quadratic's roots fail their
+    check in the factor, and so (for k = 2, where sqrt reads delta) does the
+    square root of a non-residue of F_p."""
+    p, k = pk
+    K = ExtensionField(p, k)
+    c0, delta = quadratic.nonresidue_root(K)
+    bad = ((delta[0] + 1) % p,) + delta[1:]
+    monkeypatch.setitem(quadratic._NONRESIDUE_ROOTS, (p, K.modulus), (c0, bad))
+    for h in _irreducibles(p, 2):
+        with pytest.raises(InternalError):
+            fields._roots_from_base_factors([h], K)
+    if k == 2:
+        with pytest.raises(InternalError):
+            K.sqrt(K.from_base_int(c0))

@@ -147,19 +147,27 @@ def test_product_check_torsion_bases_take_no_general_powers(monkeypatch):
     point was a power); y_candidates runs twice per basis and once per line,
     18 times (30 when every torsion x had its y's); and psi_3 of each target
     is factored over F_41 once, 12 factorizations with the lines' (18 when
-    torsion_basis factored it again)."""
+    torsion_basis factored it again).  Every F_41-factor of psi_3 and of a
+    line is linear or quadratic, and a quadratic's roots come from the
+    quadratic formula: no _roots_large_field split (6 when quadratics were
+    split) and so no Polynomial.pow_mod or epowmod (21 each)."""
     calls = Counter()
     for owner, name in ((fields, "_tonelli_generic"), (fields.FieldElement, "__pow__"),
-                        (curves.WeierstrassCurve, "y_candidates"), (intpoly, "factor_squarefree")):
+                        (curves.WeierstrassCurve, "y_candidates"), (intpoly, "factor_squarefree"),
+                        (fields, "_roots_large_field"), (fields.Polynomial, "pow_mod"),
+                        (intpoly, "epowmod")):
         orig = getattr(owner, name)
         monkeypatch.setattr(owner, name,
-                            lambda *a, _o=orig, _n=name: calls.update([_n]) or _o(*a))
+                            lambda *a, _o=orig, _n=name, **kw: calls.update([_n]) or _o(*a, **kw))
     rep = verify_theorem2_products(41, 3)
     assert rep.counts["pairs_checked"] == 6
     assert calls["_tonelli_generic"] == 0
     assert calls["__pow__"] < 20
     assert calls["y_candidates"] == 18
     assert calls["factor_squarefree"] == 12
+    assert calls["_roots_large_field"] == 0
+    assert calls["pow_mod"] == 0
+    assert calls["epowmod"] == 0
 
 
 def test_product_configuration_order_and_fixed_space_computed_once(monkeypatch):
@@ -282,6 +290,16 @@ def test_mini_sweep_runs_clean():
     rep = run_sweep([3, 5], q_max=20, q_min=5)
     assert rep.clean
     assert rep.paper_claims[CLAIM_THM1] in (VERIFIED, NOT_APPLICABLE)
+
+
+def test_sweep_range_is_keyword_only_and_nonempty():
+    """run_sweep([2], 5, 60) once read as q_max = 5, q_min = 60 and swept
+    nothing; the bounds are keyword-only and an empty range raises."""
+    with pytest.raises(TypeError):
+        run_sweep([2], 5, 60)
+    for q_min, q_max in ((60, 5), (7, 7)):
+        with pytest.raises(ValueError, match="empty sweep range"):
+            run_sweep([2], q_min=q_min, q_max=q_max)
 
 
 def test_random_trial_suites_small():
