@@ -40,6 +40,13 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def count(text: str) -> int:
+    """A nonnegative int: the argparse type of a count option."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isogeny-lab",
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2 = sub.add_parser("theorem2", help="constructive check on products of elliptic arms")
     t2.add_argument("--q", type=int, required=True)
     t2.add_argument("--ell", type=int, required=True)
-    t2.add_argument("--max-pairs", type=int, default=6)
+    t2.add_argument("--max-pairs", type=count, default=6)
     t2.add_argument("--k-cap", type=int, default=6,
                     help="skip factor curves whose torsion splitting degree exceeds this")
     add_common(t2)
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(rp, report=False)
 
     su = sub.add_parser("suites", help="random property suites on the Galois-module layer")
-    su.add_argument("--trials", type=int, default=1000)
+    su.add_argument("--trials", type=count, default=1000)
     su.add_argument("--seed", type=int, default=0, help="fixes every randomized trial")
     return p
 

@@ -25,7 +25,6 @@ from .fields import (
     RationalField,
     _roots_from_base_factors,
     _val_is_zero,
-    poly_roots,
 )
 
 TORSION_DEGREE_BOUND = lambda ell: ell * (ell - 1) * (ell + 1)  # noqa: E731
@@ -344,53 +343,45 @@ class TorsionBasis:
         return weil_pairing(self.P, self.Q, self.ell)
 
 
-_LAST_X_FACTORS: list = [None]  # (curve, ell, factors) of the last call
-
-
 def _torsion_x_factors(curve: WeierstrassCurve, ell: int) -> list[list[int]]:
     """The monic irreducible factors over F_q of division_polynomial(curve,
-    ell).  The last result is kept, so that torsion_basis right after
-    torsion_field_degree on the same curve factors it once; only the last,
-    so that the curves in torsion_field_degree's cache hold no factors."""
-    last = _LAST_X_FACTORS[0]
-    if last is not None and last[0] is curve and last[1] == ell:
-        return last[2]
-    field = curve.field
-    if not isinstance(field, PrimeField):
-        raise CapabilityError("torsion bases are built over prime base fields")
-    q = field.p
-    if ell == q:
-        raise ValueError("ell must differ from the characteristic")
-    coeffs = [c.to_int() for c in curve.coefficients()]
-    factors = intpoly.factor_squarefree(graphs.torsion_x_poly_ints(coeffs, q, ell), q)
-    _LAST_X_FACTORS[0] = (curve, ell, factors)
-    return factors
+    ell), kept on the curve: torsion_field_degree and torsion_basis factor
+    it once per curve."""
+    key = ("x_factors", ell)
+    if key not in curve._cache:
+        if not isinstance(curve.field, PrimeField):
+            raise CapabilityError("torsion bases are built over prime base fields")
+        q = curve.field.p
+        if ell == q:
+            raise ValueError("ell must differ from the characteristic")
+        coeffs = [c.to_int() for c in curve.coefficients()]
+        curve._cache[key] = intpoly.factor_squarefree(graphs.torsion_x_poly_ints(coeffs, q, ell), q)
+    return curve._cache[key]
 
 
-@functools.lru_cache(maxsize=64)
 def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
-    """Minimal k with E[ell] contained in E(F_{q^k}); q prime.
+    """Minimal k with E[ell] contained in E(F_{q^k}); q prime; kept on the curve.
 
     Works entirely over F_q: factor the torsion x-polynomial, then decide
-    for each irreducible factor whether the y-coordinates live in F_{q^d}
-    or its quadratic extension.  The splitting degree is the lcm of the
-    point degrees (the Galois group is cyclic, so compositum degree = lcm).
+    for each irreducible factor f whether the y-coordinates live in F_{q^d}
+    or its quadratic extension: whether the y-discriminant F = 4x^3 + b2 x^2
+    + 2 b4 x + b6 is a square at a root, F mod f in F_q[z]/(f).  The
+    splitting degree is the lcm of the point degrees (the Galois group is
+    cyclic, so compositum degree = lcm).
     """
+    key = ("k", ell)
+    if key in curve._cache:
+        return curve._cache[key]
     factors = _torsion_x_factors(curve, ell)
     q = curve.field.p
-    a1, a2, a3, a4, a6 = [c.to_int() for c in curve.coefficients()]
-    rhs_coeffs = [a6, a4, a2, 1]
+    b2, b4, b6, _ = graphs.curve_b_invariants_int([c.to_int() for c in curve.coefficients()], q)
     k = 1
     for f in factors:
         d = intpoly.deg(f)
         if ell == 2:
             k = lcm(k, d)
             continue
-        # disc(alpha) = (a1*alpha + a3)^2 + 4*rhs(alpha) in F_q[z]/(f)
-        alpha = [(-f[0]) % q] if d == 1 else [0, 1]
-        lin = intpoly.padd(intpoly.pscale(alpha, a1, q), [a3], q)
-        rhs = intpoly.eval_poly_ext(rhs_coeffs, alpha, f, q)
-        disc = intpoly.padd(intpoly.emul(lin, lin, f, q), intpoly.pscale(rhs, 4, q), q)
+        disc = intpoly.pmod([b6, 2 * b4, b2, 4], f, q)
         if not disc:
             raise InternalError("2-torsion x among odd-ell torsion roots")
         sq = intpoly.ppowmod(disc, (q**d - 1) // 2, f, q)
@@ -399,29 +390,22 @@ def torsion_field_degree(curve: WeierstrassCurve, ell: int) -> int:
     bound = TORSION_DEGREE_BOUND(ell)
     if k > bound:
         raise InternalError(f"torsion degree {k} exceeds the bound {bound}")
+    curve._cache[key] = k
     return k
 
 
 def torsion_basis(curve: WeierstrassCurve, ell: int) -> TorsionBasis:
-    """A basis (P, Q) of E[ell] over the minimal extension F_{q^k}.
+    """A basis (P, Q) of E[ell] over the minimal extension F_{q^k}; q prime.
 
     P, Q have exact order ell and their Weil pairing is a primitive ell-th
-    root of unity.
+    root of unity.  The x's are the roots in F_{q^k} of the F_q factors of
+    the division polynomial (all linear when k = 1).
     """
-    field = curve.field
-    if not isinstance(field, PrimeField):
-        raise CapabilityError("torsion bases are built over prime base fields")
-    q = field.p
     k = torsion_field_degree(curve, ell)
-    if k == 1:  # whole-polynomial poly_roots: the sweeps trace its splitting
-        K = field
-        curve_k = curve
-        xs = poly_roots(division_polynomial(curve, ell), K)
-    else:
-        K = ExtensionField(q, k)
-        curve_k = curve.base_change(K)
-        xs = _roots_from_base_factors(_torsion_x_factors(curve, ell), K)
-    xs = sorted(xs, key=_sort_key)
+    q = curve.field.p
+    K = curve.field if k == 1 else ExtensionField(q, k)
+    curve_k = curve if k == 1 else curve.base_change(K)
+    xs = sorted(_roots_from_base_factors(_torsion_x_factors(curve, ell), K), key=_sort_key)
     found = 0  # nonzero points, 0, 1 or 2 above each x
     for x in xs:
         disc = curve_k._y_disc(x)[1]

@@ -685,19 +685,19 @@ def poly_roots(f: Polynomial, field=None) -> set:
     return set(_roots_large_field((x.pow_mod(field.size(), f) - x).gcd(f), field))
 
 
-def _roots_from_base_factors(factors: list[list[int]], field: ExtensionField) -> list:
-    """Roots in F_{p^k} of an F_p polynomial from its distinct monic
-    irreducible factors over F_p; those of degree d dividing k have d roots.
-    A quadratic's two come from the quadratic formula; a longer factor is
-    split only until a root r turns up, and the rest are Frob^i(r),
+def _roots_from_base_factors(factors: list[list[int]], field) -> list:
+    """Roots in F_{p^k} (or F_p, k = 1) of an F_p polynomial from its distinct
+    monic irreducible factors over F_p; those of degree d dividing k have d
+    roots.  A quadratic's two come from the quadratic formula; a longer factor
+    is split only until a root r turns up, and the rest are Frob^i(r),
     0 < i < d (J. von zur Gathen and V. Shoup, Comput. Complexity 2, 1992)."""
     roots = []
     for h in factors:
         d = len(h) - 1
-        if field.k % d:
+        if getattr(field, "k", 1) % d:
             continue
         if d == 1:
-            roots.append(field.from_base_int(-h[0]))
+            roots.append(field.element(-h[0]))
         elif d == 2:
             from .quadratic import quadratic_roots
             roots += quadratic_roots(h, field)

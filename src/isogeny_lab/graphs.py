@@ -24,7 +24,7 @@ from typing import ClassVar
 
 from . import intpoly
 from .errors import CapabilityError, InternalError
-from .fields import PrimeField
+from .fields import PrimeField, is_prime
 
 DEFAULT_CURVE_LIMIT = 250_000
 
@@ -720,6 +720,8 @@ def build_pointed_graphs(
     q = field.p
     if q <= 3:
         raise ValueError("base field characteristic must exceed 3")
+    if not is_prime(ell):
+        raise ValueError(f"ell must be a prime, not {ell}")
     if ell == q:
         raise ValueError("ell must differ from the characteristic")
     n_curves = q * q * (2 if include_family and ell == 3 else 1)

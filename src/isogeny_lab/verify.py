@@ -29,7 +29,7 @@ from .curves import (
 from .errors import (
     CapabilityError, InternalError, NotPointedError, NotSemisimpleError, TheoremViolationError,
 )
-from .fields import Polynomial, PrimeField, QQ, poly_roots, rational_roots, rational_sqrt
+from .fields import Polynomial, PrimeField, QQ, poly_roots, rational_roots
 from .galois_modules import (
     GaloisModule,
     PointedConfiguration,
@@ -403,11 +403,7 @@ def reproduce_paper_counterexample() -> VerificationReport:
     # 3-division polynomial fails to lift to a rational point
     psi3 = division_polynomial(e3p, 3)
     roots = sorted(rational_roots(psi3))
-    lifts = []
-    for x in roots:
-        lin = e3p.a1 * x + e3p.a3
-        disc = lin * lin + 4 * e3p.rhs_cubic(x)
-        lifts.append(rational_sqrt(disc) is not None)
+    lifts = [bool(e3p.y_candidates(x)) for x in roots]
     checks["psi3_rational_roots"] = [[r.numerator, r.denominator] for r in roots]
     checks["rational_lift_exists"] = lifts
     no_torsion = not any(lifts)
@@ -647,18 +643,26 @@ def run_sweep(
 
 def replay_witness(witness: dict) -> bool:
     """Re-execute the check a violation witness came from.  Returns True if
-    the check passes now (no violation), False if it still fails."""
+    the check passes now (no violation), False if it still fails; raises
+    ValueError on a witness that is not a JSON object or lacks a field."""
+    if not isinstance(witness, dict):
+        raise ValueError(f"a witness is a JSON object, not {type(witness).__name__}")
+
+    def need(name):
+        if name not in witness:
+            raise ValueError(f"witness of claim {claim!r} lacks the field {name!r}")
+        return witness[name]
     claim = witness.get("claim")
     kind = witness.get("kind", "")
     if claim == CLAIM_THM1:
-        q, ell = witness["q"], witness["ell"]
+        q, ell = need("q"), need("ell")
         field = PrimeField(q)
         if kind == "isogeny-soundness":
             rep = verify_theorem1(q, ell)
             return not any(
                 v.get("kind") == "isogeny-soundness" for v in rep.violations
             )
-        A, B = witness["target"]
+        A, B = need("target")
         E = WeierstrassCurve(field, 0, 0, 0, A, B)
         k = torsion_field_degree(E, ell)
         basis = torsion_basis(E, ell) if k == 1 else None
@@ -666,7 +670,7 @@ def replay_witness(witness: dict) -> bool:
         if not _check_full_torsion_target(q, ell, (A, B), tab.orders()[A][B], k, basis)[0]:
             return False
         if kind == "dual-line-generator-not-rational":
-            return G._line_pointwise_rational(list(witness["line"]), A, B, q, tab)
+            return G._line_pointwise_rational(list(need("line")), A, B, q, tab)
         return True
     if claim == CLAIM_LEM32 or claim == CLAIM_LEM42:
         if "hyperplanes" in witness and "ell" in witness and "dim" in witness:
@@ -676,22 +680,19 @@ def replay_witness(witness: dict) -> bool:
             ]
             lattice = subspace_lattice(hyps)
             return all(sub.dim == dim - len(k) for k, sub in lattice.items())
-        q, ell = witness["q"], witness["ell"]
-        rep = lemma_sweep(q, ell)
-        return rep.clean
+        return lemma_sweep(need("q"), need("ell")).clean
     if claim == CLAIM_THM2:
         if "module" in witness:
             mod = GaloisModule.from_json(witness["module"])
             hyps = tuple(
                 Subspace.from_vectors(mod.ell, mod.dim, rows)
-                for rows in witness["hyperplanes"]
+                for rows in need("hyperplanes")
             )
             try:
                 return _check_theorem2_config(mod, hyps)[0] is None
             except ValueError:
                 return False
-        rep = verify_theorem2_products(witness["q"], witness["ell"])
-        return rep.clean
+        return verify_theorem2_products(need("q"), need("ell")).clean
     if claim == CLAIM_COUNTEREXAMPLE:
         return reproduce_paper_counterexample().clean
     if claim == CLAIM_NECESSITY:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,54 @@ def test_sweep_command_rejects_an_empty_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: empty sweep range")
+
+
+# The CLI in a child interpreter under a timeout, so that a command that
+# never ends fails the test instead of hanging the suite.
+_CHILD_CLI = "import sys; sys.path.insert(0, {src!r}); from isogeny_lab.cli import main; " \
+    "sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--q", "7", "--ell", "-3"],
+    ["theorem1", "--q", "7", "--ell", "0"],
+    ["theorem1", "--q", "7", "--ell", "1"],
+    ["theorem2", "--q", "11", "--ell", "1"],
+    ["sweep", "--ell-list", "1", "--q-max", "20", "--threads", "1"],
+    ["theorem1", "--q", "7", "--ell", "4"],
+    ["lemmas", "--q", "7", "--ell", "9"],
+], ids=lambda argv: " ".join(argv))
+def test_an_ell_that_is_not_prime_is_plain_error(argv):
+    script = _CHILD_CLI.format(src=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ell must be a prime"), done.stderr
+
+
+@pytest.mark.parametrize("witness, message", [
+    ({"claim": "thm1-full-torsion"}, "lacks the field 'q'"),
+    ({"claim": "lem32-distinct-kernels", "q": 7}, "lacks the field 'ell'"),
+    ([1, 2], "a witness is a JSON object"),
+])
+def test_replay_of_a_malformed_witness_is_plain_error(witness, message, capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness))
+    assert main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suites", "--trials", "-1"],
+    ["theorem2", "--q", "11", "--ell", "3", "--max-pairs", "-1"],
+])
+def test_a_negative_count_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-2]}: must be nonnegative" in captured.err
 
 
 def test_json_schema_stability(capsys):

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isogeny_lab import intpoly
+from isogeny_lab import curves, fields, intpoly
 from isogeny_lab.curves import (
     CurvePoint,
     WeierstrassCurve,
@@ -517,17 +517,52 @@ def _curves_with_small_k(q, ell, count, seed):
     return out
 
 
+# a short curve (q, a4, a6) with E[ell] over F_q, k = 1, per ell
+_FULL_TORSION_CURVE = {3: (7, 0, 2), 5: (31, 0, 11)}
+
+
 @pytest.mark.parametrize("ell", [3, 5])
 def test_torsion_basis_matches_the_eager_enumeration(ell):
     """At every prime 5 <= q < 60 other than ell, on two seeded curves with
-    k <= 4: torsion_basis, which takes y only at P and Q, picks the P and Q
-    of the enumeration of every torsion point."""
+    k <= 4, and on one curve with k = 1: torsion_basis, which takes y only
+    at P and Q, picks the P and Q of the enumeration of every torsion point.
+    The enumeration splits the whole division polynomial, so the x's of
+    torsion_basis, which come from its F_q factors, are checked against
+    another path at k = 1 and k > 1."""
+    q1, a4, a6 = _FULL_TORSION_CURVE[ell]
+    tried = [WeierstrassCurve(PrimeField(q1), 0, 0, 0, a4, a6)]
     for q in primes_in_range(5, 60):
-        if q == ell:
-            continue
-        for E in _curves_with_small_k(q, ell, 2, seed=q * ell):
-            basis = torsion_basis(E, ell)
-            assert (basis.P, basis.Q) == eager_torsion_basis(E, ell), (q, E)
+        if q != ell:
+            tried += _curves_with_small_k(q, ell, 2, seed=q * ell)
+    ks = set()
+    for E in tried:
+        basis = torsion_basis(E, ell)
+        assert (basis.P, basis.Q) == eager_torsion_basis(E, ell), E
+        ks.add(basis.k)
+    assert 1 in ks and max(ks) > 1
+
+
+@pytest.mark.parametrize("q,ell,a4,a6,k", [(7, 3, 0, 2, 1), (31, 5, 0, 11, 1), (5, 3, 0, 2, 2)])
+def test_torsion_basis_takes_its_xs_from_one_factorization(monkeypatch, q, ell, a4, a6, k):
+    """torsion_basis takes its x's from the F_q factors of psi_ell at every
+    k: no whole-polynomial split (poly_roots of division_polynomial), and
+    psi_ell is factored once per curve object, however often its degree
+    and basis are asked for."""
+    calls = []
+    for owner, name in ((curves, "division_polynomial"), (fields, "poly_roots"),
+                        (intpoly, "factor_squarefree")):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _o=orig, _n=name: calls.append(_n) or _o(*a))
+    # a module that imported poly_roots by name calls it through its own binding
+    monkeypatch.setattr(curves, "poly_roots", lambda *a: calls.append("poly_roots")
+                        or fields.poly_roots(*a), raising=False)
+    E = WeierstrassCurve(PrimeField(q), 0, 0, 0, a4, a6)
+    first = torsion_basis(E, ell)
+    assert first.k == torsion_field_degree(E, ell) == k
+    second = torsion_basis(E, ell)
+    assert (second.P, second.Q) == (first.P, first.Q)
+    assert calls == ["factor_squarefree"]
 
 
 @pytest.mark.parametrize("q", [5, 7])

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from isogeny_lab import curves, fields, galois_modules as GM, graphs as G, intpoly, verify as V
-from isogeny_lab.curves import division_polynomial, torsion_field_degree
+from isogeny_lab.curves import division_polynomial
 from isogeny_lab.errors import InternalError
 from isogeny_lab.fields import PrimeField
 from isogeny_lab.reports import (
@@ -405,7 +405,6 @@ def test_sweep_task_one_torsion_basis_per_target(q, ell, monkeypatch):
     orig_factor = intpoly.factor_squarefree
     monkeypatch.setattr(intpoly, "factor_squarefree",
                         lambda f, q: factored.append(tuple(f)) or orig_factor(f, q))
-    torsion_field_degree.cache_clear()
     rep = V._sweep_task((q, ell, G.DEFAULT_CURVE_LIMIT, True))
     bases = [(E.a4, E.a6) for E in targets]
     assert len(bases) == len(set(bases)) == rep.counts["graphs_order_2"]
