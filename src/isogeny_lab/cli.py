@@ -33,17 +33,17 @@ from .reports import VerificationReport
 from . import verify as V
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ISOGENY_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def count(text: str) -> int:
     """A nonnegative int: the argparse type of a count option."""
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, not {text}")
+    return int(text)
+
+
+def positive(text: str) -> int:
+    """An int of at least 1: the argparse type of a cap or a worker count."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
     return int(text)
 
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--q", type=int, required=True)
     t2.add_argument("--ell", type=int, required=True)
     t2.add_argument("--max-pairs", type=count, default=6)
-    t2.add_argument("--k-cap", type=int, default=6,
+    t2.add_argument("--k-cap", type=positive, default=6,
                     help="skip factor curves whose torsion splitting degree exceeds this")
     add_common(t2)
 
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--ell-list", default="2,3,5,7")
     sw.add_argument("--q-max", type=int, default=200)
     sw.add_argument("--q-min", type=int, default=5)
-    sw.add_argument("--threads", type=int, default=None)
+    sw.add_argument("--threads", type=positive, default=os.cpu_count() or 1)
     sw.add_argument("--max-curves", type=int, default=DEFAULT_CURVE_LIMIT)
     add_common(sw)
 
@@ -206,9 +206,8 @@ def main(argv=None) -> int:
             return _module_command(args)
         if args.command == "sweep":
             ells = [int(x) for x in args.ell_list.split(",") if x.strip()]
-            threads = args.threads if args.threads is not None else _default_threads()
             rep = V.run_sweep(
-                ells, q_max=args.q_max, q_min=args.q_min, threads=threads,
+                ells, q_max=args.q_max, q_min=args.q_min, threads=args.threads,
                 curve_limit=args.max_curves,
             )
             return _emit(rep, args)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import graphs, intpoly
@@ -21,7 +20,6 @@ from .fields import (
     FieldElement,
     Polynomial,
     PrimeField,
-    QQ,
     RationalField,
     _roots_from_base_factors,
     _val_is_zero,
@@ -131,42 +129,6 @@ class WeierstrassCurve:
 
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def to_json(self) -> dict:
-        f = self.field
-        if isinstance(f, PrimeField):
-            return {
-                "p": f.p,
-                "k": 1,
-                "modulus": [0, 1],
-                "a": [c.to_int() for c in self.coefficients()],
-            }
-        if isinstance(f, ExtensionField):
-            return {
-                "p": f.p,
-                "k": f.k,
-                "modulus": list(f.modulus),
-                "a": [c.coeff_list() for c in self.coefficients()],
-            }
-        # rational curve: coefficients as [num, den] pairs, p = 0 marks Q
-        return {
-            "p": 0,
-            "k": 1,
-            "modulus": [0, 1],
-            "a": [[c.numerator, c.denominator] for c in self.coefficients()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WeierstrassCurve":
-        p, k = data["p"], data.get("k", 1)
-        if p == 0:
-            coeffs = [Fraction(n, d) for n, d in data["a"]]
-            return cls(QQ, *coeffs)
-        if k == 1:
-            field = PrimeField(p)
-            return cls(field, *[field.element(c) for c in data["a"]])
-        field = ExtensionField(p, k, data["modulus"])
-        return cls(field, *[field.element(c) for c in data["a"]])
 
     def __eq__(self, other):
         return (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import isqrt, lcm
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import intpoly
 from .errors import CapabilityError, FieldMismatchError, InternalError
@@ -95,36 +95,28 @@ class PrimeField:
 
 
 class ExtensionField:
-    """F_{p^k} = F_p[t]/(modulus), modulus monic irreducible of degree k.
+    """F_{p^k} = F_p[t]/(modulus), modulus the lexicographically smallest
+    monic irreducible of degree k (`find_irreducible_ints`).
 
-    Each field handle carries its (p, modulus)'s entry of `_EXT_TABLES`
-    (see `_ext_tables`): `fold`, the rows t^(k+i) mod modulus that reduce a
-    product inline, and `frob`, the Frobenius images of the power basis."""
+    Each field handle carries its (p, k)'s entry of `_EXT_TABLES`: the
+    modulus, and (see `_ext_tables`) `fold`, the rows t^(k+i) mod modulus
+    that reduce a product inline, and `frob`, the Frobenius images of the
+    power basis."""
 
     __slots__ = ("p", "k", "modulus", "fold", "frob")
 
-    def __init__(self, p: int, k: int, modulus: Iterable[int] | None = None):
+    def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            mod = _DEFAULT_MODULI.get((p, k))
-            if mod is None:
-                mod = _DEFAULT_MODULI[p, k] = tuple(find_irreducible_ints(p, k))
-        else:
-            mod = tuple(c % p for c in modulus)
-            if len(mod) != k + 1 or mod[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-        tables = _EXT_TABLES.get((p, mod))
-        if tables is None:  # a default modulus is irreducible by construction
-            if modulus is not None and not intpoly.is_irreducible(list(mod), p):
-                raise ValueError("modulus is reducible over F_p")
-            tables = _EXT_TABLES[p, mod] = _ext_tables(p, mod)
+        tables = _EXT_TABLES.get((p, k))
+        if tables is None:
+            mod = tuple(find_irreducible_ints(p, k))
+            tables = _EXT_TABLES[p, k] = (mod, *_ext_tables(p, mod))
         self.p = p
         self.k = k
-        self.modulus = mod
-        self.fold, self.frob = tables
+        self.modulus, self.fold, self.frob = tables
 
     def element(self, v) -> "FieldElement":
         if isinstance(v, FieldElement):
@@ -600,8 +592,7 @@ def _val_inverse(c):
     return c.inverse() if isinstance(c, FieldElement) else 1 / c
 
 
-_DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {}  # (p, k) -> modulus
-_EXT_TABLES: dict[tuple, tuple] = {}  # (p, modulus) -> (fold, frob), one per field
+_EXT_TABLES: dict[tuple[int, int], tuple] = {}  # (p, k) -> (modulus, fold, frob)
 
 
 def _ext_tables(p: int, mod: tuple[int, ...]) -> tuple:

@@ -173,15 +173,6 @@ class Subspace:
             self.ell, self.ambient, [mat_vec(g, r, self.ell) for r in self.rows]
         )
 
-    def vectors(self):
-        """All vectors in the subspace (enumeration; small dims only)."""
-        for coeffs in itertools.product(range(self.ell), repeat=self.dim):
-            v = [0] * self.ambient
-            for c, row in zip(coeffs, self.rows):
-                for i, x in enumerate(row):
-                    v[i] = (v[i] + c * x) % self.ell
-            yield tuple(v)
-
     def to_json(self):
         return [list(r) for r in self.rows]
 

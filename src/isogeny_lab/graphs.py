@@ -619,15 +619,6 @@ class GraphArm:
     iso_to_target: tuple[int, int, int, int]
     dual_line: tuple[int, ...]
 
-    def to_json(self):
-        return {
-            "source": list(self.source),
-            "kernel_point": list(self.kernel_point),
-            "codomain": list(self.codomain),
-            "isomorphism": list(self.iso_to_target),
-            "dual_kernel_poly": list(self.dual_line),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class PointedGraph:
@@ -651,19 +642,6 @@ class PointedGraph:
 
         field = field or PrimeField(self.q)
         return WeierstrassCurve(field, 0, 0, 0, self.target[0], self.target[1])
-
-    def to_json(self):
-        return {
-            "q": self.q,
-            "ell": self.ell,
-            "target": {"p": self.q, "k": 1, "modulus": [0, 1],
-                       "a": [0, 0, 0, self.target[0], self.target[1]]},
-            "target_order": self.target_order,
-            "order": self.order,
-            "arm_multiplicity": self.arm_multiplicity,
-            "pointed_lines": [list(w) for w in self.pointed_lines],
-            "arms": [a.to_json() for a in self.arms],
-        }
 
 
 # --- the sweep -------------------------------------------------------------------------
@@ -701,6 +679,17 @@ class SoundnessStats:
         return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "failures"}
 
 
+def check_graph_parameters(q: int, ell: int) -> None:
+    """Raises ValueError unless q > 3, ell is a prime and ell != q: the
+    (q, ell) that pointed graphs over F_q and their targets are built for."""
+    if q <= 3:
+        raise ValueError("base field characteristic must exceed 3")
+    if not is_prime(ell):
+        raise ValueError(f"ell must be a prime, not {ell}")
+    if ell == q:
+        raise ValueError("ell must differ from the characteristic")
+
+
 def build_pointed_graphs(
     field: PrimeField,
     ell: int,
@@ -718,12 +707,7 @@ def build_pointed_graphs(
     if not isinstance(field, PrimeField):
         raise CapabilityError("graph sweeps run over prime base fields only")
     q = field.p
-    if q <= 3:
-        raise ValueError("base field characteristic must exceed 3")
-    if not is_prime(ell):
-        raise ValueError(f"ell must be a prime, not {ell}")
-    if ell == q:
-        raise ValueError("ell must differ from the characteristic")
+    check_graph_parameters(q, ell)
     n_curves = q * q * (2 if include_family and ell == 3 else 1)
     if n_curves > curve_limit:
         raise CapabilityError(f"enumeration of ~{n_curves} curves exceeds the cap {curve_limit}")

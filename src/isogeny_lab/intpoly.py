@@ -455,16 +455,6 @@ def tgcd(a: list, b: list, fold: tuple, q: int, inv) -> list:
     return [tmul(c, lc_inv, fold, q) for c in a]
 
 
-def eval_poly_ext(g: list[int], a: list[int], f: list[int], q: int) -> list[int]:
-    """Evaluate g in F_q[x] at the element a of F_q[z]/(f)."""
-    acc: list[int] = []
-    for c in reversed(g):
-        acc = emul(acc, a, f, q) if acc else []
-        if c:
-            acc = padd(acc, [c], q)
-    return acc
-
-
 def is_irreducible(f: list[int], q: int) -> bool:
     """Rabin irreducibility test for monic f over F_q."""
     k = deg(f)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from . import graphs, intpoly
 from .curves import CurvePoint, WeierstrassCurve
-from .errors import CapabilityError, FieldMismatchError
+from .errors import FieldMismatchError
 from .fields import FieldElement, Polynomial, _val_is_zero, is_prime
 
 
@@ -104,14 +104,10 @@ def quotient_by_kernel_polynomial(
     )
 
 
-def velu_quotient(curve: WeierstrassCurve, point: CurvePoint, ell: int | None = None) -> Isogeny:
+def velu_quotient(curve: WeierstrassCurve, point: CurvePoint, ell: int) -> Isogeny:
     """The isogeny E -> E/<P> for a point P of prime order ell."""
     if point.curve != curve:
         raise FieldMismatchError("kernel point is not on the curve")
-    if point.infinity:
-        raise ValueError("kernel point must have prime order, got infinity")
-    if ell is None:
-        ell = _point_prime_order(point)
     if not is_prime(ell):
         raise ValueError(f"kernel order {ell} is not prime")
     if not point.has_order(ell):
@@ -121,17 +117,6 @@ def velu_quotient(curve: WeierstrassCurve, point: CurvePoint, ell: int | None = 
         raise ValueError("ell must differ from the characteristic")
     h = kernel_polynomial_from_point(point, ell)
     return replace(quotient_by_kernel_polynomial(curve, h, ell), kernel_point=point)
-
-
-def _point_prime_order(point: CurvePoint, bound: int = 200) -> int:
-    acc = point
-    for n in range(1, bound + 1):
-        if acc.infinity:
-            if not is_prime(n):
-                raise ValueError(f"kernel point order {n} is not prime")
-            return n
-        acc = acc + point
-    raise CapabilityError(f"kernel point order exceeds search bound {bound}")
 
 
 # --- the universal 3-isogeny family -------------------------------------------

@@ -65,18 +65,6 @@ class VerificationReport:
         }
         return json.dumps(data, sort_keys=True, indent=indent)
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        data = json.loads(text)
-        return cls(
-            parameters=data["parameters"],
-            counts=data["counts"],
-            paper_claims=data["claims"],
-            violations=data["violations"],
-            timing=data["timing"],
-            version=data["version"],
-        )
-
     def text_summary(self) -> str:
         lines = [f"isogeny-lab report (v{self.version})"]
         lines.append("parameters: " + json.dumps(self.parameters, sort_keys=True))

@@ -656,13 +656,14 @@ def replay_witness(witness: dict) -> bool:
     kind = witness.get("kind", "")
     if claim == CLAIM_THM1:
         q, ell = need("q"), need("ell")
+        G.check_graph_parameters(q, ell)
         field = PrimeField(q)
         if kind == "isogeny-soundness":
             rep = verify_theorem1(q, ell)
             return not any(
                 v.get("kind") == "isogeny-soundness" for v in rep.violations
             )
-        A, B = need("target")
+        A, B = (c % q for c in need("target"))
         E = WeierstrassCurve(field, 0, 0, 0, A, B)
         k = torsion_field_degree(E, ell)
         basis = torsion_basis(E, ell) if k == 1 else None

@@ -125,10 +125,10 @@ def arm_source_curve(arm, field: PrimeField) -> WeierstrassCurve:
     return WeierstrassCurve(field, *arm.source)
 
 
-def arm_isogeny(arm, field: PrimeField) -> Isogeny:
+def arm_isogeny(arm, field: PrimeField, ell: int) -> Isogeny:
     E = arm_source_curve(arm, field)
     P = E.point(field.element(arm.kernel_point[0]), field.element(arm.kernel_point[1]))
-    return velu_quotient(E, P)
+    return velu_quotient(E, P, ell)
 
 
 def arm_isomorphism(arm, field: PrimeField) -> CurveIsomorphism:
@@ -232,8 +232,8 @@ def line_poly_int(xmul, xi, f, q):
     """
     xs = [xi]
     for numj, denj in xmul.values():
-        nv = intpoly.eval_poly_ext(numj, xi, f, q)
-        dv = intpoly.eval_poly_ext(denj, xi, f, q)
+        nv = eval_poly_ext(numj, xi, f, q)
+        dv = eval_poly_ext(denj, xi, f, q)
         if not dv:
             return None
         xs.append(intpoly.emul(nv, intpoly.einv(dv, f, q), f, q))
@@ -277,8 +277,8 @@ def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
     f = intpoly.factor_squarefree(g, q)[0]
     d = intpoly.deg(f)
     alpha = [(-f[0]) % q] if d == 1 else [0, 1]
-    n_val = intpoly.eval_poly_ext(num, alpha, f, q)
-    d_val = intpoly.eval_poly_ext(den, alpha, f, q)
+    n_val = eval_poly_ext(num, alpha, f, q)
+    d_val = eval_poly_ext(den, alpha, f, q)
     xi = intpoly.emul(n_val, intpoly.einv(d_val, f, q), f, q)
     psi_cod, F_cod = graphs.psi_tilde_ints(
         [c.to_int() for c in phi.codomain.coefficients()], q, (ell + 1) // 2
@@ -287,6 +287,16 @@ def dual_kernel_polynomial(phi: Isogeny) -> Polynomial:
     if w_ints is None:
         raise InternalError("dual kernel line is not Galois-stable")
     return Polynomial(field, [field.element(c) for c in w_ints])
+
+
+def eval_poly_ext(g: list[int], a: list[int], f: list[int], q: int) -> list[int]:
+    """Evaluate g in F_q[x] at the element a of F_q[z]/(f)."""
+    acc: list[int] = []
+    for c in reversed(g):
+        acc = intpoly.emul(acc, a, f, q) if acc else []
+        if c:
+            acc = intpoly.padd(acc, [c], q)
+    return acc
 
 
 def peval(f: list[int], x: int, q: int) -> int:

@@ -229,6 +229,10 @@ def test_an_ell_that_is_not_prime_is_plain_error(argv):
     ({"claim": "thm1-full-torsion"}, "lacks the field 'q'"),
     ({"claim": "lem32-distinct-kernels", "q": 7}, "lacks the field 'ell'"),
     ([1, 2], "a witness is a JSON object"),
+    ({"claim": "thm1-full-torsion", "q": 7, "ell": 1, "target": [0, 2]},
+     "ell must be a prime, not 1"),
+    ({"claim": "thm1-full-torsion", "q": 7, "ell": 4, "target": [0, 2]},
+     "ell must be a prime, not 4"),
 ])
 def test_replay_of_a_malformed_witness_is_plain_error(witness, message, capsys, tmp_path):
     path = tmp_path / "w.json"
@@ -237,6 +241,18 @@ def test_replay_of_a_malformed_witness_is_plain_error(witness, message, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_replay_reads_a_target_mod_q(capsys, tmp_path):
+    """A target (10, 3) at q = 7 replays as (3, 3)."""
+    answers = []
+    for target in ([10, 3], [3, 3]):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"claim": "thm1-full-torsion", "q": 7, "ell": 3,
+                                    "target": target}))
+        code, out = run_cli(["replay", str(path)], capsys)
+        answers.append((code, json.loads(out)["passes_now"]))
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -248,6 +264,19 @@ def test_a_negative_count_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {argv[-2]}: must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem2", "--q", "11", "--ell", "3", "--k-cap", "-1"],
+    ["theorem2", "--q", "11", "--ell", "3", "--k-cap", "0"],
+    ["sweep", "--ell-list", "3", "--q-max", "14", "--threads", "-3"],
+    ["sweep", "--ell-list", "3", "--q-max", "14", "--threads", "0"],
+])
+def test_a_cap_or_worker_count_below_one_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-2]}: must be at least 1" in captured.err
 
 
 def test_json_schema_stability(capsys):

@@ -315,14 +315,6 @@ def test_group_law_axioms(q, data):
     assert (P + E.infinity()) == P
 
 
-def test_curve_serialization_round_trip():
-    F7 = PrimeField(7)
-    E = WeierstrassCurve(F7, 1, 0, 2, 3, 4)
-    assert WeierstrassCurve.from_json(E.to_json()) == E
-    EQ = WeierstrassCurve(QQ, 1, 0, 2, -10, -30)
-    assert WeierstrassCurve.from_json(EQ.to_json()) == EQ
-
-
 @pytest.mark.parametrize("ab, ell", [((0, 2), 3), ((0, 1), 3), ((1, 0), 5)])
 def test_torsion_basis_coordinates(ab, ell):
     E = WeierstrassCurve(PrimeField(13), 0, 0, 0, *ab)

@@ -522,22 +522,14 @@ def test_inverse_oracle_catches_a_corrupted_frobenius_column(monkeypatch):
     """The oracle's self-check: with one Frobenius image (t^1)^(p^2) of
     F_{7^4} changed, the Itoh-Tsujii inverse goes wrong and is caught."""
     p, k = 7, 4
-    mod = ExtensionField(p, k).modulus
-    fold, frob = fields._EXT_TABLES[p, mod]
+    ExtensionField(p, k)
+    mod, fold, frob = fields._EXT_TABLES[p, k]
     col = tuple((c + 1) % p for c in frob[1][1])
     bad = frob[:1] + ((frob[1][0], col) + frob[1][2:],) + frob[2:]
-    monkeypatch.setitem(fields._EXT_TABLES, (p, mod), (fold, bad))
+    monkeypatch.setitem(fields._EXT_TABLES, (p, k), (mod, fold, bad))
     K = ExtensionField(p, k)
     els = _ext_elements(K, 50, seed=1)
     assert any(what == "inverse" for what, _, _ in _arithmetic_mismatches(K, els, []))
-
-
-def test_passed_modulus_is_still_checked():
-    """A modulus passed in, as a JSON curve's, is tested for irreducibility;
-    x^2 + 1 = (x + 2)(x + 3) over F_5."""
-    with pytest.raises(ValueError, match="reducible"):
-        ExtensionField(5, 2, [1, 0, 1])
-    assert ExtensionField(5, 2, [2, 0, 1]) == ExtensionField(5, 2)
 
 
 def test_norm_parts_are_the_powers_r_minus_1_and_r():
@@ -572,11 +564,11 @@ _TABLE_FIELDS = [pytest.param(pk, count, id=f"{pk[0]}^{pk[1]}") for pk, count in
 def _corrupted_field(monkeypatch, p, k):
     """F_{p^k} with the Frobenius image t^p of t changed in its constant
     coefficient, and a cold non-square cache for it."""
-    mod = ExtensionField(p, k).modulus
-    fold, frob = fields._EXT_TABLES[p, mod]
+    ExtensionField(p, k)
+    mod, fold, frob = fields._EXT_TABLES[p, k]
     col = ((frob[0][1][0] + 1) % p,) + frob[0][1][1:]
     bad = ((frob[0][0], col) + frob[0][2:],) + frob[1:]
-    monkeypatch.setitem(fields._EXT_TABLES, (p, mod), (fold, bad))
+    monkeypatch.setitem(fields._EXT_TABLES, (p, k), (mod, fold, bad))
     monkeypatch.setattr(fields, "_NONSQUARES", {})
     return ExtensionField(p, k)
 

@@ -1,9 +1,8 @@
 import json
-import os
 
 import pytest
 
-from isogeny_lab.cli import _default_threads, main
+from isogeny_lab.cli import main
 from isogeny_lab.errors import InternalError
 from isogeny_lab.reports import CLAIM_THM1, VIOLATED, VerificationReport
 from isogeny_lab.verify import run_sweep
@@ -17,14 +16,6 @@ def test_threaded_sweep_matches_sequential():
         d.pop("timing")
         d["parameters"].pop("threads")
     assert a == b
-
-
-def test_env_var_overrides_thread_default():
-    os.environ["ISOGENY_LAB_THREADS"] = "3"
-    try:
-        assert _default_threads() == 3
-    finally:
-        del os.environ["ISOGENY_LAB_THREADS"]
 
 
 def test_report_invariant_enforced():
